@@ -33,19 +33,22 @@ Multi-line accesses model memory-level parallelism: the first line pays
 full latency, subsequent lines overlap and pay ``latency / mlp``.
 
 **Fast path.** When the owning simulator runs its default fast loop (no
-``REPRO_SIM_SLOWPATH=1``) and no fault injector is attached, accesses go
-through a hot path that memoizes *transition plans* — the resolved cost
-constant, precomputed link message rows and counter cells for one
-``(operation, line situation, homing, requester socket)`` combination —
-so steady-state transitions skip all cost recomputation, message-size
-resolution and counter-name formatting. Plans are invalidated when the
-cost model is swapped, the link is rescaled, or the counter bag is
-reset; attaching fabric-level faults bypasses the fast path entirely so
-fault draws keep their reference order, and attaching a flight recorder
-(:meth:`CoherenceFabric.attach_flight`) does the same so its recording
-hooks live only in the reference implementations. Results are
-bit-identical to the reference path (the determinism suite compares
-full metric snapshots across both).
+``REPRO_SIM_SLOWPATH=1``), accesses go through a hot path that memoizes
+*transition plans* — the resolved cost constant, precomputed link
+message rows and counter cells for one ``(operation, line situation,
+homing, requester socket)`` combination — so steady-state transitions
+skip all cost recomputation, message-size resolution and counter-name
+formatting. Plans are invalidated when the cost model is swapped, the
+link is rescaled, or the counter bag is reset. An attached fault
+injector keeps the fast path: each remote plan draws its snoop fault
+right after charging its link messages (which draw their link faults
+inside :meth:`Link.occupy_pair`), at the same point and in the same
+order as the reference implementations. Attaching a flight recorder
+(:meth:`CoherenceFabric.attach_flight`) or a sanitizer disables the
+fast path, so their recording hooks live only in the reference
+implementations. Results are bit-identical to the reference path (the
+determinism suite compares full metric snapshots across both, faulted
+runs included).
 """
 
 from __future__ import annotations
@@ -219,11 +222,11 @@ class CoherenceFabric(Instrumented):
     def attach_flight(self, recorder) -> None:
         """Attach a flight recorder; all accesses take the reference path.
 
-        Mirrors fault-injector attach: the memoized transition plans are
-        epoch-invalidated and the fast path is disabled, so recording
-        hooks live only in the reference implementations and recorded
-        runs stay bit-identical (the reference path IS the fast path's
-        ground truth) to unrecorded ones.
+        The memoized transition plans are invalidated and the fast path
+        is disabled, so recording hooks live only in the reference
+        implementations and recorded runs stay bit-identical (the
+        reference path IS the fast path's ground truth) to unrecorded
+        ones.
         """
         self.flight = recorder
         self._fastpath = False
@@ -237,8 +240,9 @@ class CoherenceFabric(Instrumented):
         The timeline sampler is deliberately absent — it hangs off the
         simulator's clock advances and never forces the reference path
         (attached runs are fingerprint-identical on either path); the
-        fault injector is also absent because :meth:`access` checks
-        ``self.faults`` per call rather than flipping ``_fastpath``.
+        fault injector is also absent because its draws run inside the
+        transition plans and :meth:`Link.occupy_pair`, so faulted runs
+        keep the fast path.
         """
         return (self.flight, self.sanitizer)
 
@@ -375,7 +379,7 @@ class CoherenceFabric(Instrumented):
         first line pays full (possibly pipelined, for writes) latency;
         further lines of a multi-line access overlap via ``mlp``.
         """
-        if not self._fastpath or self.faults is not None:
+        if not self._fastpath:
             return self._access_slow(agent, addr, size, write)
         if size <= 0:
             raise CoherenceError(f"access size must be positive, got {size}")
@@ -510,7 +514,7 @@ class CoherenceFabric(Instrumented):
         line pays ``latency / mlp``. Bandwidth and protocol state are
         charged for every line exactly as in :meth:`access`.
         """
-        if not self._fastpath or self.faults is not None:
+        if not self._fastpath:
             return self._access_burst_slow(agent, spans, write)
         total = 0.0
         first = True
@@ -908,6 +912,8 @@ class CoherenceFabric(Instrumented):
         The holders scan and all MESIF state transitions are the same
         code path as the reference implementation; only the latency,
         link-message and counter bookkeeping comes from a memoized plan.
+        Each remote plan then draws its snoop fault, as the reference
+        path does after the same link charge and counter bump.
         """
         holders = self._holders.get(line)
         if not holders:
@@ -925,6 +931,8 @@ class CoherenceFabric(Instrumented):
                 base, msgs, cell = plan
                 latency = self.link.occupy_pair(msgs, agent.name, base)
                 cell[0] += 1.0
+                if self.faults is not None:
+                    latency += self._snoop_disruption(agent)
             self._install(agent, line, _MODIFIED if write else _EXCLUSIVE, region)
             return latency
         local_holder: Optional[CacheAgent] = None
@@ -962,6 +970,8 @@ class CoherenceFabric(Instrumented):
                 msgs, agent.name, self._pending_queue
             )
             cell[0] += 1.0
+            if self.faults is not None:
+                self._pending_queue += self._snoop_disruption(agent)
         else:
             latency = self._local_cache
         if write:
@@ -1053,7 +1063,7 @@ class CoherenceFabric(Instrumented):
         if not found_other:
             return 0.0
         if remote:
-            if self._fastpath and self.faults is None:
+            if self._fastpath:
                 plans = self._plans
                 if self.counters.epoch != self._plans_epoch:
                     plans.clear()
@@ -1067,6 +1077,8 @@ class CoherenceFabric(Instrumented):
                     msgs, agent.name, self._pending_queue
                 )
                 cell[0] += 1.0
+                if self.faults is not None:
+                    self._pending_queue += self._snoop_disruption(agent)
                 return base
             self._pending_queue += self.link.occupy(
                 MessageClass.SNOOP, direction=agent.socket, actor=agent.name
@@ -1169,7 +1181,7 @@ class CoherenceFabric(Instrumented):
                     crosses = True
         else:
             crosses = region.home != agent.socket
-        if self._fastpath and self.faults is None:
+        if self._fastpath:
             plans = self._plans
             if self.counters.epoch != self._plans_epoch:
                 plans.clear()

@@ -204,7 +204,6 @@ class Link:
         payload_bytes: Optional[int] = None,
         inflate: float = 1.0,
         charge_queueing: bool = True,
-        now: Optional[float] = None,
         actor: str = "anon",
     ) -> float:
         """Consume bandwidth for one message; return only the queueing delay.
@@ -214,8 +213,7 @@ class Link:
         congestion-induced wait returned here. ``inflate`` scales the
         wire size to model inefficient encodings (non-temporal
         partial-line streams). ``actor`` names the issuing agent for the
-        per-actor utilization accounting (``now`` is accepted for
-        compatibility but windows roll on simulator time).
+        per-actor utilization accounting; windows roll on simulator time.
         """
         if direction not in (0, 1):
             raise InterconnectError(f"direction must be 0 or 1, got {direction}")
@@ -329,30 +327,19 @@ class Link:
         :attr:`on_scaled` when either goes stale — both :meth:`scaled`
         and :meth:`reset_stats` fire it). The accounting is
         bit-identical to calling :meth:`occupy` once per row — same
-        window rolls, same per-actor demand updates, same wait
+        fault draws, window rolls, per-actor demand updates and wait
         arithmetic in the same evaluation order — batching away only
         the per-call validation, payload resolution and attribute
         traffic. Rows with ``charge_queueing`` False still consume
-        window demand but add nothing to the returned total. With
-        faults attached this falls back to per-message :meth:`occupy`
-        so fault draws keep their order.
+        window demand but add nothing to the returned total. With an
+        injector attached each row runs the fault hooks inline, as
+        :meth:`occupy` does: the degrade scale and the per-message draw
+        (whose wasted copy books ahead of the row), then the row's own
+        accounting, with the draw's extra delay charged beside its wait.
         """
         (d0, cls0, payload0, wire0, ser0, charge0, agg0, cell0,
          d1, cls1, payload1, wire1, ser1, charge1, agg1, cell1) = plan
-        if self.faults is not None:
-            wait = self.occupy(
-                cls0, d0, payload_bytes=payload0 or None,
-                charge_queueing=charge0, actor=actor,
-            )
-            if charge0:
-                base += wait
-            wait = self.occupy(
-                cls1, d1, payload_bytes=payload1 or None,
-                charge_queueing=charge1, actor=actor,
-            )
-            if charge1:
-                base += wait
-            return base
+        faults = self.faults
         window = self.WINDOW_NS
         cap = self.RHO_CAP
         t = self.sim.now
@@ -362,7 +349,11 @@ class Link:
         rho_settled = self._rho
         rho_by = self._rho_by
         live_floor = window / 4
+        disrupt = 0.0
         # --- request row
+        if faults is not None:
+            ser0 = ser0 * faults.link_ser_scale(self.name, t)
+            disrupt = self._fault_disruptions(cls0, d0, ser0, wire0, actor)
         elapsed = t - win_start[d0]
         if elapsed >= window:
             rho_settled[d0] = min(cap, win_busy[d0] / elapsed)
@@ -388,14 +379,15 @@ class Link:
         cell0[0] += 1
         cell0[1] += wire0
         if charge0:
+            wait = 0.0
             try:
                 settled_others = rho_settled[d0] - rho_by[d0][actor]
             except KeyError:
                 settled_others = rho_settled[d0]
             # Sole actor in the live window with nothing settled from
             # others: live_others is exactly 0.0 and the clipped
-            # settled share is 0.0, so the wait would be 0.0 — skip
-            # its arithmetic entirely (the dominant uncontended case).
+            # settled share is 0.0, so the wait is 0.0 — skip its
+            # arithmetic entirely (the dominant uncontended case).
             if busy != mine or settled_others > 0.0:
                 if settled_others < 0.0:
                     settled_others = 0.0
@@ -418,8 +410,13 @@ class Link:
                     if over < 0.0:
                         over = 0.0
                     fair = ser0 * over * rho_total * rho_total
-                    base += mm1 if mm1 <= fair else fair
+                    wait = mm1 if mm1 <= fair else fair
+            # One sum, as occupy() returns it, so totals round alike.
+            base += wait + disrupt
         # --- response row (opposite direction, so state is independent)
+        if faults is not None:
+            ser1 = ser1 * faults.link_ser_scale(self.name, t)
+            disrupt = self._fault_disruptions(cls1, d1, ser1, wire1, actor)
         elapsed = t - win_start[d1]
         if elapsed >= window:
             rho_settled[d1] = min(cap, win_busy[d1] / elapsed)
@@ -445,6 +442,7 @@ class Link:
         cell1[0] += 1
         cell1[1] += wire1
         if charge1:
+            wait = 0.0
             try:
                 settled_others = rho_settled[d1] - rho_by[d1][actor]
             except KeyError:
@@ -471,7 +469,8 @@ class Link:
                     if over < 0.0:
                         over = 0.0
                     fair = ser1 * over * rho_total * rho_total
-                    base += mm1 if mm1 <= fair else fair
+                    wait = mm1 if mm1 <= fair else fair
+            base += wait + disrupt
         return base
 
     def plan_one_way(self, cls: MessageClass, direction: int,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
+from repro.check.model import ModelScope, _World
 from repro.core.recovery import RecoverableDriver, RecoveryPolicy, RingWatchdog
 from repro.core.results import TxResult
 from repro.errors import FaultError, RingTimeoutError
@@ -381,14 +382,31 @@ class TestTxSubmit:
 # ----------------------------------------------------------------------
 # End to end: drivers recover, runs are deterministic
 # ----------------------------------------------------------------------
-def _faulted_run(kind, plan, seed, n_packets=1500):
+def _faulted_run(kind, plan, seed, n_packets=1500, pkt_size=64):
     faults = FaultInjector(plan, seed=seed)
     setup = build_interface(icx(), kind, faults=faults)
     result = run_point(
-        setup, pkt_size=64, n_packets=n_packets, inflight=64,
+        setup, pkt_size=pkt_size, n_packets=n_packets, inflight=64,
         tx_batch=16, rx_batch=16, recovery=RecoveryPolicy(),
     )
     return setup, result, faults
+
+
+def _run_snapshot(setup, result):
+    """Everything a run's fingerprint covers, plus the raw latencies."""
+    system = setup.system
+    links = [system.link]
+    if setup.link() is not system.link:
+        links.append(setup.link())  # the PCIe lane group
+    return {
+        "received": result.received,
+        "dropped": result.dropped,
+        "latency": result.latency.samples(),
+        "counters": system.fabric.snapshot_counters(),
+        "links": [[st.snapshot() for st in link.stats] for link in links],
+        "events": system.sim.events_executed,
+        "now": system.sim.now,
+    }
 
 
 class TestEndToEnd:
@@ -437,17 +455,116 @@ class TestEndToEnd:
             FaultEvent(kind="link_drop", start_ns=1e15),
             FaultEvent(kind="nic_reset", start_ns=1e15, duration_ns=1.0),
         ))
-        _s1, faulted, faults = self._run(InterfaceKind.CCNIC, plan)
+        faulted_setup, faulted, faults = self._run(InterfaceKind.CCNIC, plan)
         assert faults.total_injected() == 0
         clean_setup = build_interface(icx(), InterfaceKind.CCNIC)
         clean = run_point(
             clean_setup, pkt_size=64, n_packets=1500, inflight=64,
             tx_batch=16, rx_batch=16,
         )
-        assert faulted.received == clean.received
-        assert faulted.latency.median == clean.latency.median
+        assert _run_snapshot(faulted_setup, faulted) == _run_snapshot(
+            clean_setup, clean
+        )
         assert faulted.dropped == 0
+        # Attaching an injector keeps the fabric on its plan path.
+        assert faulted_setup.system.fabric._plans
 
     @staticmethod
     def _run(kind, plan, seed=0):
         return _faulted_run(kind, plan, seed)
+
+
+# ----------------------------------------------------------------------
+# Fast path vs. REPRO_SIM_SLOWPATH=1 under every fault class
+# ----------------------------------------------------------------------
+#: The canned plan's eight kinds squeezed into the first 40 us, so a
+#: few thousand packets run through every window and both NIC events.
+COMPRESSED_PLAN = FaultPlan.from_dict({
+    "name": "compressed",
+    "events": [
+        {"kind": "link_delay", "start_ns": 2_000, "end_ns": 20_000,
+         "probability": 0.05, "extra_ns": 150.0},
+        {"kind": "link_drop", "start_ns": 5_000, "end_ns": 25_000,
+         "probability": 0.02, "extra_ns": 400.0},
+        {"kind": "link_duplicate", "start_ns": 8_000, "end_ns": 28_000,
+         "probability": 0.05},
+        {"kind": "link_degrade", "start_ns": 11_000, "end_ns": 31_000,
+         "factor": 0.5},
+        {"kind": "snoop_delay", "start_ns": 14_000, "end_ns": 34_000,
+         "probability": 0.05, "extra_ns": 120.0},
+        {"kind": "snoop_nack", "start_ns": 17_000, "end_ns": 40_000,
+         "probability": 0.05, "extra_ns": 90.0},
+        {"kind": "nic_stall", "start_ns": 20_000, "duration_ns": 5_000},
+        {"kind": "nic_reset", "start_ns": 30_000, "duration_ns": 5_000},
+    ],
+})
+
+
+class TestFastPathUnderFaults:
+    """Fault draws run inside the fabric plans and ``Link.occupy_pair``,
+    so a faulted run must match its reference-path twin exactly."""
+
+    @staticmethod
+    def _run(kind):
+        setup, result, faults = _faulted_run(
+            kind, COMPRESSED_PLAN, seed=3, n_packets=3000, pkt_size=256
+        )
+        snap = _run_snapshot(setup, result)
+        snap["injection_log"] = faults.injection_log
+        snap["faults"] = faults.counters.snapshot()
+        snap["watchdog_resets"] = setup.driver.watchdog_resets
+        return snap
+
+    @pytest.mark.parametrize("kind", [InterfaceKind.CCNIC, InterfaceKind.E810],
+                             ids=lambda kind: kind.value)
+    def test_fast_matches_reference(self, kind, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+        fast = self._run(kind)
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+        slow = self._run(kind)
+        assert fast == slow
+        assert fast["watchdog_resets"] >= 1
+        assert fast["received"] + fast["dropped"] == 3000
+        if kind is InterfaceKind.CCNIC:
+            # Every class fired. Degrade windows draw nothing; they
+            # tally the messages they scaled instead.
+            fired = {k for _, k in fast["injection_log"]}
+            assert fired == set(FAULT_KINDS) - {"link_degrade"}
+            assert fast["faults"]["degraded_messages"] > 0
+            assert any(
+                n for key, n in fast["counters"].items()
+                if key.endswith(".snoop_retry")
+            )
+
+    def test_every_snoop_site_matches_reference(self):
+        # One remote DRAM fill, one remote-cache fetch and one remote
+        # upgrade, each NACKed once, on a bare fabric on either path.
+        # Loopback runs fill remote lines from DRAM only at cold start,
+        # before any fault window opens, so that site needs this check.
+        plan = FaultPlan(events=(
+            FaultEvent(kind="link_drop", probability=0.3, extra_ns=400.0),
+            FaultEvent(kind="link_duplicate", probability=0.3),
+            FaultEvent(kind="link_degrade", factor=0.5),
+            FaultEvent(kind="snoop_nack", probability=1.0, extra_ns=90.0),
+        ))
+        # (agent, write, line): h0 and n0 sit on opposite sockets and
+        # line 1 is homed on n0's socket.
+        ops = ((0, False, 1), (2, False, 1), (0, True, 1))
+
+        def run(slowpath):
+            world = _World(ModelScope(), slowpath=slowpath)
+            faults = FaultInjector(plan, seed=5)
+            world.link.faults = faults
+            world.fabric.faults = faults
+            latencies = []
+            for op in ops:
+                latencies.append(world.apply(op))
+                world.settle()
+            return (latencies, world.counters(),
+                    [st.snapshot() for st in world.link.stats],
+                    faults.injection_log)
+
+        fast, slow = run(False), run(True)
+        assert fast == slow
+        counters = fast[1]
+        assert (counters["s0.snoop_retry"], counters["s1.snoop_retry"]) == (2, 1)
