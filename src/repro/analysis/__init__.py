@@ -7,12 +7,7 @@ from repro.analysis.loopback import (
     run_point,
     saturation,
 )
-from repro.analysis.profile import (
-    ProfileRun,
-    attach_recorder,
-    detach_recorder,
-    run_profile,
-)
+from repro.analysis.profile import ProfileRun, run_profile
 from repro.analysis.scaling import CurvePoint, ScalingModel, throughput_latency_curve
 from repro.analysis.tables import format_table
 
@@ -22,9 +17,7 @@ __all__ = [
     "LoopbackSetup",
     "ProfileRun",
     "ScalingModel",
-    "attach_recorder",
     "build_interface",
-    "detach_recorder",
     "format_table",
     "run_point",
     "run_profile",

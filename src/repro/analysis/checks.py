@@ -1,11 +1,12 @@
-"""Sanitizer wiring and report rendering for checked runs.
+"""Report rendering for sanitized runs.
 
-``attach_sanitizer`` mirrors :func:`repro.analysis.profile.attach_recorder`:
-one call spreads a :class:`~repro.check.sanitizer.Sanitizer` across every
-layer that carries protocol events (coherence fabric, descriptor rings,
-buffer pool, host driver, NIC queue agents). Attaching drops the fabric
-onto its reference path, so a sanitized run is slower in wall-clock but
-bit-identical in simulated metrics to an unsanitized one.
+A :class:`~repro.check.sanitizer.Sanitizer` attaches like every other
+observer, in the :class:`~repro.obs.Observability` bundle a run is
+built with (``Observability(sanitizer=...)``): the instrument cascade
+spreads it across every layer that carries protocol events (coherence
+fabric, descriptor rings, buffer pool, host driver, NIC queue agents).
+It watches the fabric's plan path, so a sanitized run is bit-identical
+in simulated metrics to an unsanitized one.
 
 The ``format_*`` helpers render a sanitizer report as the text tables
 behind ``--sanitize`` on the loopback/kv/rpc CLI commands.
@@ -16,54 +17,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.analysis.tables import format_table
-from repro.check.sanitizer import Sanitizer
-
-
-def _pair_queues(pair):
-    for queue in (pair.tx, pair.rx, pair.tx_comp, pair.rx_post):
-        if queue is not None:
-            yield queue
-
-
-def attach_sanitizer(setup, sanitizer: Sanitizer) -> None:
-    """Attach ``sanitizer`` to every checked layer of a built setup.
-
-    The fabric attach forces the reference path (so the speculative-read
-    hook fires and metrics stay fingerprint-identical); rings, pool,
-    driver and NIC queue agents take plain attribute attach, mirroring
-    how the flight recorder spreads. Interfaces without coherent rings
-    (the PCIe NICs) get pool and payload coverage only.
-    """
-    system = setup.system
-    sanitizer.bind(system.sim)
-    system.fabric.attach_sanitizer(sanitizer)
-    setup.driver.sanitizer = sanitizer
-    pool = getattr(setup.interface, "pool", None)
-    if pool is not None:
-        pool.sanitizer = sanitizer
-    pairs = getattr(setup.interface, "_pairs", None)
-    if pairs:
-        for pair in pairs.values():
-            for queue in _pair_queues(pair):
-                queue.sanitizer = sanitizer
-            if pair.agent is not None:
-                pair.agent.sanitizer = sanitizer
-
-
-def detach_sanitizer(setup) -> None:
-    """Detach any sanitizer and restore the fabric's configured path."""
-    setup.system.fabric.detach_sanitizer()
-    setup.driver.sanitizer = None
-    pool = getattr(setup.interface, "pool", None)
-    if pool is not None:
-        pool.sanitizer = None
-    pairs = getattr(setup.interface, "_pairs", None)
-    if pairs:
-        for pair in pairs.values():
-            for queue in _pair_queues(pair):
-                queue.sanitizer = None
-            if pair.agent is not None:
-                pair.agent.sanitizer = None
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,27 @@ class LoopbackSetup:
         """The interconnect the host-NIC traffic crosses."""
         return self.interface.link
 
+    def instrument(self, obs: Observability) -> "LoopbackSetup":
+        """Attach ``obs`` to every layer of the built setup.
+
+        The one attach path for telemetry and observers alike: each
+        component's ``instrument`` cascade registers its metrics and
+        takes the bundle's flight recorder, sanitizer and timeline on
+        its class-level hooks, and the timeline gains the setup's
+        standard series. The bundle replaces any earlier one, so attach
+        everything in one bundle.
+        """
+        system = self.system
+        instrument_all(
+            obs, system.sim, system.fabric, self.interface, self.driver,
+            system.fabric.faults,
+        )
+        if obs.timeline is not None:
+            from repro.obs.timeline import register_setup_series
+
+            register_setup_series(obs.timeline, self)
+        return self
+
 
 def build_interface(
     spec: PlatformSpec,
@@ -70,7 +91,8 @@ def build_interface(
     ``faults`` is an optional :class:`repro.faults.FaultInjector`; it is
     attached to the system link, the coherence fabric, and the interface
     so every injection hook sees the same schedule, and it joins the
-    telemetry cascade.
+    telemetry cascade. ``obs`` is attached through
+    :meth:`LoopbackSetup.instrument`.
     """
     system = System(
         spec,
@@ -103,11 +125,12 @@ def build_interface(
         interface.faults = faults
         if getattr(interface, "link", None) is not system.link:
             interface.link.faults = faults  # the PCIe lane group
-    if obs is not None and obs.enabled:
+    setup = LoopbackSetup(system=system, interface=interface, driver=driver, kind=kind)
+    if obs is not None:
         # Instrument after start() so the interface cascade reaches the
         # per-pair NIC agents spawned there.
-        instrument_all(obs, system.sim, system.fabric, interface, driver, faults)
-    return LoopbackSetup(system=system, interface=interface, driver=driver, kind=kind)
+        setup.instrument(obs)
+    return setup
 
 
 def run_point(
@@ -121,17 +144,15 @@ def run_point(
     obs: Optional[Observability] = None,
     recovery=None,
     max_sim_ns: float = 1e9,
-    flight=None,
     route=None,
-    timeline=None,
 ) -> LoopbackResult:
     """Run one loopback measurement on a built setup.
 
-    ``route`` is an optional per-packet rack-fabric charge (see
-    :attr:`repro.workloads.trafficgen.LoopbackApp.route`);
-    ``timeline`` an optional
-    :class:`repro.obs.timeline.TimelineSampler` the app feeds per-packet
-    latency samples into.
+    ``obs`` instruments the loopback app (pass the bundle the setup was
+    built with: its flight recorder closes packet waterfalls and its
+    timeline takes per-packet latency samples); ``route`` is an
+    optional per-packet rack-fabric charge (see
+    :attr:`repro.workloads.trafficgen.LoopbackApp.route`).
     """
     return run_loopback(
         setup.system,
@@ -145,9 +166,7 @@ def run_point(
         obs=obs,
         recovery=recovery,
         max_sim_ns=max_sim_ns,
-        flight=flight,
         route=route,
-        timeline=timeline,
     )
 
 

@@ -1,17 +1,17 @@
 """Flight-recorder profiling runs and report rendering.
 
-``run_profile`` builds one comparison point, attaches a
-:class:`~repro.obs.flight.FlightRecorder` to every layer that records
-(coherence fabric, cache agents, host driver, NIC queue agents,
-application), runs a closed-loop loopback measurement, and returns the
-setup, the loopback result, and the recorder. The ``format_*`` helpers
-render the recorder's report as the text tables behind
-``python -m repro profile``.
+``run_profile`` builds one comparison point with a
+:class:`~repro.obs.flight.FlightRecorder` in its
+:class:`~repro.obs.Observability` bundle, so the recorder reaches every
+layer that records (coherence fabric, cache agents, host driver, NIC
+queue agents, application), runs a closed-loop loopback measurement,
+and returns the setup, the loopback result, and the recorder. The
+``format_*`` helpers render the recorder's report as the text tables
+behind ``python -m repro profile``.
 
-Attaching the recorder drops the fabric onto its reference path (see
-:meth:`~repro.coherence.fabric.CoherenceFabric.attach_flight`), so a
-profiled run is slower in wall-clock but bit-identical in simulated
-metrics to an unprofiled one.
+The recorder observes the fabric's plan path, the same code an
+unprofiled run executes, so a profiled run is bit-identical in
+simulated metrics to an unprofiled one.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.analysis.loopback import (
 )
 from repro.analysis.tables import format_table
 from repro.obs.flight import FlightRecorder
+from repro.obs.instrument import Observability
 from repro.platform.presets import PlatformSpec
 from repro.workloads.trafficgen import LoopbackResult
 
@@ -39,39 +40,6 @@ class ProfileRun:
     result: LoopbackResult
     recorder: FlightRecorder
     report: Dict
-
-
-def attach_recorder(setup: LoopbackSetup, recorder: FlightRecorder) -> None:
-    """Attach ``recorder`` to every recording layer of a built setup.
-
-    The fabric attach forces the reference path; drivers, cache agents
-    and NIC queue agents take plain attribute attach (mirroring how the
-    fault injector spreads). Interfaces without per-pair queue agents
-    (the PCIe NICs) still get full line-event coverage — only the
-    packet waterfall is CC-NIC-driver specific.
-    """
-    setup.system.fabric.attach_flight(recorder)
-    for agent in setup.system.fabric.agents:
-        agent.flight = recorder
-    setup.driver.flight = recorder
-    pairs = getattr(setup.interface, "_pairs", None)
-    if pairs:
-        for pair in pairs.values():
-            if pair.agent is not None:
-                pair.agent.flight = recorder
-
-
-def detach_recorder(setup: LoopbackSetup) -> None:
-    """Detach any recorder and restore the fabric's configured path."""
-    setup.system.fabric.detach_flight()
-    for agent in setup.system.fabric.agents:
-        agent.flight = None
-    setup.driver.flight = None
-    pairs = getattr(setup.interface, "_pairs", None)
-    if pairs:
-        for pair in pairs.values():
-            if pair.agent is not None:
-                pair.agent.flight = None
 
 
 def run_profile(
@@ -87,30 +55,26 @@ def run_profile(
     max_packets: int = 4096,
     keep_waterfalls: int = 32,
     top: int = 10,
-    obs=None,
-    timeline=None,
+    obs: Optional[Observability] = None,
     scenario: Optional[str] = None,
     **build_kwargs,
 ) -> ProfileRun:
     """One instrumented loopback run with a full flight report.
 
-    ``timeline`` is an optional
-    :class:`repro.obs.timeline.TimelineSampler` windowing the run;
+    The recorder built from the keyword arguments joins ``obs`` (in
+    place of any flight recorder it carries); the bundle's other
+    members — metrics, tracer, sanitizer, timeline — attach alongside.
     ``scenario`` stamps the flight report with a run name and the spec
     fingerprint of its config block.
     """
-    setup = build_interface(spec, kind, obs=obs, **build_kwargs)
     recorder = FlightRecorder(
         line_capacity=line_capacity,
         sample_every=sample_every,
         max_packets=max_packets,
         keep_waterfalls=keep_waterfalls,
     )
-    attach_recorder(setup, recorder)
-    if timeline is not None:
-        from repro.obs.timeline import attach_timeline
-
-        attach_timeline(timeline, setup)
+    obs = (obs or Observability()).replace(flight=recorder)
+    setup = build_interface(spec, kind, obs=obs, **build_kwargs)
     result = run_point(
         setup,
         pkt_size,
@@ -119,11 +83,9 @@ def run_profile(
         tx_batch=tx_batch,
         rx_batch=rx_batch,
         obs=obs,
-        flight=recorder,
-        timeline=timeline,
     )
-    if timeline is not None:
-        timeline.finish(setup.system.sim.now)
+    if obs.timeline is not None:
+        obs.timeline.finish(setup.system.sim.now)
     config = {
         "platform": spec.name,
         "interface": kind.value,

@@ -28,6 +28,7 @@ from typing import Optional
 from repro.analysis.loopback import InterfaceKind, LoopbackSetup, build_interface
 from repro.core.buffers import Buffer
 from repro.errors import WorkloadError
+from repro.obs.instrument import Instrumented
 from repro.platform.presets import PlatformSpec
 from repro.sim.rng import make_rng
 from repro.sim.stats import Histogram
@@ -92,7 +93,7 @@ class KvResult:
         return self.ops / self.elapsed_ns * 1e3
 
 
-class KvServerApp:
+class KvServerApp(Instrumented):
     """One server thread bound to one NIC queue pair.
 
     The client side is modelled as an open-loop request injector into
@@ -104,6 +105,8 @@ class KvServerApp:
     #: windowed series. Class-level None: detached runs pay one load
     #: plus a branch when the sink is attached.
     timeline = None
+
+    _obs_hooks = ("timeline",)
 
     def __init__(
         self,
@@ -334,9 +337,6 @@ def kv_thread_study(
     nic_cap_mops: Optional[float] = None,
     obs=None,
     faults=None,
-    flight=None,
-    sanitizer=None,
-    timeline=None,
     batch: int = 32,
 ) -> KvStudy:
     """Measure one server thread in detail and compose the curve.
@@ -345,35 +345,19 @@ def kv_thread_study(
     the average packets per operation — both deployments forward through
     the same CX6, so the peak is shared (§5.7). ``faults`` is an
     optional :class:`repro.faults.FaultInjector` attached to the built
-    system; ``flight`` an optional
-    :class:`repro.obs.flight.FlightRecorder` attached to every
-    recording layer (line events + packet waterfalls where the CC-NIC
-    driver is in play); ``sanitizer`` an optional
-    :class:`repro.check.Sanitizer` attached to every checked layer;
-    ``timeline`` an optional
-    :class:`repro.obs.timeline.TimelineSampler` windowing the probe run.
+    system. ``obs`` is an optional :class:`repro.obs.Observability`
+    bundle; its observers (flight recorder, sanitizer, timeline) watch
+    the probe run.
     """
     setup = build_interface(
         spec, kind if kind.is_coherent else InterfaceKind.CX6, obs=obs, faults=faults
     )
-    if flight is not None:
-        from repro.analysis.profile import attach_recorder
-
-        attach_recorder(setup, flight)
-    if sanitizer is not None:
-        from repro.analysis.checks import attach_sanitizer
-
-        attach_sanitizer(setup, sanitizer)
-    if timeline is not None:
-        from repro.obs.timeline import attach_timeline
-
-        attach_timeline(timeline, setup)
     app = KvServerApp(setup, workload, offered_mops=probe_mops, n_ops=n_ops, batch=batch)
-    if timeline is not None:
-        app.timeline = timeline
+    if obs is not None:
+        app.instrument(obs)
     app.run()
-    if timeline is not None:
-        timeline.finish(setup.system.sim.now)
+    if obs is not None and obs.timeline is not None:
+        obs.timeline.finish(setup.system.sim.now)
     # Scale on the application thread's own service rate: under CC-NIC
     # the NIC-socket agents (the overlay threads of §4) absorb the
     # PCIe-side work, so the app thread's busy time is what each added

@@ -22,6 +22,7 @@ from typing import Dict, Optional
 
 from repro.analysis.loopback import InterfaceKind, build_interface
 from repro.errors import WorkloadError
+from repro.obs.instrument import Instrumented
 from repro.platform.presets import PlatformSpec
 from repro.sim.stats import Histogram
 from repro.workloads.packets import Packet
@@ -63,13 +64,15 @@ class RpcResult:
         return self.ops / self.elapsed_ns * 1e3
 
 
-class TasFastPath:
+class TasFastPath(Instrumented):
     """One fast-path thread serving echo RPCs over a NIC queue pair."""
 
     #: Optional :class:`repro.obs.timeline.TimelineSampler`; the TX
     #: sink feeds post-warmup RPC latencies into its ``latency_ns``
     #: windowed series. Class-level None, same pattern as ``flight``.
     timeline = None
+
+    _obs_hooks = ("timeline",)
 
     def __init__(
         self,
@@ -248,44 +251,26 @@ def rpc_thread_study(
     nic_cap_mops: Optional[float] = None,
     obs=None,
     faults=None,
-    flight=None,
-    sanitizer=None,
-    timeline=None,
     batch: int = 32,
 ) -> RpcStudy:
     """Measure one fast-path thread; compose the thread-count answer.
 
     ``faults`` is an optional :class:`repro.faults.FaultInjector`
-    attached to the built system; ``flight`` an optional
-    :class:`repro.obs.flight.FlightRecorder` attached to every
-    recording layer; ``sanitizer`` an optional
-    :class:`repro.check.Sanitizer` attached to every checked layer;
-    ``timeline`` an optional
-    :class:`repro.obs.timeline.TimelineSampler` windowing the probe run.
+    attached to the built system. ``obs`` is an optional
+    :class:`repro.obs.Observability` bundle; its observers (flight
+    recorder, sanitizer, timeline) watch the probe run.
     """
     setup = build_interface(
         spec, kind if kind.is_coherent else InterfaceKind.CX6, obs=obs, faults=faults
     )
-    if flight is not None:
-        from repro.analysis.profile import attach_recorder
-
-        attach_recorder(setup, flight)
-    if sanitizer is not None:
-        from repro.analysis.checks import attach_sanitizer
-
-        attach_sanitizer(setup, sanitizer)
-    if timeline is not None:
-        from repro.obs.timeline import attach_timeline
-
-        attach_timeline(timeline, setup)
     fastpath = TasFastPath(
         setup, n_flows=n_flows, offered_mops=probe_mops, n_ops=n_ops, batch=batch
     )
-    if timeline is not None:
-        fastpath.timeline = timeline
+    if obs is not None:
+        fastpath.instrument(obs)
     fastpath.run()
-    if timeline is not None:
-        timeline.finish(setup.system.sim.now)
+    if obs is not None and obs.timeline is not None:
+        obs.timeline.finish(setup.system.sim.now)
     if nic_cap_mops is None:
         # 64B echo RPCs: the CX6 engine moves one request + one response
         # per op; TAS overheads shave a little off the ideal.

@@ -5,9 +5,11 @@ Four heads, one contract — catch protocol and reproducibility bugs that
 timing-level tests can miss:
 
 * :class:`Sanitizer` — a runtime happens-before checker over the
-  simulated coherence domain. It attaches like the flight recorder
-  (zero cost detached; attaching forces the fabric's reference path so
-  sanitized runs stay fingerprint-identical) and reports descriptor
+  simulated coherence domain. It attaches like the flight recorder,
+  in the :class:`~repro.obs.Observability` bundle passed as ``obs=``
+  (one ``None`` test per hook site detached; attached it watches the
+  fabric's plan path, so sanitized runs stay fingerprint-identical) and
+  reports descriptor
   races, torn grouped reads, double reaps, blank-skip violations,
   buffer use-after-free / double-free across the host<->NIC pool
   handoff, and writer-homing violations.

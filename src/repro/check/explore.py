@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Tuple
 from repro.check.sanitizer import Sanitizer
 from repro.errors import ConfigError, ModelCheckError
 from repro.obs.export import MODEL_SCHEMA
+from repro.obs.instrument import Observability
 from repro.shard.merge import fingerprint, merge_results
 from repro.shard.runner import execute_spec, lookahead_ns
 from repro.shard.spec import ScenarioSpec, scenario
@@ -187,16 +188,11 @@ def _run_scenario_schedule(
     spec: ScenarioSpec, plan: Dict[int, int], sanitize: bool
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Execute one scenario schedule; returns (outcome, choice points)."""
-    # Imported here, not at module top: repro.analysis.checks imports
-    # repro.check.sanitizer, so a module-level import would be circular
-    # for callers that load repro.analysis first.
-    from repro.analysis.checks import attach_sanitizer
-
     chooser = _PlanChooser(plan)
     sanitizer = Sanitizer() if sanitize else None
 
     def attach(setup) -> None:
-        attach_sanitizer(setup, sanitizer)
+        setup.instrument(Observability(sanitizer=sanitizer))
 
     previous = Simulator.chooser
     Simulator.chooser = chooser

@@ -165,7 +165,7 @@ def _taxonomy_names(root: str) -> frozenset:
         if isinstance(node, ast.ClassDef):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
-            # Aliases like ``MemoryError_ = AddressSpaceError``.
+            # Module-level aliases (``Name = SomeError``).
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     names.add(target.id)

@@ -1,11 +1,12 @@
 """Runtime happens-before sanitizer for the simulated CC-NIC protocol.
 
-The :class:`Sanitizer` attaches like the flight recorder: every hooked
-component keeps a class-level ``sanitizer = None`` attribute, so
-detached runs pay one attribute test per burst and allocate nothing.
-Attaching it to the fabric forces the reference access path and
-epoch-invalidates the memoized transition plans, so sanitized runs stay
-bit-identical in simulated metrics to unsanitized ones (the
+The :class:`Sanitizer` attaches like the flight recorder, in the
+:class:`~repro.obs.Observability` bundle passed as ``obs=``: every
+hooked component keeps a class-level ``sanitizer = None`` attribute,
+so detached runs pay one attribute test per burst and allocate nothing.
+Attached, it watches the fabric's memoized plan path — the fabric calls
+:meth:`Sanitizer.spec_read` at the reference path's site — so sanitized
+runs stay bit-identical in simulated metrics to unsanitized ones (the
 flight-recorder contract).
 
 Checked contracts, one rule id each:

@@ -112,23 +112,52 @@ def _check_writable(path: Optional[str]) -> None:
 def _make_obs(
     args: argparse.Namespace, force_metrics: bool = False
 ) -> Optional[Observability]:
-    """Build the run's observability bundle, or None when disabled."""
-    want_metrics = force_metrics or args.metrics_out is not None
-    want_trace = args.trace_out is not None
-    if not (want_metrics or want_trace):
-        return None
-    _check_writable(args.metrics_out)
-    _check_writable(args.trace_out)
-    return Observability(
-        metrics=MetricRegistry() if want_metrics else None,
-        tracer=SpanTracer() if want_trace else None,
-    )
+    """Build the command's one observability bundle, or None when disabled.
+
+    Metrics, tracer, flight recorder, sanitizer and timeline all ride
+    this bundle (``--metrics-out``, ``--trace-out``, ``--flight-out``,
+    ``--sanitize``/``--sanitize-out``, ``--timeline-out``); it is the
+    ``obs=`` every run function takes.
+    """
+    flight_out = getattr(args, "flight_out", None)
+    sanitize = getattr(args, "sanitize", None)
+    sanitize_out = getattr(args, "sanitize_out", None)
+    timeline_out = getattr(args, "timeline_out", None)
+    for path in (args.metrics_out, args.trace_out, flight_out, sanitize_out,
+                 timeline_out):
+        _check_writable(path)
+    members = {}
+    if force_metrics or args.metrics_out is not None:
+        members["metrics"] = MetricRegistry()
+    if args.trace_out is not None:
+        members["tracer"] = SpanTracer()
+    if flight_out is not None:
+        members["flight"] = FlightRecorder()
+    if sanitize is not None or sanitize_out is not None:
+        from repro.check import Sanitizer
+
+        members["sanitizer"] = Sanitizer(strict=sanitize == "strict")
+    if timeline_out is not None:
+        from repro.obs.timeline import TimelineSampler
+
+        members["timeline"] = TimelineSampler(interval_ns=args.timeline_interval)
+    return Observability(**members) if members else None
 
 
-def _export_obs(
-    obs: Optional[Observability], args: argparse.Namespace, flight=None,
-    timeline=None,
-) -> None:
+def _point_obs(obs: Optional[Observability], kind, kinds: tuple):
+    """The bundle one point of a thread study runs with.
+
+    Observers cover one system only (the coherent point when two run):
+    mixing line addresses or windowed series from two systems would
+    corrupt the thrash table, the happens-before state and the
+    per-series rings. Metrics and the tracer cover both.
+    """
+    if obs is None or kind.is_coherent or len(kinds) == 1:
+        return obs
+    return obs.replace(flight=None, sanitizer=None, timeline=None)
+
+
+def _export_obs(obs: Optional[Observability], args: argparse.Namespace) -> None:
     if obs is None:
         return
     if args.metrics_out:
@@ -140,7 +169,7 @@ def _export_obs(
         print(f"wrote {count} metrics to {args.metrics_out}")
     if args.trace_out:
         events = export_chrome_trace(
-            obs.tracer, args.trace_out, flight=flight, timeline=timeline
+            obs.tracer, args.trace_out, flight=obs.flight, timeline=obs.timeline
         )
         print(f"wrote {events} trace events to {args.trace_out}")
 
@@ -153,14 +182,6 @@ def _add_flight_args(sub: argparse.ArgumentParser) -> None:
         "--flight-out", default=None, metavar="FILE",
         help="write the cache-line flight-recorder report (JSON)",
     )
-
-
-def _make_flight(args: argparse.Namespace) -> Optional[FlightRecorder]:
-    """Build a flight recorder when ``--flight-out`` asks for one."""
-    if getattr(args, "flight_out", None) is None:
-        return None
-    _check_writable(args.flight_out)
-    return FlightRecorder()
 
 
 def _spec_fingerprint(config: dict) -> str:
@@ -176,11 +197,11 @@ def _spec_fingerprint(config: dict) -> str:
 
 
 def _export_flight(
-    flight, args: argparse.Namespace, config: dict, scenario: str = None
+    obs, args: argparse.Namespace, config: dict, scenario: str = None
 ) -> None:
-    if flight is None or not getattr(args, "flight_out", None):
+    if obs is None or obs.flight is None:
         return
-    report = flight.report(
+    report = obs.flight.report(
         config=config, scenario=scenario,
         spec_fingerprint=_spec_fingerprint(config),
     )
@@ -200,29 +221,25 @@ def _add_heartbeat_arg(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_timeline(args: argparse.Namespace):
-    """Build a timeline sampler when ``--timeline-out`` asks for one."""
-    if getattr(args, "timeline_out", None) is None:
-        return None
-    from repro.obs.timeline import TimelineSampler
-
-    _check_writable(args.timeline_out)
-    return TimelineSampler(interval_ns=args.timeline_interval)
-
-
-def _export_timeline(sampler, args: argparse.Namespace, scenario: str = None) -> None:
+def _export_timeline(obs, args: argparse.Namespace, scenario: str = None) -> None:
     """Run the watchdogs over a finished sampler and write its document."""
-    if sampler is None or not getattr(args, "timeline_out", None):
+    if obs is None or obs.timeline is None:
         return
     from repro.obs.timeline import run_watchdogs
 
-    doc = sampler.to_doc()
+    doc = obs.timeline.to_doc()
     if scenario is not None:
         doc["scenario"] = scenario
     doc["findings"] = run_watchdogs(doc)
     export_timeline_json(doc, args.timeline_out)
     print(f"wrote timeline ({doc['windows']} window(s), "
           f"{len(doc['findings'])} finding(s)) to {args.timeline_out}")
+
+
+def _finish_timeline(obs, setup) -> None:
+    """Close the trailing timeline window at the run's end."""
+    if obs is not None and obs.timeline is not None:
+        obs.timeline.finish(setup.system.sim.now)
 
 
 def _export_merged_timeline(doc, args: argparse.Namespace) -> None:
@@ -303,8 +320,8 @@ def _add_sanitize_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--sanitize", nargs="?", const="on", choices=["on", "strict"],
         default=None,
-        help="attach the protocol sanitizer (reference fabric path; "
-             "'strict' raises on the first violation)",
+        help="attach the protocol sanitizer "
+             "('strict' raises on the first violation)",
     )
     sub.add_argument(
         "--sanitize-out", default=None, metavar="FILE",
@@ -312,23 +329,11 @@ def _add_sanitize_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_sanitizer(args: argparse.Namespace):
-    """Build a sanitizer when ``--sanitize``/``--sanitize-out`` ask for one."""
-    if (
-        getattr(args, "sanitize", None) is None
-        and getattr(args, "sanitize_out", None) is None
-    ):
-        return None
-    from repro.check import Sanitizer
-
-    _check_writable(getattr(args, "sanitize_out", None))
-    return Sanitizer(strict=getattr(args, "sanitize", None) == "strict")
-
-
 def _report_sanitizer(
-    sanitizer, args: argparse.Namespace, config: dict, scenario: str = None
+    obs, args: argparse.Namespace, config: dict, scenario: str = None
 ) -> int:
     """Print + export the sanitizer report; non-zero when it found races."""
+    sanitizer = obs.sanitizer if obs is not None else None
     if sanitizer is None:
         return 0
     from repro.analysis.checks import format_rule_summary, format_violation_table
@@ -585,9 +590,6 @@ def cmd_loopback(args: argparse.Namespace) -> int:
     kind = _kind(args.interface)
     obs = _make_obs(args)
     faults, recovery = _make_faults(args)
-    flight = _make_flight(args)
-    sanitizer = _make_sanitizer(args)
-    timeline = _make_timeline(args)
     setup = build_interface(
         spec,
         kind,
@@ -597,18 +599,6 @@ def cmd_loopback(args: argparse.Namespace) -> int:
         obs=obs,
         faults=faults,
     )
-    if flight is not None:
-        from repro.analysis.profile import attach_recorder
-
-        attach_recorder(setup, flight)
-    if sanitizer is not None:
-        from repro.analysis.checks import attach_sanitizer
-
-        attach_sanitizer(setup, sanitizer)
-    if timeline is not None:
-        from repro.obs.timeline import attach_timeline
-
-        attach_timeline(timeline, setup)
     sanitize_config = {
         "command": "loopback", "platform": spec.name, "interface": kind.value,
         "pkt_size": args.size, "n_packets": args.packets,
@@ -626,16 +616,13 @@ def cmd_loopback(args: argparse.Namespace) -> int:
                 rx_batch=args.batch,
                 obs=obs,
                 recovery=recovery,
-                flight=flight,
-                timeline=timeline,
             )
     except SanitizerError as exc:
         _print_sanitizer_error(exc)
-        _report_sanitizer(sanitizer, args, sanitize_config,
+        _report_sanitizer(obs, args, sanitize_config,
                           scenario=f"loopback_cli_{args.size}b")
         return 2
-    if timeline is not None:
-        timeline.finish(setup.system.sim.now)
+    _finish_timeline(obs, setup)
     d0, d1 = wire_bytes_per_packet(setup, result)
     rows = [
         ("received packets", result.received),
@@ -654,14 +641,14 @@ def cmd_loopback(args: argparse.Namespace) -> int:
         rows,
         title=f"{kind.value} loopback, {args.size}B packets on {spec.name}",
     ))
-    _export_obs(obs, args, flight=flight, timeline=timeline)
+    _export_obs(obs, args)
     scenario = f"loopback_cli_{args.size}b"
-    _export_flight(flight, args, config={
+    _export_flight(obs, args, config={
         "command": "loopback", "platform": spec.name, "interface": kind.value,
         "pkt_size": args.size, "n_packets": args.packets,
     }, scenario=scenario)
-    _export_timeline(timeline, args, scenario=scenario)
-    return _report_sanitizer(sanitizer, args, sanitize_config, scenario=scenario)
+    _export_timeline(obs, args, scenario=scenario)
+    return _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -672,12 +659,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if args.fault_plan is None:
         args.fault_plan = "canned"
     faults, recovery = _make_faults(args)
-    timeline = _make_timeline(args)
     setup = build_interface(spec, kind, obs=obs, faults=faults)
-    if timeline is not None:
-        from repro.obs.timeline import attach_timeline
-
-        attach_timeline(timeline, setup)
     with _maybe_trace_fabric(obs, setup.system.fabric):
         result = run_point(
             setup,
@@ -688,10 +670,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
             rx_batch=args.batch,
             obs=obs,
             recovery=recovery,
-            timeline=timeline,
         )
-    if timeline is not None:
-        timeline.finish(setup.system.sim.now)
+    _finish_timeline(obs, setup)
     completed = result.received + result.dropped
     rows = [
         ("plan", faults.plan.name),
@@ -708,8 +688,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
         rows,
         title=f"{kind.value} fault injection on {spec.name}",
     ))
-    _export_obs(obs, args, timeline=timeline)
-    _export_timeline(timeline, args, scenario=f"faults_cli_{faults.plan.name}")
+    _export_obs(obs, args)
+    _export_timeline(obs, args, scenario=f"faults_cli_{faults.plan.name}")
     if completed < args.packets or result.received == 0:
         print("FAIL: run did not recover (incomplete window or zero goodput)")
         return 1
@@ -762,18 +742,11 @@ def cmd_counters(args: argparse.Namespace) -> int:
     # This command always runs with a live registry: the table below is
     # read from the registry's "fabric" section, not the fabric object.
     obs = _make_obs(args, force_metrics=True)
-    timeline = _make_timeline(args)
     setup = build_interface(spec, kind, obs=obs)
-    if timeline is not None:
-        from repro.obs.timeline import attach_timeline
-
-        attach_timeline(timeline, setup)
     with _maybe_trace_fabric(obs, setup.system.fabric):
         result = run_point(setup, args.size, args.packets, inflight=args.inflight,
-                           tx_batch=args.batch, rx_batch=args.batch, obs=obs,
-                           timeline=timeline)
-    if timeline is not None:
-        timeline.finish(setup.system.sim.now)
+                           tx_batch=args.batch, rx_batch=args.batch, obs=obs)
+    _finish_timeline(obs, setup)
     counters = obs.metrics.snapshot().get("fabric", {})
     nic = setup.system.nic_socket
     rows = [
@@ -787,8 +760,8 @@ def cmd_counters(args: argparse.Namespace) -> int:
         title=f"{kind.value} batched {args.size}B loopback "
               f"({result.received} packets)",
     ))
-    _export_obs(obs, args, timeline=timeline)
-    _export_timeline(timeline, args, scenario=f"counters_cli_{args.size}b")
+    _export_obs(obs, args)
+    _export_timeline(obs, args, scenario=f"counters_cli_{args.size}b")
     return 0
 
 
@@ -862,9 +835,6 @@ def cmd_kv(args: argparse.Namespace) -> int:
     spec = _platform(args.platform)
     workload = KvWorkload.ads() if args.distribution == "ads" else KvWorkload.geo()
     obs = _make_obs(args)
-    flight = _make_flight(args)
-    sanitizer = _make_sanitizer(args)
-    timeline = _make_timeline(args)
     scenario = f"kv_cli_{args.distribution}"
     sanitize_config = {
         "command": "kv", "platform": spec.name, "interface": args.interface,
@@ -877,23 +847,14 @@ def cmd_kv(args: argparse.Namespace) -> int:
         # Fresh injector per comparison point: one-shot NIC events and
         # the RNG stream must not be shared between the two systems.
         faults, _recovery = _make_faults(args)
-        # The flight recorder, sanitizer and timeline cover one system
-        # only (the coherent point when two run): mixing line addresses
-        # or windowed series from two systems would corrupt the thrash
-        # table, the happens-before state and the per-series rings.
-        instrument = kind.is_coherent or len(kinds) == 1
         try:
             study = kv_thread_study(
                 spec, kind, workload, n_ops=args.packets, batch=args.batch,
-                obs=obs, faults=faults,
-                flight=flight if kind.is_coherent else None,
-                sanitizer=sanitizer if kind.is_coherent else None,
-                timeline=timeline if instrument else None,
+                obs=_point_obs(obs, kind, kinds), faults=faults,
             )
         except SanitizerError as exc:
             _print_sanitizer_error(exc)
-            _report_sanitizer(sanitizer, args, sanitize_config,
-                              scenario=scenario)
+            _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
             return 2
         rows.append((kind.value, study.per_thread_mops, study.peak_mops,
                      study.threads_to_saturate(spec)))
@@ -902,13 +863,13 @@ def cmd_kv(args: argparse.Namespace) -> int:
         rows,
         title=f"KV store ({args.distribution}) on {spec.name}",
     ))
-    _export_obs(obs, args, flight=flight, timeline=timeline)
-    _export_flight(flight, args, config={
+    _export_obs(obs, args)
+    _export_flight(obs, args, config={
         "command": "kv", "platform": spec.name, "interface": args.interface,
         "distribution": args.distribution, "n_ops": args.packets,
     }, scenario=scenario)
-    _export_timeline(timeline, args, scenario=scenario)
-    return _report_sanitizer(sanitizer, args, sanitize_config, scenario=scenario)
+    _export_timeline(obs, args, scenario=scenario)
+    return _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
 
 
 def cmd_rpc(args: argparse.Namespace) -> int:
@@ -916,9 +877,6 @@ def cmd_rpc(args: argparse.Namespace) -> int:
 
     spec = _platform(args.platform)
     obs = _make_obs(args)
-    flight = _make_flight(args)
-    sanitizer = _make_sanitizer(args)
-    timeline = _make_timeline(args)
     scenario = "rpc_cli"
     sanitize_config = {
         "command": "rpc", "platform": spec.name, "interface": args.interface,
@@ -929,19 +887,14 @@ def cmd_rpc(args: argparse.Namespace) -> int:
     for kind in kinds:
         # Fresh injector per comparison point (see cmd_kv).
         faults, _recovery = _make_faults(args)
-        instrument = kind.is_coherent or len(kinds) == 1
         try:
             study = rpc_thread_study(
                 spec, kind, n_ops=args.packets, batch=args.batch,
-                obs=obs, faults=faults,
-                flight=flight if kind.is_coherent else None,
-                sanitizer=sanitizer if kind.is_coherent else None,
-                timeline=timeline if instrument else None,
+                obs=_point_obs(obs, kind, kinds), faults=faults,
             )
         except SanitizerError as exc:
             _print_sanitizer_error(exc)
-            _report_sanitizer(sanitizer, args, sanitize_config,
-                              scenario=scenario)
+            _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
             return 2
         rows.append((kind.value, study.per_thread_mops, study.peak_mops,
                      study.threads_to_saturate()))
@@ -950,13 +903,13 @@ def cmd_rpc(args: argparse.Namespace) -> int:
         rows,
         title=f"TCP echo RPC (TAS-like) on {spec.name}",
     ))
-    _export_obs(obs, args, flight=flight, timeline=timeline)
-    _export_flight(flight, args, config={
+    _export_obs(obs, args)
+    _export_flight(obs, args, config={
         "command": "rpc", "platform": spec.name, "interface": args.interface,
         "n_ops": args.packets,
     }, scenario=scenario)
-    _export_timeline(timeline, args, scenario=scenario)
-    return _report_sanitizer(sanitizer, args, sanitize_config, scenario=scenario)
+    _export_timeline(obs, args, scenario=scenario)
+    return _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -971,9 +924,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     spec = _platform(args.platform)
     kind = _kind(args.interface)
-    _check_writable(args.flight_out)
     obs = _make_obs(args)
-    timeline = _make_timeline(args)
     scenario = f"profile_cli_{kind.value}"
     run = run_profile(
         spec,
@@ -986,7 +937,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         sample_every=args.sample_every,
         top=args.top,
         obs=obs,
-        timeline=timeline,
         scenario=scenario,
     )
     report = run.report
@@ -1007,8 +957,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.flight_out:
         export_flight_json(report, args.flight_out)
         print(f"wrote flight report to {args.flight_out}")
-    _export_obs(obs, args, flight=run.recorder, timeline=timeline)
-    _export_timeline(timeline, args, scenario=scenario)
+    if obs is not None:
+        obs = obs.replace(flight=run.recorder)
+    _export_obs(obs, args)
+    _export_timeline(obs, args, scenario=scenario)
     return 0
 
 

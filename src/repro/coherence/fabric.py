@@ -43,12 +43,15 @@ link is rescaled, or the counter bag is reset. An attached fault
 injector keeps the fast path: each remote plan draws its snoop fault
 right after charging its link messages (which draw their link faults
 inside :meth:`Link.occupy_pair`), at the same point and in the same
-order as the reference implementations. Attaching a flight recorder
-(:meth:`CoherenceFabric.attach_flight`) or a sanitizer disables the
-fast path, so their recording hooks live only in the reference
-implementations. Results are bit-identical to the reference path (the
+order as the reference implementations. The flight recorder and the
+sanitizer, attached through an :class:`~repro.obs.Observability`
+bundle, are observers on the same plan path: their line events,
+drops and speculative-read checks fire at the reference path's sites,
+with its transition kinds and timestamps. The path is chosen once, by
+``REPRO_SIM_SLOWPATH``, and no hook changes it. Results — and flight
+and sanitizer reports — are bit-identical to the reference path (the
 determinism suite compares full metric snapshots across both, faulted
-runs included).
+and observed runs included).
 """
 
 from __future__ import annotations
@@ -112,15 +115,14 @@ class CoherenceFabric(Instrumented):
     faults = None
 
     #: Optional :class:`repro.obs.flight.FlightRecorder`. Class-level
-    #: None so detached runs carry no recorder branch on the fast path;
-    #: attach via :meth:`attach_flight`, which forces the reference path.
+    #: None so detached runs pay one ``None`` test per access.
     flight = None
 
-    #: Optional :class:`repro.check.sanitizer.Sanitizer`. Class-level
-    #: None; attach via :meth:`attach_sanitizer`, which (like the flight
-    #: recorder) forces the reference path so sanitized runs stay
-    #: bit-identical to unsanitized ones.
+    #: Optional :class:`repro.check.sanitizer.Sanitizer`; checks every
+    #: reader-homed remote-cache fetch. Class-level None.
     sanitizer = None
+
+    _obs_hooks = ("flight", "sanitizer")
 
     def __init__(
         self,
@@ -172,6 +174,11 @@ class CoherenceFabric(Instrumented):
         # path keeps its plain dict increments.
         registry.adopt_counters(self.obs_name, self.counters)
 
+    def _instrument_children(self, obs) -> None:
+        # Cache agents report protocol-driven line losses to the recorder.
+        for agent in self._agents:
+            agent.flight = obs.flight
+
     # ------------------------------------------------------------------
     # Agent management
     # ------------------------------------------------------------------
@@ -218,74 +225,6 @@ class CoherenceFabric(Instrumented):
     def invalidate_plans(self) -> None:
         """Drop memoized transition plans (link/cost configuration changed)."""
         self._plans.clear()
-
-    def attach_flight(self, recorder) -> None:
-        """Attach a flight recorder; all accesses take the reference path.
-
-        The memoized transition plans are invalidated and the fast path
-        is disabled, so recording hooks live only in the reference
-        implementations and recorded runs stay bit-identical (the
-        reference path IS the fast path's ground truth) to unrecorded
-        ones.
-        """
-        self.flight = recorder
-        self._fastpath = False
-        self.invalidate_plans()
-
-    def _reference_clients(self) -> tuple:
-        """Every attached hook client that requires the reference path.
-
-        The single source of truth for path restoration: ``detach_*``
-        restores the fast path only when *all* of these are detached.
-        The timeline sampler is deliberately absent — it hangs off the
-        simulator's clock advances and never forces the reference path
-        (attached runs are fingerprint-identical on either path); the
-        fault injector is also absent because its draws run inside the
-        transition plans and :meth:`Link.occupy_pair`, so faulted runs
-        keep the fast path.
-        """
-        return (self.flight, self.sanitizer)
-
-    def _restore_fastpath(self) -> None:
-        """Re-enable the fast path iff no reference-path client remains."""
-        if all(client is None for client in self._reference_clients()):
-            self._fastpath = not self.sim.slowpath
-
-    def detach_flight(self) -> None:
-        """Detach any recorder and restore the configured path choice.
-
-        The fast path only returns when no other reference-path client
-        (see :meth:`_reference_clients`) is still attached.
-        """
-        self.flight = None
-        self._restore_fastpath()
-        self.invalidate_plans()
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Attach a protocol sanitizer; all accesses take the reference path.
-
-        Same contract as :meth:`attach_flight`: the memoized plans are
-        invalidated and the fast path is disabled, so the sanitizer's
-        speculative-read hook lives only in the reference
-        implementations and sanitized runs stay bit-identical.
-        """
-        self.sanitizer = sanitizer
-        self._fastpath = False
-        self.invalidate_plans()
-
-    def detach_sanitizer(self) -> None:
-        """Detach the sanitizer; restore the fast path unless another
-        reference-path client (see :meth:`_reference_clients`) remains."""
-        self.sanitizer = None
-        self._restore_fastpath()
-        self.invalidate_plans()
-
-    def _plans_live(self) -> Dict[int, tuple]:
-        """Plan table, dropped first if the counter bag was reset."""
-        if self.counters.epoch != self._plans_epoch:
-            self._plans.clear()
-            self._plans_epoch = self.counters.epoch
-        return self._plans
 
     def _msg_row(self, cls: MessageClass, direction: int, charge: bool = True) -> tuple:
         """Precomputed half of a :meth:`Link.occupy_pair` plan.
@@ -361,6 +300,13 @@ class CoherenceFabric(Instrumented):
         self._line_regions[addr // CACHE_LINE_SIZE] = region
         return region
 
+    def _region(self, addr: int) -> Region:
+        """Cached :meth:`_resolve_region`."""
+        region = self._line_regions.get(addr // CACHE_LINE_SIZE)
+        if region is None:
+            region = self._resolve_region(addr)
+        return region
+
     # ------------------------------------------------------------------
     # Public access API
     # ------------------------------------------------------------------
@@ -398,25 +344,34 @@ class CoherenceFabric(Instrumented):
             if state is not None:
                 agent.hits += 1
                 lines.move_to_end(first)
-                if not write:
-                    total = self._l2_hit
-                elif state is _MODIFIED or state is _EXCLUSIVE:
-                    # Assigning an existing key keeps its (just-moved)
-                    # position, so no second move_to_end.
-                    lines[first] = _MODIFIED
-                    total = self._store_buffer / self.write_pipeline
+                region = None
+                if not write or state is _MODIFIED or state is _EXCLUSIVE:
+                    if not write:
+                        total = latency = self._l2_hit
+                    else:
+                        # Assigning an existing key keeps its (just-moved)
+                        # position, so no second move_to_end.
+                        lines[first] = _MODIFIED
+                        latency = self._store_buffer
+                        total = latency / self.write_pipeline
+                    flight = self.flight
+                    if flight is not None:
+                        region = self._region(addr)
+                        flight.line_event(
+                            self._now(), first, region, agent.socket, write,
+                            "hit", latency,
+                        )
                 else:
+                    region = self._region(addr)
                     self._pending_queue = 0.0
-                    latency = self._invalidate_others(agent, first)
-                    agent.set_state(first, _MODIFIED)
-                    if latency == 0.0:
-                        latency = self._local_invalidate
+                    latency = self._upgrade(agent, first, region)
                     total = latency / self.write_pipeline + self._pending_queue
                 if not agent.prefetch:
                     return total
-                region = self._line_regions.get(first)
                 if region is None:
-                    region = self._resolve_region(addr)
+                    region = self._line_regions.get(first)
+                    if region is None:
+                        region = self._resolve_region(addr)
             else:
                 region = self._line_regions.get(first)
                 if region is None:
@@ -445,11 +400,14 @@ class CoherenceFabric(Instrumented):
                         if target * 64 < region.end and target not in lines:
                             self._prefetch_line(agent, target, region)
             return total
-        region = self._line_regions.get(first)
-        if region is None:
-            region = self._resolve_region(addr)
+        region = self._region(addr)
         total = 0.0
+        # Observers stamp each line at the access's local time so far,
+        # as the reference path does.
+        observed = self.flight is not None or self.sanitizer is not None
         for index, line in enumerate(range(first, last + 1)):
+            if observed:
+                self._elapsed = total
             self._pending_queue = 0.0
             latency = self._line_access_fast(agent, line, write, region)
             if write:
@@ -459,6 +417,7 @@ class CoherenceFabric(Instrumented):
             total += latency + self._pending_queue
             if agent.prefetch:
                 self._maybe_prefetch(agent, line, region)
+        self._elapsed = 0.0
         return total
 
     def _access_slow(self, agent: CacheAgent, addr: int, size: int, write: bool) -> float:
@@ -526,6 +485,8 @@ class CoherenceFabric(Instrumented):
         lines = agent._lines
         prefetch = agent.prefetch
         stream = agent.stream_state
+        flight = self.flight
+        observed = flight is not None or self.sanitizer is not None
         for addr, size in spans:
             if size <= 0:
                 raise CoherenceError(f"access size must be positive, got {size}")
@@ -542,6 +503,8 @@ class CoherenceFabric(Instrumented):
                 # cannot change reachable error behaviour.
                 region = None
             while True:
+                if observed:
+                    self._elapsed = total
                 # Inline twin of the hit cases in _line_access_fast:
                 # payload bursts are overwhelmingly warm-line traffic.
                 # (A while walk, not range(): most spans are one line,
@@ -556,24 +519,27 @@ class CoherenceFabric(Instrumented):
                     lines.move_to_end(line)
                     latency = l2_hit if not write else store_buffer
                     pending = 0.0
+                    if flight is not None:
+                        if region is None:
+                            region = self._region(addr)
+                        flight.line_event(
+                            self._now(), line, region, agent.socket, write,
+                            "hit", latency,
+                        )
                 else:
                     self._pending_queue = 0.0
+                    if region is None:
+                        region = regions.get(addr // CACHE_LINE_SIZE)
+                        if region is None:
+                            region = self._resolve_region(addr)
                     if state is None:
                         agent.misses += 1
-                        if region is None:
-                            region = regions.get(addr // CACHE_LINE_SIZE)
-                            if region is None:
-                                region = self._resolve_region(addr)
                         latency = self._miss_fast(agent, line, write, region)
                     else:
-                        # Write hit on a shared line: upgrade in place
-                        # (same sequence as _line_access_fast).
+                        # Write hit on a shared line: upgrade in place.
                         agent.hits += 1
                         lines.move_to_end(line)
-                        latency = self._invalidate_others(agent, line)
-                        agent.set_state(line, _MODIFIED)
-                        if latency == 0.0:
-                            latency = self._local_invalidate
+                        latency = self._upgrade(agent, line, region)
                     pending = self._pending_queue
                 if write:
                     latency /= write_pipeline
@@ -601,6 +567,7 @@ class CoherenceFabric(Instrumented):
                 if line == last_line:
                     break
                 line += 1
+        self._elapsed = 0.0
         return total
 
     def _access_burst_slow(
@@ -889,20 +856,48 @@ class CoherenceFabric(Instrumented):
         if state is not None:
             agent.hits += 1
             lines.move_to_end(line)
+            if write and state is not _MODIFIED and state is not _EXCLUSIVE:
+                return self._upgrade(agent, line, region)
             if not write:
-                return self._l2_hit
-            if state is _MODIFIED or state is _EXCLUSIVE:
+                latency = self._l2_hit
+            else:
                 # Assigning an existing key keeps its (just-moved)
                 # position, so no second move_to_end.
                 lines[line] = _MODIFIED
-                return self._store_buffer
-            latency = self._invalidate_others(agent, line)
-            agent.set_state(line, _MODIFIED)
-            if latency == 0.0:
-                latency = self._local_invalidate
+                latency = self._store_buffer
+            flight = self.flight
+            if flight is not None:
+                flight.line_event(
+                    self._now(), line, region, agent.socket, write, "hit", latency
+                )
             return latency
         agent.misses += 1
         return self._miss_fast(agent, line, write, region)
+
+    def _upgrade(self, agent: CacheAgent, line: int, region: Region) -> float:
+        """Write hit on a Shared/Forward line: invalidate the other copies.
+
+        Plan-path twin of :meth:`_hit`'s upgrade branch; returns the
+        latency before store pipelining.
+        """
+        flight = self.flight
+        if flight is not None:
+            # Remote-ness must be read before _invalidate_others mutates
+            # the holders list.
+            remote = any(
+                h is not agent and h.socket != agent.socket
+                for h in self._holders.get(line, ())
+            )
+        latency = self._invalidate_others(agent, line)
+        agent.set_state(line, _MODIFIED)
+        if latency == 0.0:
+            latency = self._local_invalidate
+        if flight is not None:
+            kind = "upgrade_remote" if remote else "upgrade_local"
+            flight.line_event(
+                self._now(), line, region, agent.socket, True, kind, latency
+            )
+        return latency
 
     def _miss_fast(
         self, agent: CacheAgent, line: int, write: bool, region: Region
@@ -913,13 +908,18 @@ class CoherenceFabric(Instrumented):
         code path as the reference implementation; only the latency,
         link-message and counter bookkeeping comes from a memoized plan.
         Each remote plan then draws its snoop fault, as the reference
-        path does after the same link charge and counter bump.
+        path does after the same link charge and counter bump. Observer
+        calls (speculative-read check, holder drops, the line event)
+        sit at the reference path's sites.
         """
         holders = self._holders.get(line)
+        flight = self.flight
         if not holders:
             if region.home == agent.socket:
                 latency = self._local_dram
+                kind = "dram_local"
             else:
+                kind = "dram_remote"
                 plans = self._plans
                 if self.counters.epoch != self._plans_epoch:
                     plans.clear()
@@ -934,6 +934,10 @@ class CoherenceFabric(Instrumented):
                 if self.faults is not None:
                     latency += self._snoop_disruption(agent)
             self._install(agent, line, _MODIFIED if write else _EXCLUSIVE, region)
+            if flight is not None:
+                flight.line_event(
+                    self._now(), line, region, agent.socket, write, kind, latency
+                )
             return latency
         local_holder: Optional[CacheAgent] = None
         remote_holder: Optional[CacheAgent] = None
@@ -946,7 +950,8 @@ class CoherenceFabric(Instrumented):
             if holder._lines.get(line) is _MODIFIED:
                 dirty_holder = holder
         source = dirty_holder if dirty_holder is not None else (local_holder or remote_holder)
-        if source.socket != agent.socket:
+        crosses = source.socket != agent.socket
+        if crosses:
             plans = self._plans
             if self.counters.epoch != self._plans_epoch:
                 plans.clear()
@@ -966,6 +971,8 @@ class CoherenceFabric(Instrumented):
             latency, msgs, cell, spec_cell = plan
             if spec_cell is not None:
                 spec_cell[0] += 1.0
+                if self.sanitizer is not None:
+                    self.sanitizer.spec_read(self._now(), line, region, agent, write)
             self._pending_queue = self.link.occupy_pair(
                 msgs, agent.name, self._pending_queue
             )
@@ -978,15 +985,23 @@ class CoherenceFabric(Instrumented):
             # Inline _drop_others over the fetched holders list: the
             # requester missed, so it is never on the list, and every
             # copy goes — drop the whole entry rather than removing
-            # holders one by one (_install re-creates it).
-            for holder in holders:
-                holder._lines.pop(line, None)
+            # holders one by one (_install re-creates it). Recorded
+            # runs drop through CacheAgent.drop, which reports the loss.
+            if flight is None:
+                for holder in holders:
+                    holder._lines.pop(line, None)
+            else:
+                for holder in holders:
+                    holder.drop(line)
             del self._holders[line]
             self._install(agent, line, _MODIFIED, region)
         elif dirty_holder is not None:
             # Inline drop + _forget_holder: the holders list is already
             # in hand and the dirty holder is known to be on it.
-            dirty_holder._lines.pop(line, None)
+            if flight is None:
+                dirty_holder._lines.pop(line, None)
+            else:
+                dirty_holder.drop(line)
             holders.remove(dirty_holder)
             if not holders:
                 del self._holders[line]
@@ -998,6 +1013,16 @@ class CoherenceFabric(Instrumented):
                 if hstate is _EXCLUSIVE or hstate is _FORWARD:
                     holder.set_state(line, _SHARED)
             self._install(agent, line, _SHARED, region)
+        if flight is not None:
+            if not crosses:
+                kind = "cache_local"
+            else:
+                kind = "cache_remote" if spec_cell is None else "cache_remote_spec"
+                if dirty_holder is not None:
+                    kind += "_hitm"
+            flight.line_event(
+                self._now(), line, region, agent.socket, write, kind, latency
+            )
         return latency
 
     def _fill_from_dram(

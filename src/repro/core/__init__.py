@@ -24,12 +24,7 @@ from repro.core.config import CcnicConfig, DescLayout
 from repro.core.interface import CcnicInterface
 from repro.core.nic import NicDriver, NicInterface
 from repro.core.pool import BufferPool
-from repro.core.results import (
-    AllocResult,
-    RxResult,
-    TxResult,
-    reset_tuple_unpack_warnings,
-)
+from repro.core.results import AllocResult, RxResult, TxResult
 
 __all__ = [
     "AllocResult",
@@ -42,5 +37,4 @@ __all__ = [
     "NicInterface",
     "RxResult",
     "TxResult",
-    "reset_tuple_unpack_warnings",
 ]

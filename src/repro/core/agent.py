@@ -40,6 +40,8 @@ class NicQueueAgent(Instrumented):
     #: zero-cost-detached idiom as :attr:`flight`.
     sanitizer = None
 
+    _obs_hooks = ("flight", "sanitizer")
+
     def __init__(self, interface, queue_index: int) -> None:
         self.interface = interface
         self.queue_index = queue_index

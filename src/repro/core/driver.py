@@ -39,6 +39,8 @@ class CcnicDriver(RecoverableDriver, Instrumented):
     #: zero-cost-detached idiom as :attr:`flight`.
     sanitizer = None
 
+    _obs_hooks = ("flight", "sanitizer")
+
     def __init__(self, interface, queue_index: int, host_agent: CacheAgent) -> None:
         self.interface = interface
         self.queue_index = queue_index

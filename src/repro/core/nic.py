@@ -11,8 +11,9 @@ These protocols deliberately omit the optional observation hooks
 (``flight``, ``faults``, ``sanitizer`` class attributes on the concrete
 types): ``runtime_checkable`` isinstance checks would then demand them
 on every implementation, and the hooks are an attach-time concern of
-:mod:`repro.analysis.profile` / :mod:`repro.analysis.checks`, not part
-of the data-plane surface.
+the :class:`~repro.obs.Observability` cascade and the fault wiring in
+:func:`~repro.analysis.loopback.build_interface`, not part of the
+data-plane surface.
 """
 
 from __future__ import annotations

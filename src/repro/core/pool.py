@@ -50,6 +50,8 @@ class BufferPool(Instrumented):
     #: ``None`` keeps detached runs at one attribute load per call.
     sanitizer = None
 
+    _obs_hooks = ("sanitizer",)
+
     def __init__(self, system: System, config: CcnicConfig, seed: int = 0) -> None:
         self.system = system
         self.config = config

@@ -86,6 +86,8 @@ class CoherentQueue(Instrumented):
     #: ``None`` keeps detached runs at one attribute load per call.
     sanitizer = None
 
+    _obs_hooks = ("sanitizer",)
+
     def __init__(
         self,
         system: System,

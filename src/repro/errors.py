@@ -17,11 +17,6 @@ class AddressSpaceError(ReproError):
     """Address-space or region misuse (bad address, overlap, exhaustion)."""
 
 
-#: Deprecated alias for :class:`AddressSpaceError`; kept so existing
-#: callers (and the original awkward name) keep working.
-MemoryError_ = AddressSpaceError
-
-
 class CoherenceError(ReproError):
     """The coherence protocol reached an inconsistent state."""
 

@@ -1,7 +1,12 @@
-"""Unified observability: metrics, simulated-time span tracing, exporters.
+"""Unified observability: metrics, span tracing, observers, exporters.
 
 ``repro.obs`` is the measurement substrate every instrumentable
-component registers into. It has three layers:
+component registers into. One :class:`Observability` bundle carries
+all of it — a metric registry, a span tracer, and the observers (flight
+recorder, protocol sanitizer, timeline sampler) — and ``obs=`` is the
+only attach path: every run function takes it, and the
+:class:`Instrumented` cascade sets each component's hooks from it.
+Observers never change which code path runs. The pieces:
 
 * :class:`MetricRegistry` — counters, gauges and histograms labeled by
   component (``fabric``, ``pool``, ``driver.q0``, ...). Components
@@ -12,28 +17,32 @@ component registers into. It has three layers:
   time.
 * :class:`SpanTracer` — begin/end spans over **virtual** time with
   parent linkage (a ``tx_burst`` span parents the per-descriptor
-  coherence-transaction instants recorded inside it). Generalizes the
-  debug :class:`~repro.sim.trace.Tracer`; zero-cost when disabled.
+  coherence-transaction instants recorded inside it); zero-cost when
+  disabled.
 * :class:`FlightRecorder` — cache-line lifecycle recording (ping-pong
   counts, region-classified thrash tables, homing audit) plus sampled
-  per-packet critical-path waterfalls; zero-cost when detached, and
-  attaching drops the coherence fabric onto its reference path so
-  recorded runs stay fingerprint-identical.
+  per-packet critical-path waterfalls; one ``None`` test per hook site
+  when detached, and attached it watches the coherence fabric's plan
+  path, so recorded runs stay fingerprint-identical.
+* :class:`TimelineSampler` — windowed series over virtual time, with
+  watchdog findings.
 * Exporters — serialize a whole run to JSON or CSV, and dump span
   timelines in Chrome trace format (load via ``chrome://tracing`` or
   https://ui.perfetto.dev), with flight counter tracks merged in.
 
-Typical wiring (the CLI's ``--metrics-out`` / ``--trace-out`` flags do
-exactly this)::
+Typical wiring (the CLI's ``--metrics-out`` / ``--trace-out`` /
+``--flight-out`` flags do exactly this)::
 
-    from repro.obs import MetricRegistry, Observability, SpanTracer
-    from repro.obs import export_chrome_trace, export_metrics_json
+    from repro.obs import FlightRecorder, MetricRegistry, Observability
+    from repro.obs import SpanTracer, export_chrome_trace, export_metrics_json
 
-    obs = Observability(metrics=MetricRegistry(), tracer=SpanTracer())
+    obs = Observability(
+        metrics=MetricRegistry(), tracer=SpanTracer(), flight=FlightRecorder()
+    )
     setup = build_interface(icx(), InterfaceKind.CCNIC, obs=obs)
     run_point(setup, 64, 5000, obs=obs)
     export_metrics_json(obs.metrics, "metrics.json")
-    export_chrome_trace(obs.tracer, "trace.json")
+    export_chrome_trace(obs.tracer, "trace.json", flight=obs.flight)
 
 By default every component carries the shared no-op
 :data:`~repro.obs.instrument.OBS_OFF` bundle: nothing is recorded and
@@ -57,14 +66,7 @@ from repro.obs.registry import (
     merge_snapshots,
 )
 from repro.obs.spans import Span, SpanTracer
-from repro.obs.flight import (
-    FLIGHT_OFF,
-    FlightRecorder,
-    NullFlightRecorder,
-    attach_flight,
-    classify_region,
-    detach_flight,
-)
+from repro.obs.flight import FlightRecorder, classify_region
 from repro.obs.waterfall import STAGES, PacketWaterfall, WaterfallStats
 from repro.obs.export import (
     TIMELINE_SCHEMA,
@@ -89,8 +91,6 @@ from repro.obs.timeline import (
     LinkSaturationRule,
     StalledProgressRule,
     TimelineSampler,
-    attach_timeline,
-    detach_timeline,
     run_watchdogs,
     timeline_counter_tracks,
 )
@@ -99,7 +99,6 @@ from repro.obs.wire import instrument_all
 __all__ = [
     "CounterMetric",
     "DEFAULT_WATCHDOGS",
-    "FLIGHT_OFF",
     "FlightRecorder",
     "GaugeMetric",
     "HistogramMetric",
@@ -108,7 +107,6 @@ __all__ = [
     "LinkSaturationRule",
     "MetricRegistry",
     "NULL_METRIC",
-    "NullFlightRecorder",
     "NullMetric",
     "NullRegistry",
     "NullTracer",
@@ -122,11 +120,7 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "TimelineSampler",
     "WaterfallStats",
-    "attach_flight",
-    "attach_timeline",
     "classify_region",
-    "detach_flight",
-    "detach_timeline",
     "merge_snapshots",
     "export_chrome_trace",
     "export_flight_json",

@@ -4,7 +4,7 @@ The :class:`FlightRecorder` answers the questions CC-NIC's design is
 built around — *which cache lines bounce between sockets, and where does
 a packet's latency go?* It has two independent recording surfaces:
 
-* **Line events** from the coherence fabric's reference path: every
+* **Line events** from the coherence fabric: every
   access records its transition kind, requester socket, and latency
   into a bounded ring, and is folded into per-line statistics
   (ping-pong counts, cross-socket transfer totals), a region-classified
@@ -14,23 +14,28 @@ a packet's latency go?* It has two independent recording surfaces:
   accumulate ``{stage: timestamp}`` checkpoints that become
   :class:`~repro.obs.waterfall.PacketWaterfall` breakdowns.
 
-Cost model (mirrors the fault injector's contract from PR-3):
+Attach it through an :class:`~repro.obs.Observability` bundle
+(``Observability(flight=recorder)``, passed as ``obs=`` to
+``build_interface`` and the run functions): the instrument cascade sets
+the ``flight`` hook of the fabric, its cache agents, the driver, the NIC
+queue agents and the loopback app.
 
-* Detached, the recorder costs nothing — components carry a
-  ``flight = None`` class attribute and the fabric's memoized fast path
-  has no recorder branch at all.
-* :meth:`CoherenceFabric.attach_flight` forces the fabric onto its
-  retained reference path and epoch-invalidates the memoized transition
-  plans, exactly like fault-injector attach, so instrumented runs stay
-  bit-identical to uninstrumented ones (reference and fast paths agree
-  by construction).
+Cost model:
+
+* Detached, the recorder costs one ``None`` test per hook site —
+  components carry a ``flight = None`` class attribute.
+* Attached, it observes the path the run takes anyway: the fabric's
+  memoized plan path records line events at the reference path's
+  sites, with its transition kinds and timestamps, so recorded runs
+  stay bit-identical to unrecorded ones and the report is the same on
+  either path.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.waterfall import WaterfallStats, build_waterfall
@@ -197,7 +202,7 @@ class FlightRecorder:
         self.waterfalls = WaterfallStats(max_samples=keep_waterfalls)
 
     # ------------------------------------------------------------------
-    # Line-event surface (called from the fabric's reference path)
+    # Line-event surface (called from the coherence fabric)
     # ------------------------------------------------------------------
     def line_event(
         self,
@@ -431,74 +436,3 @@ class FlightRecorder:
                 }
             )
         return events
-
-
-class NullFlightRecorder:
-    """No-op stand-in mirroring :data:`repro.obs.instrument.OBS_OFF`.
-
-    Components use a ``flight = None`` class attribute on their fast
-    paths (a ``None`` test is the cheapest possible guard); this null
-    object exists for call sites that prefer unconditional calls.
-    """
-
-    sample_every = 0
-    events_seen = 0
-    events_dropped = 0
-
-    def line_event(self, *args, **kwargs) -> None:
-        pass
-
-    def line_drop(self, *args, **kwargs) -> None:
-        pass
-
-    def want(self, pkt_id: int) -> bool:
-        return False
-
-    def packet_begin(self, pkt_id: int, ts: float) -> bool:
-        return False
-
-    def tracked(self, pkt_id: int) -> bool:
-        return False
-
-    def packet_event(self, pkt_id: int, stage: str, ts: float) -> None:
-        pass
-
-    def packet_finish(self, pkt_id: int, ts: float) -> None:
-        pass
-
-    def report(self, top: int = 10, config=None, scenario=None,
-               spec_fingerprint=None) -> Dict:
-        return {"schema": "repro.obs/flight-v1", "disabled": True}
-
-    def counter_tracks(self, buckets: int = 64) -> List:
-        return []
-
-
-#: Shared no-op recorder (the ``OBS_OFF`` analogue).
-FLIGHT_OFF = NullFlightRecorder()
-
-
-def attach_flight(recorder: FlightRecorder, *objects: Iterable) -> None:
-    """Attach ``recorder`` to each object.
-
-    Objects exposing ``attach_flight`` (the coherence fabric, which must
-    also drop onto its reference path) get the method call; everything
-    else gets a plain ``flight`` attribute set, mirroring how the fault
-    injector attaches.
-    """
-    for obj in objects:
-        hook = getattr(obj, "attach_flight", None)
-        if hook is not None:
-            hook(recorder)
-        else:
-            obj.flight = recorder
-
-
-def detach_flight(*objects: Iterable) -> None:
-    """Detach any recorder from each object (restores fast paths)."""
-    for obj in objects:
-        hook = getattr(obj, "detach_flight", None)
-        if hook is not None:
-            hook()
-        else:
-            obj.flight = None

@@ -130,25 +130,50 @@ class NullTracer:
 
 
 class Observability:
-    """Bundle of one metric registry and one span tracer.
+    """Bundle of telemetry and observers: the single attach path.
 
-    Either half may be omitted; the corresponding null facade is used
-    so components never need to check for ``None``.
+    ``metrics`` (a registry) and ``tracer`` (a span tracer) feed the
+    exporters; either may be omitted and the corresponding null facade
+    is used, so components never need to check for ``None``.
+    ``flight`` (a :class:`repro.obs.flight.FlightRecorder`),
+    ``sanitizer`` (a :class:`repro.check.sanitizer.Sanitizer`) and
+    ``timeline`` (a :class:`repro.obs.timeline.TimelineSampler`) are
+    observers: :meth:`Instrumented.instrument` copies each one onto the
+    class-level hook of every component that declares it in
+    ``_obs_hooks``. Observers only watch — attaching one never changes
+    which code path a component runs.
     """
 
-    __slots__ = ("metrics", "tracer")
+    __slots__ = ("metrics", "tracer", "flight", "sanitizer", "timeline")
 
-    def __init__(self, metrics: Any = None, tracer: Any = None) -> None:
+    def __init__(
+        self,
+        metrics: Any = None,
+        tracer: Any = None,
+        flight: Any = None,
+        sanitizer: Any = None,
+        timeline: Any = None,
+    ) -> None:
         self.metrics = metrics if metrics is not None else NullRegistry()
         self.tracer = tracer if tracer is not None else NullTracer()
+        self.flight = flight
+        self.sanitizer = sanitizer
+        self.timeline = timeline
 
     @property
     def enabled(self) -> bool:
         """True when either metrics or tracing is live."""
         return bool(self.metrics.enabled or self.tracer.enabled)
 
+    def replace(self, **changes: Any) -> "Observability":
+        """A copy with the named members swapped (``None`` drops one)."""
+        members = {name: getattr(self, name) for name in self.__slots__}
+        members.update(changes)
+        return Observability(**members)
+
     def __repr__(self) -> str:
-        return f"<Observability metrics={self.metrics!r} tracer={self.tracer!r}>"
+        members = " ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"<Observability {members}>"
 
 
 #: Shared disabled bundle: the default ``obs`` of every component.
@@ -174,15 +199,25 @@ class Instrumented:
     #: bundle is attached, so uninstrumented instances pay one attribute
     #: read — no bundle/tracer dereference chain — to skip telemetry.
     obs_enabled: bool = False
+    #: Observer hooks (``flight``/``sanitizer``/``timeline``) this class
+    #: reads; :meth:`instrument` copies each from the bundle onto the
+    #: instance, shadowing the class-level ``None`` default.
+    _obs_hooks: Tuple[str, ...] = ()
 
     def _obs_component(self) -> str:
         """Default component label; override for stable short names."""
         return type(self).__name__.lower()
 
     def instrument(self, obs: Observability, name: Optional[str] = None) -> "Instrumented":
-        """Attach an observability bundle and register metrics."""
+        """Attach an observability bundle and register metrics.
+
+        The bundle replaces any earlier one: each hook in
+        ``_obs_hooks`` takes the bundle's observer, or ``None``.
+        """
         self.obs = obs
         self.obs_enabled = obs.enabled
+        for hook in self._obs_hooks:
+            setattr(self, hook, getattr(obs, hook))
         self.obs_name = obs.metrics.unique_component(name or self._obs_component())
         self._register_metrics(obs.metrics)
         self._instrument_children(obs)

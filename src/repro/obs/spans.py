@@ -2,9 +2,8 @@
 
 A :class:`Span` covers an interval of **virtual** time (ns) and may be
 nested: while a span is open, newly begun spans and recorded instants
-become its children. This generalizes the flat debug
-:class:`repro.sim.trace.Tracer` — where that answers "what happened
-around t=X", spans answer "what did this ``tx_burst`` spend its 840ns
+become its children. Besides "what happened around t=X" (zero-length
+instants), spans answer "what did this ``tx_burst`` spend its 840ns
 on" by parenting the per-descriptor coherence transactions under the
 burst that issued them.
 
@@ -194,15 +193,13 @@ class SpanTracer:
         untraced runs produce identical metric fingerprints on both the
         memoized fast path and ``REPRO_SIM_SLOWPATH=1`` (regression
         test: ``test_flight.py::TestSpanTracerFabricAudit``). The
-        memoized transition plans are still epoch-invalidated on attach
-        and detach, mirroring flight-recorder/fault-injector attach
-        semantics: rebuilt plans are deterministic, so this costs one
-        rebuild and buys the invariant that any instrumentation
-        attachment starts from a clean plan table. Note the fabric's
+        memoized transition plans are invalidated on attach and detach:
+        rebuilt plans are deterministic, so this costs one rebuild and
+        buys the invariant that the traced region starts from a clean
+        plan table. Note the fabric's
         ``access_burst`` does not route through ``access`` on either
         path, so burst payload traffic is invisible to this debug hook
-        — the flight recorder covers bursts via the per-line reference
-        path instead.
+        — the flight recorder's per-line events cover bursts instead.
         """
         original = fabric.access
         invalidate = getattr(fabric, "invalidate_plans", None)

@@ -4,11 +4,11 @@ End-of-run aggregates (``MetricRegistry.snapshot()``) sum away the
 transient phenomena coherent-interface studies actually care about: a
 briefly saturating UPI direction, a ring that wedges during a fault
 window, Zipf-driven hot-key churn. :class:`TimelineSampler` closes that
-gap: it registers with the simulator (the same class-attr hook pattern
-as ``flight``/``faults``/``sanitizer``), and every ``interval_ns`` of
-*simulated* time it closes a window — snapshotting counter deltas,
-gauge values, and per-window latency percentiles into per-series ring
-buffers.
+gap: it rides an :class:`~repro.obs.Observability` bundle onto the
+simulator's class-level ``timeline`` hook (the attach path ``flight``
+and ``sanitizer`` share), and every ``interval_ns`` of *simulated*
+time it closes a window — snapshotting counter deltas, gauge values,
+and per-window latency percentiles into per-series ring buffers.
 
 Contracts:
 
@@ -319,16 +319,17 @@ def _attach_link(sampler: TimelineSampler, link, prefix: str) -> None:
         )
 
 
-def attach_timeline(sampler: TimelineSampler, setup, net=None) -> TimelineSampler:
-    """Register the standard series for a built setup and hook the engine.
+def register_setup_series(sampler: TimelineSampler, setup) -> None:
+    """Register the standard series of a built setup.
 
     ``setup`` is a :class:`repro.analysis.loopback.LoopbackSetup`;
-    ``net`` an optional :class:`repro.topology.net.TopologyNet` whose
-    per-edge links get their own series. Covers engine events/sec and
-    pending depth, per-link busy-fraction and queue pressure, ring
-    occupancy (coherent ``_pairs`` and PCIe ``_queues`` alike), and
-    buffer-pool residency; apps contribute latency samples through their
-    own ``timeline`` hooks.
+    :meth:`~repro.analysis.loopback.LoopbackSetup.instrument` calls this
+    when its bundle carries a timeline (the same cascade hooks the
+    sampler onto the engine). Covers engine events/sec and pending
+    depth, per-link busy-fraction and queue pressure, ring occupancy
+    (coherent ``_pairs`` and PCIe ``_queues`` alike), and buffer-pool
+    residency; apps contribute latency samples through their own
+    ``timeline`` hooks.
     """
     system = setup.system
     sim = system.sim
@@ -361,16 +362,12 @@ def attach_timeline(sampler: TimelineSampler, setup, net=None) -> TimelineSample
                 f"ring.q{index}.tx_depth",
                 lambda q=queues[index]: float(q.host_tail - q.device_fetched),
             )
-    if net is not None:
-        for edge in net.spec.edges:
-            _attach_link(sampler, net.links[edge.name], f"edge.{edge.name}")
-    sim.timeline = sampler
-    return sampler
 
 
-def detach_timeline(setup) -> None:
-    """Unhook the sampler; the simulator reverts to the zero-cost path."""
-    setup.system.sim.timeline = None
+def register_net_series(sampler: TimelineSampler, net) -> None:
+    """Register one series triple per edge of a :class:`TopologyNet`."""
+    for edge in net.spec.edges:
+        _attach_link(sampler, net.links[edge.name], f"edge.{edge.name}")
 
 
 # ----------------------------------------------------------------------

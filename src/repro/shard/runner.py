@@ -118,8 +118,13 @@ def _attach_topology(spec: ScenarioSpec, setup, faults, obs):
     net = TopologyNet(setup.system.sim, topology(spec.topology))
     if faults is not None:
         net.attach_faults(faults)
-    if obs is not None and obs.enabled:
-        net.publish_metrics(obs.metrics)
+    if obs is not None:
+        if obs.enabled:
+            net.publish_metrics(obs.metrics)
+        if obs.timeline is not None:
+            from repro.obs.timeline import register_net_series
+
+            register_net_series(obs.timeline, net)
     return net
 
 
@@ -144,33 +149,20 @@ def _loopback_route(net, host: str, tor: str):
     return route
 
 
-def _make_timeline(timeline_interval, setup, net):
-    """Build and attach a sampler, or None when timelines are off."""
-    if timeline_interval is None:
-        return None
-    from repro.obs.timeline import TimelineSampler, attach_timeline
-
-    sampler = TimelineSampler(interval_ns=timeline_interval)
-    attach_timeline(sampler, setup, net=net)
-    return sampler
-
-
-def _finish_timeline(sampler, result, system) -> None:
+def _finish_timeline(obs, result, system) -> None:
     """Close the trailing window; attach the samples-bearing doc.
 
     The timeline rides *alongside* the fingerprint snapshot (like
     ``metrics``), never inside it, so attached runs stay
     fingerprint-identical to detached ones.
     """
-    if sampler is None:
+    if obs is None or obs.timeline is None:
         return
-    sampler.finish(system.sim.now)
-    result["timeline"] = sampler.to_doc(include_samples=True)
+    obs.timeline.finish(system.sim.now)
+    result["timeline"] = obs.timeline.to_doc(include_samples=True)
 
 
-def _execute_loopback(
-    spec: ScenarioSpec, quick: bool, obs, timeline_interval, attach=None
-) -> Dict:
+def _execute_loopback(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict:
     faults = _make_faults(spec)
     setup = build_interface(
         _platform_spec(spec.platform),
@@ -184,7 +176,6 @@ def _execute_loopback(
     if net is not None:
         host, tor = _topology_endpoints(spec, net)
         route = _loopback_route(net, host, tor)
-    sampler = _make_timeline(timeline_interval, setup, net)
     if attach is not None:
         attach(setup)
     start = time.perf_counter()  # repro: allow(wall-clock) host benchmark timing
@@ -199,7 +190,6 @@ def _execute_loopback(
         obs=obs,
         recovery=recovery,
         route=route,
-        timeline=sampler,
     )
     wall = time.perf_counter() - start  # repro: allow(wall-clock) host benchmark timing
     system = setup.system
@@ -222,13 +212,11 @@ def _execute_loopback(
         extra["dropped"] = float(result.dropped)
         extra["injected"] = float(faults.total_injected())
     doc = _result_doc(spec, wall, system, snapshot, result.latency.samples(), extra)
-    _finish_timeline(sampler, doc, system)
+    _finish_timeline(obs, doc, system)
     return doc
 
 
-def _execute_kv(
-    spec: ScenarioSpec, quick: bool, obs, timeline_interval, attach=None
-) -> Dict:
+def _execute_kv(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict:
     from repro.apps.kvstore import KvServerApp, KvWorkload
 
     faults = _make_faults(spec)
@@ -270,9 +258,8 @@ def _execute_kv(
             n_ops=spec.count(quick),
             batch=spec.tx_batch,
         )
-    sampler = _make_timeline(timeline_interval, setup, net)
-    if sampler is not None:
-        app.timeline = sampler
+    if obs is not None:
+        app.instrument(obs)
     if attach is not None:
         attach(setup)
     start = time.perf_counter()  # repro: allow(wall-clock) host benchmark timing
@@ -291,7 +278,7 @@ def _execute_kv(
         snapshot["clients"] = app.clients_seen()
     extra = {"ops": float(result.ops), "mops": result.mops}
     doc = _result_doc(spec, wall, system, snapshot, result.latency.samples(), extra)
-    _finish_timeline(sampler, doc, system)
+    _finish_timeline(obs, doc, system)
     return doc
 
 
@@ -330,10 +317,10 @@ def execute_spec(
 
     ``attach`` is called with the built interface setup after every
     observer (topology, timeline) is wired but before the workload
-    runs; ``repro.check`` uses it to hang a sanitizer or flight
-    recorder off the fabric of a scenario run it does not otherwise
-    control. In-process callers only — the hook does not cross the
-    ``run_shard`` pickle boundary.
+    runs; ``repro.check`` uses it to attach a sanitizer or flight
+    recorder (``setup.instrument(Observability(...))``) to a scenario
+    run it does not otherwise control. In-process callers only — the
+    hook does not cross the ``run_shard`` pickle boundary.
 
     ``with_metrics`` wires a fresh :class:`~repro.obs.MetricRegistry`
     into the run and attaches its snapshot under ``"metrics"`` (merged
@@ -349,10 +336,16 @@ def execute_spec(
     """
     spec.validate()
     obs = None
-    if with_metrics:
-        from repro.obs import MetricRegistry, Observability
+    if with_metrics or timeline_interval is not None:
+        from repro.obs import MetricRegistry, Observability, TimelineSampler
 
-        obs = Observability(metrics=MetricRegistry())
+        obs = Observability(
+            metrics=MetricRegistry() if with_metrics else None,
+            timeline=(
+                TimelineSampler(interval_ns=timeline_interval)
+                if timeline_interval is not None else None
+            ),
+        )
     # Pause the cyclic GC for the simulation proper: a shard allocates
     # millions of short-lived containers (event records, span lists,
     # work items) whose reference counting already reclaims them, and
@@ -364,14 +357,14 @@ def execute_spec(
         gc.disable()
     try:
         if spec.workload == "kv":
-            result = _execute_kv(spec, quick, obs, timeline_interval, attach)
+            result = _execute_kv(spec, quick, obs, attach)
         else:
-            result = _execute_loopback(spec, quick, obs, timeline_interval, attach)
+            result = _execute_loopback(spec, quick, obs, attach)
     finally:
         if was_enabled:
             gc.enable()
             gc.collect()
-    if obs is not None:
+    if with_metrics:
         result["metrics"] = obs.metrics.snapshot()
     return result
 

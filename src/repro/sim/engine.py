@@ -155,6 +155,8 @@ class Simulator(Instrumented):
     #: ``0`` everywhere reproduces the canonical schedule exactly.
     chooser = None
 
+    _obs_hooks = ("timeline",)
+
     def __init__(self, slowpath: Optional[bool] = None) -> None:
         self.now: float = 0.0
         self._heap: list = []
@@ -186,6 +188,11 @@ class Simulator(Instrumented):
             "alive_processes",
             fn=lambda: float(sum(1 for p in self._processes if not p.done)),
         )
+
+    def _instrument_children(self, obs) -> None:
+        # The sanitizer stamps pool and payload findings with this clock.
+        if obs.sanitizer is not None:
+            obs.sanitizer.bind(self)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -471,9 +478,6 @@ class Simulator(Instrumented):
             self._held = None
             if rec is not None:
                 self._requeue(rec)
-
-    def _call(self, fn: Callable[[], None]) -> None:
-        fn()
 
     def _step(self, proc: Process) -> None:
         if proc.done:

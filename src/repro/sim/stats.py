@@ -6,19 +6,18 @@ quantiles.
 
 Sample storage has two interchangeable backends:
 
-* **numpy** (default when numpy is importable): samples live in a
-  growable ``float64`` array with amortized appends; quantiles come
-  from :func:`numpy.partition` over the exact order statistics. float64
-  round-trips Python floats exactly and the mean is kept as a running
-  total accumulated in recording order, so every statistic — and the
+* **numpy** (default): samples live in a growable ``float64`` array
+  with amortized appends; quantiles come from :func:`numpy.partition`
+  over the exact order statistics. float64 round-trips Python floats
+  exactly and the mean is kept as a running total accumulated in
+  recording order, so every statistic — and the
   :meth:`Histogram.samples` recording-order contract the shard merge
   layer relies on — is bit-identical to the list backend.
 * **list** (reference): plain Python lists and ``sorted()``, retained
-  as the slowpath twin. Selected when numpy is unavailable or
-  ``REPRO_SIM_SLOWPATH=1`` is set (the same switch that selects the
-  reference event loop; stats cannot import
-  :func:`repro.sim.engine.slowpath_requested` without creating an
-  import cycle through ``repro.obs``, so the env check is mirrored
+  as the slowpath twin. Selected when ``REPRO_SIM_SLOWPATH=1`` is set
+  (the same switch that selects the reference event loop; stats cannot
+  import :func:`repro.sim.engine.slowpath_requested` without creating
+  an import cycle through ``repro.obs``, so the env check is mirrored
   here).
 """
 
@@ -28,12 +27,9 @@ import math
 import os
 from typing import Dict, Iterable, List, Optional
 
-from repro.errors import ConfigError
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
+from repro.errors import ConfigError
 
 
 def _use_numpy_backend() -> bool:
@@ -42,7 +38,7 @@ def _use_numpy_backend() -> bool:
     Mirrors ``repro.sim.engine.slowpath_requested()`` — see the module
     docstring for why the env check is duplicated rather than imported.
     """
-    return _np is not None and os.environ.get("REPRO_SIM_SLOWPATH", "") != "1"
+    return os.environ.get("REPRO_SIM_SLOWPATH", "") != "1"
 
 
 class Counter:

@@ -194,14 +194,6 @@ class TopologySpec:
             adjacent.sort()
         return neighbors
 
-    def edge_index(self) -> Dict[Tuple[str, str], Tuple[EdgeSpec, int]]:
-        """``(src, dst) -> (edge, direction)`` for both orientations."""
-        index: Dict[Tuple[str, str], Tuple[EdgeSpec, int]] = {}
-        for edge in self.edges:
-            index[(edge.a, edge.b)] = (edge, 0)
-            index[(edge.b, edge.a)] = (edge, 1)
-        return index
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ fast/slow engine paths (no fabric fast path is involved).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.interconnect.link import Link
@@ -314,15 +314,3 @@ class Router:
                 cls, direction, payload_bytes=payload_bytes, actor=actor
             )
         return total
-
-    def broadcast_from(
-        self, src: str, dsts: List[str], cls: MessageClass,
-        payload_bytes: Optional[int] = None, actor: str = "net",
-    ) -> float:
-        """Charge one copy per destination; return the slowest delivery."""
-        worst = 0.0
-        for dst in dsts:
-            delay = self.charge(src, dst, cls, payload_bytes, actor)
-            if delay > worst:
-                worst = delay
-        return worst

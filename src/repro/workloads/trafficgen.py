@@ -121,6 +121,8 @@ class LoopbackApp(Instrumented):
     #: series. Class-level None: detached runs pay one load + branch.
     timeline = None
 
+    _obs_hooks = ("flight", "timeline")
+
     def __init__(
         self,
         driver,
@@ -381,9 +383,7 @@ def run_loopback(
     seed: int = 0,
     obs=None,
     recovery: Optional[RecoveryPolicy] = None,
-    flight=None,
     route=None,
-    timeline=None,
 ) -> LoopbackResult:
     """Convenience wrapper: spawn one app on a started interface and run."""
     app = LoopbackApp(
@@ -398,14 +398,10 @@ def run_loopback(
         seed=seed,
         recovery=recovery,
     )
-    if obs is not None and obs.enabled:
+    if obs is not None:
         app.instrument(obs)
-    if flight is not None:
-        app.flight = flight
     if route is not None:
         app.route = route
-    if timeline is not None:
-        app.timeline = timeline
     system.sim.spawn(app.run(), name="loopback-app")
     system.sim.run(until=max_sim_ns, stop_when=lambda: app.done)
     return app.result

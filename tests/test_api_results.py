@@ -1,19 +1,13 @@
 """Tests for the typed data-plane result objects and the NIC protocols."""
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.core import CcnicConfig, CcnicInterface
 from repro.core.buffers import Buffer
 from repro.core.nic import NicDriver, NicInterface
-from repro.core.results import (
-    AllocResult,
-    RxResult,
-    TxResult,
-    reset_tuple_unpack_warnings,
-)
+from repro.core.results import AllocResult, RxResult, TxResult
 from repro.nicmodels import PcieNicInterface
 from repro.platform import System, icx
 from repro.workloads.packets import Packet
@@ -21,14 +15,6 @@ from repro.workloads.packets import Packet
 
 def _buf(addr=0x1000, cap=4096):
     return Buffer(addr=addr, capacity=cap)
-
-
-@pytest.fixture(autouse=True)
-def _rearmed_unpack_warnings():
-    """Each test sees freshly armed one-shot deprecation warnings."""
-    reset_tuple_unpack_warnings()
-    yield
-    reset_tuple_unpack_warnings()
 
 
 class TestAllocResult:
@@ -47,18 +33,6 @@ class TestAllocResult:
         assert not AllocResult(bufs=(), ns=3.0)
         assert AllocResult(bufs=(_buf(),), ns=3.0)
 
-    def test_tuple_unpack_compat_warns_once(self):
-        bufs = (_buf(), _buf(0x2000))
-        with pytest.deprecated_call():
-            got, ns = AllocResult(bufs=bufs, ns=7.0)
-        assert got == list(bufs)
-        assert ns == 7.0
-        # The warning is one-shot per class: a second unpack is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            again, _ = AllocResult(bufs=bufs, ns=8.0)
-        assert again == list(bufs)
-
     def test_frozen(self):
         result = AllocResult(bufs=(), ns=0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -70,22 +44,6 @@ class TestTxResult:
         assert TxResult(count=3, ns=9.0).count == 3
         assert not TxResult(count=0, ns=9.0)
 
-    def test_tuple_unpack_compat_warns_once(self):
-        with pytest.deprecated_call():
-            sent, ns = TxResult(count=5, ns=2.0)
-        assert (sent, ns) == (5, 2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sent, ns = TxResult(count=6, ns=3.0)
-        assert (sent, ns) == (6, 3.0)
-
-    def test_unpack_warning_is_per_class(self):
-        # TxResult having warned must not silence AllocResult's warning.
-        with pytest.deprecated_call():
-            _, _ = TxResult(count=1, ns=1.0)
-        with pytest.deprecated_call():
-            _, _ = AllocResult(bufs=(), ns=1.0)
-
 
 class TestRxResult:
     def test_count_derived_from_entries(self):
@@ -93,17 +51,6 @@ class TestRxResult:
         result = RxResult(entries=entries, ns=4.0)
         assert result.count == 1
         assert result.entries == entries
-
-    def test_tuple_unpack_compat_warns_once(self):
-        pkt, buf = Packet(size=64), _buf()
-        with pytest.deprecated_call():
-            got, ns = RxResult(entries=((pkt, buf),), ns=6.0)
-        assert got == [(pkt, buf)]
-        assert ns == 6.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            got, _ = RxResult(entries=((pkt, buf),), ns=6.0)
-        assert got == [(pkt, buf)]
 
     def test_bool(self):
         assert not RxResult(entries=(), ns=1.0)

@@ -24,6 +24,7 @@ from repro.check import (
 )
 from repro.errors import ConfigError, ModelCheckError
 from repro.obs.export import MODEL_SCHEMA, export_model_json, load_model_json
+from repro.obs import Observability
 from repro.obs.flight import FlightRecorder
 from repro.shard.runner import execute_spec
 from repro.shard.spec import scenario, scenario_names
@@ -165,7 +166,8 @@ class TestScenarioTransitionCoverage:
     writer-homed *clean* remote write miss, which needs a capacity
     eviction to leave a clean remote copy behind — are structurally out
     of reach; they are pinned below so this test flags it if a future
-    scenario starts covering them.
+    scenario starts covering them. The recorder rides an observer
+    bundle, so the labels come from the fabric's plan path.
     """
 
     STRUCTURALLY_UNREACHED = {
@@ -187,7 +189,7 @@ class TestScenarioTransitionCoverage:
                 recorder = FlightRecorder()
 
                 def attach(setup, recorder=recorder):
-                    setup.system.fabric.attach_flight(recorder)
+                    setup.instrument(Observability(flight=recorder))
 
                 execute_spec(shard_spec, quick=True, attach=attach)
                 labels |= {

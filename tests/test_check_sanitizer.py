@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.checks import (
-    attach_sanitizer,
-    detach_sanitizer,
-    format_rule_summary,
-    format_violation_table,
-)
+from repro.analysis.checks import format_rule_summary, format_violation_table
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.analysis.perf import _fingerprint
 from repro.shard.runner import _system_snapshot
@@ -15,6 +10,7 @@ from repro.check import METADATA_CLASSES, Sanitizer
 from repro.core.buffers import Buffer
 from repro.core.config import CcnicConfig
 from repro.errors import SanitizerError
+from repro.obs import Observability
 from repro.obs.export import (
     SANITIZE_SCHEMA,
     export_sanitize_json,
@@ -356,10 +352,9 @@ class TestReport:
 # System-level scenarios
 # ----------------------------------------------------------------------
 def _sanitized_loopback(config=None, n_packets=300, sanitizer=None):
-    setup = build_interface(icx(), InterfaceKind.CCNIC, config=config)
-    if sanitizer is not None:
-        attach_sanitizer(setup, sanitizer)
-    result = run_point(setup, 64, n_packets, inflight=32)
+    obs = Observability(sanitizer=sanitizer) if sanitizer is not None else None
+    setup = build_interface(icx(), InterfaceKind.CCNIC, config=config, obs=obs)
+    result = run_point(setup, 64, n_packets, inflight=32, obs=obs)
     assert result.received == n_packets
     return setup
 
@@ -400,8 +395,9 @@ class TestFingerprintInvariance:
 
     def _fingerprint(self, sanitizer=None):
         setup = _sanitized_loopback(sanitizer=sanitizer)
-        if sanitizer is not None:
-            detach_sanitizer(setup)
+        if sanitizer is not None and not setup.system.sim.slowpath:
+            # The sanitizer watched the plan path, not the reference twin.
+            assert setup.system.fabric._plans
         return _fingerprint(_system_snapshot(setup.system))
 
     def test_attached_vs_detached_fastpath(self):

@@ -9,7 +9,7 @@ from repro.errors import ConfigError
 
 class TestErrorHierarchy:
     def test_all_derive_from_base(self):
-        for name in ("SimulationError", "MemoryError_", "CoherenceError",
+        for name in ("SimulationError", "AddressSpaceError", "CoherenceError",
                      "InterconnectError", "NicError", "PoolError",
                      "ConfigError", "WorkloadError", "CheckError",
                      "SanitizerError", "LintError"):

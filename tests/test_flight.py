@@ -7,17 +7,18 @@ import pytest
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.analysis.perf import _fingerprint
 from repro.shard.runner import _system_snapshot
-from repro.analysis.profile import attach_recorder, detach_recorder, run_profile
+from repro.analysis.profile import run_profile
 from repro.obs import (
     STAGES,
     FlightRecorder,
+    Observability,
     SpanTracer,
     classify_region,
     export_chrome_trace,
     export_flight_json,
     load_flight_json,
 )
-from repro.obs.flight import FLIGHT_OFF, REGION_CLASSES
+from repro.obs.flight import REGION_CLASSES
 from repro.obs.waterfall import WaterfallStats, build_waterfall
 from repro.platform import icx
 
@@ -158,41 +159,6 @@ class TestFlightRecorderUnit:
         assert report["thrash"] == []
         assert report["homing_audit"] == []
 
-    def test_null_recorder_is_inert(self):
-        FLIGHT_OFF.line_event(0.0, 0, None, 0, False, "hit", 1.0)
-        FLIGHT_OFF.line_drop(0, 0, False)
-        assert not FLIGHT_OFF.want(0)
-        assert not FLIGHT_OFF.packet_begin(0, 0.0)
-        assert FLIGHT_OFF.report()["disabled"]
-        assert FLIGHT_OFF.counter_tracks() == []
-
-
-class TestAttachDetach:
-    def test_fabric_attach_forces_reference_path(self):
-        setup = build_interface(icx(), InterfaceKind.CCNIC)
-        fabric = setup.system.fabric
-        assert fabric.flight is None
-        was_fast = fabric._fastpath
-        rec = FlightRecorder()
-        fabric.attach_flight(rec)
-        assert fabric.flight is rec
-        assert not fabric._fastpath
-        fabric.detach_flight()
-        assert fabric.flight is None
-        assert fabric._fastpath == was_fast
-
-    def test_attach_detach_recorder_spreads_everywhere(self):
-        setup = build_interface(icx(), InterfaceKind.CCNIC)
-        rec = FlightRecorder()
-        attach_recorder(setup, rec)
-        assert setup.driver.flight is rec
-        assert all(a.flight is rec for a in setup.system.fabric.agents)
-        assert setup.interface.pair(0).agent.flight is rec
-        detach_recorder(setup)
-        assert setup.driver.flight is None
-        assert setup.system.fabric.flight is None
-        assert setup.interface.pair(0).agent.flight is None
-
 
 @pytest.fixture(scope="module")
 def profile_run():
@@ -272,15 +238,16 @@ class TestProfileEndToEnd:
 
 
 def _loopback_fingerprint(flight=None, tracer=None, n_packets=300):
-    setup = build_interface(icx(), InterfaceKind.CCNIC)
-    if flight is not None:
-        attach_recorder(setup, flight)
+    obs = Observability(flight=flight) if flight is not None else None
+    setup = build_interface(icx(), InterfaceKind.CCNIC, obs=obs)
     if tracer is not None:
         with tracer.attach_fabric(setup.system.fabric):
-            result = run_point(setup, 64, n_packets, inflight=32, flight=flight)
+            result = run_point(setup, 64, n_packets, inflight=32, obs=obs)
     else:
-        result = run_point(setup, 64, n_packets, inflight=32, flight=flight)
+        result = run_point(setup, 64, n_packets, inflight=32, obs=obs)
     assert result.received == n_packets
+    if flight is not None:
+        assert flight.events_seen > 0
     return _fingerprint(_system_snapshot(setup.system))
 
 

@@ -1,115 +1,104 @@
-"""Hook triple-attach discipline: flight + sanitizer + timeline.
+"""One attach path for observers: flight + sanitizer + timeline.
 
-The fabric's fast path must stay disabled while *any* reference-path
-client (flight recorder, sanitizer) remains attached — ``detach_*``
-restores it only when all of ``_reference_clients()`` are gone — and
-the timeline sampler must never force the reference path at all. On
-top of the path discipline, attaching the three hooks in any order
-must leave the run fingerprint-identical to a bare run.
+Observers ride one :class:`~repro.obs.Observability` bundle and the
+``instrument`` cascade; none of them moves the coherence fabric off its
+plan path. Every subset of the three must leave a run
+fingerprint-identical to a bare run with memoized plans in use, and the
+flight and sanitizer reports must be byte-identical to the ones the
+reference twin (``REPRO_SIM_SLOWPATH=1``) produces.
 """
 
 import itertools
+import json
 
 import pytest
 
-from repro.analysis.checks import attach_sanitizer
+from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.check.explore import _scoped_spec
-from repro.check.model import ModelScope, _World
 from repro.check.sanitizer import Sanitizer
+from repro.core import CcnicConfig, buffers
+from repro.obs import Observability
 from repro.obs.flight import FlightRecorder
-from repro.obs.timeline import TimelineSampler, attach_timeline
+from repro.obs.timeline import TimelineSampler
+from repro.platform import System, icx
 from repro.shard.merge import fingerprint, merge_results
 from repro.shard.runner import execute_spec, lookahead_ns
 from repro.shard.spec import scenario
+from repro.workloads import packets
 
 OPS = 24
 HOOKS = ("flight", "sanitizer", "timeline")
 
 
-def _fabric():
-    return _World(ModelScope(), slowpath=False).fabric
+def _observer(hook):
+    if hook == "flight":
+        return FlightRecorder()
+    if hook == "sanitizer":
+        return Sanitizer()
+    return TimelineSampler(interval_ns=1000.0)
 
 
-class TestFastpathRestoreDiscipline:
+def _run(bundles):
+    """Fingerprint of a scoped loopback_64b run, plus its setup.
+
+    ``bundles`` is a sequence of hook-name tuples; each is instrumented
+    in turn after the build, so the last bundle is the one that stays.
+    """
+    spec = _scoped_spec(scenario("loopback_64b"), OPS)
+    built = []
+
+    def attach(setup):
+        built.append(setup)
+        for hooks in bundles:
+            setup.instrument(Observability(**{h: _observer(h) for h in hooks}))
+
+    result = execute_spec(spec, attach=attach)
+    merged = merge_results([dict(result, index=0)], spec.name, lookahead_ns(spec))
+    return fingerprint(merged), built[0]
+
+
+def _assert_hooks(setup, observers):
+    """The cascade reached every layer carrying a hook."""
+    fabric = setup.system.fabric
+    pair = setup.interface.pair(0)
+    assert fabric.flight is observers["flight"]
+    assert all(a.flight is observers["flight"] for a in fabric.agents)
+    assert setup.driver.flight is observers["flight"]
+    assert pair.agent.flight is observers["flight"]
+    assert fabric.sanitizer is observers["sanitizer"]
+    assert setup.interface.pool.sanitizer is observers["sanitizer"]
+    assert pair.tx.sanitizer is observers["sanitizer"]
+    assert pair.agent.sanitizer is observers["sanitizer"]
+    assert setup.system.sim.timeline is observers["timeline"]
+
+
+@pytest.fixture(scope="module")
+def bare_fingerprint():
+    return _run(())[0]
+
+
+class TestObserverBundle:
     @pytest.mark.parametrize(
-        "attach_order", list(itertools.permutations(("flight", "sanitizer")))
+        "hooks",
+        [s for n in range(len(HOOKS) + 1) for s in itertools.combinations(HOOKS, n)],
+        ids=lambda hooks: "-".join(hooks) or "none",
     )
-    @pytest.mark.parametrize(
-        "detach_order", list(itertools.permutations(("flight", "sanitizer")))
-    )
-    def test_fastpath_returns_only_after_last_client(
-        self, attach_order, detach_order
-    ):
-        fabric = _fabric()
+    def test_every_subset_keeps_plan_path(self, hooks, bare_fingerprint):
+        fp, setup = _run((hooks,))
+        assert fp == bare_fingerprint
+        fabric = setup.system.fabric
         assert fabric._fastpath
-        for hook in attach_order:
-            if hook == "flight":
-                fabric.attach_flight(FlightRecorder())
-            else:
-                fabric.attach_sanitizer(Sanitizer())
-            assert not fabric._fastpath
-        first, second = detach_order
-        for hook, expect_fast in ((first, False), (second, True)):
-            if hook == "flight":
-                fabric.detach_flight()
-            else:
-                fabric.detach_sanitizer()
-            assert fabric._fastpath is expect_fast
-
-    def test_timeline_never_forces_reference_path(self):
-        world = _World(ModelScope(), slowpath=False)
-        fabric = world.fabric
-        world.sim.timeline = TimelineSampler(interval_ns=1000.0)
-        assert fabric._fastpath
-        # ... and detaching it does not prematurely restore anything.
-        fabric.attach_sanitizer(Sanitizer())
-        world.sim.timeline = None
-        assert not fabric._fastpath
-        fabric.detach_sanitizer()
-        assert fabric._fastpath
-
-    def test_slowpath_sim_never_restores_fastpath(self):
-        fabric = _World(ModelScope(), slowpath=True).fabric
-        assert not fabric._fastpath
-        fabric.attach_flight(FlightRecorder())
-        fabric.detach_flight()
-        assert not fabric._fastpath
-
-    def test_reference_clients_are_flight_and_sanitizer(self):
-        fabric = _fabric()
-        recorder, sanitizer = FlightRecorder(), Sanitizer()
-        fabric.attach_flight(recorder)
-        fabric.attach_sanitizer(sanitizer)
-        assert fabric._reference_clients() == (recorder, sanitizer)
+        assert fabric._plans
+        attached = {hook: getattr(fabric.obs, hook) for hook in HOOKS}
+        assert all((attached[h] is not None) == (h in hooks) for h in HOOKS)
+        _assert_hooks(setup, attached)
+        # A bundle without observers detaches them from every layer.
+        setup.instrument(Observability())
+        _assert_hooks(setup, dict.fromkeys(HOOKS))
 
 
 class TestAttachOrderFingerprints:
-    """Any attach order of the triple leaves the fingerprint unchanged."""
-
-    @staticmethod
-    def _run(order):
-        spec = _scoped_spec(scenario("loopback_64b"), OPS)
-
-        def attach(setup):
-            for hook in order:
-                if hook == "flight":
-                    setup.system.fabric.attach_flight(FlightRecorder())
-                elif hook == "sanitizer":
-                    attach_sanitizer(setup, Sanitizer())
-                else:
-                    attach_timeline(
-                        TimelineSampler(interval_ns=1000.0), setup
-                    )
-
-        result = execute_spec(spec, attach=attach if order else None)
-        merged = merge_results(
-            [dict(result, index=0)], spec.name, lookahead_ns(spec)
-        )
-        return fingerprint(merged)
-
-    @pytest.fixture(scope="class")
-    def bare_fingerprint(self):
-        return self._run(())
+    """Growing the bundle one observer at a time, in any order, is inert."""
 
     @pytest.mark.parametrize(
         "order", list(itertools.permutations(HOOKS)),
@@ -118,9 +107,118 @@ class TestAttachOrderFingerprints:
     def test_triple_attach_order_is_fingerprint_invariant(
         self, order, bare_fingerprint
     ):
-        assert self._run(order) == bare_fingerprint
+        bundles = [order[:n] for n in range(1, len(order) + 1)]
+        assert _run(bundles)[0] == bare_fingerprint
 
     @pytest.mark.parametrize("dropped", HOOKS)
     def test_partial_attach_also_invariant(self, dropped, bare_fingerprint):
         order = tuple(h for h in HOOKS if h != dropped)
-        assert self._run(order) == bare_fingerprint
+        assert _run([order[:1], order])[0] == bare_fingerprint
+
+
+def _observed_reports(kind, config, monkeypatch):
+    # Packet and buffer ids are process-global; both runs start fresh so
+    # the reports' packet samples and buffer ids line up.
+    monkeypatch.setattr(packets, "_packet_ids", itertools.count())
+    monkeypatch.setattr(buffers, "_buffer_ids", itertools.count())
+    obs = Observability(flight=FlightRecorder(), sanitizer=Sanitizer())
+    setup = build_interface(icx(), kind, config=config, obs=obs)
+    result = run_point(setup, 64, 400, inflight=32, obs=obs)
+    assert result.received == 400
+    # The raw event ring carries the per-line timestamps the report
+    # aggregates away (they feed the Perfetto counter tracks).
+    flight = {"report": obs.flight.report(), "events": list(obs.flight.events)}
+    return (
+        json.dumps(flight, sort_keys=True, indent=0),
+        json.dumps(obs.sanitizer.report(), sort_keys=True, indent=0),
+        obs,
+        setup.system.fabric,
+    )
+
+
+def _first_difference(fast, slow):
+    """``(line, fast, slow)`` where two JSON dumps first differ, or None.
+
+    Keeps a failure cheap to report: pytest's own diff of two long
+    strings takes minutes.
+    """
+    if fast == slow:
+        return None
+    pairs = itertools.zip_longest(fast.splitlines(), slow.splitlines())
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+class TestReportsMatchAcrossPaths:
+    """The plan path reports what the reference twin reports."""
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            (InterfaceKind.CCNIC, None),
+            (
+                InterfaceKind.CCNIC,
+                CcnicConfig(
+                    ring_slots=1024, recycle_stack_max=1024,
+                    writer_homed_rings=False,
+                ),
+            ),
+            (InterfaceKind.UNOPT, None),
+        ],
+        ids=["ccnic", "ccnic-reader-homed", "unopt"],
+    )
+    def test_flight_and_sanitizer_reports_identical(
+        self, kind, config, monkeypatch
+    ):
+        flight, sanitize, obs, fabric = _observed_reports(kind, config, monkeypatch)
+        assert fabric._fastpath and fabric._plans
+        assert obs.flight.events_seen > 0
+        if config is not None:
+            # Reader-homed rings fire spec_read and the homing audit.
+            assert obs.sanitizer.counts.get("writer-homing", 0) > 0
+            assert json.loads(flight)["report"]["homing_audit"]
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+        slow_flight, slow_sanitize, _, slow_fabric = _observed_reports(
+            kind, config, monkeypatch
+        )
+        # Only REPRO_SIM_SLOWPATH selects the reference twin.
+        assert not slow_fabric._fastpath and not slow_fabric._plans
+        assert _first_difference(flight, slow_flight) is None
+        assert _first_difference(sanitize, slow_sanitize) is None
+
+
+def _fabric_events(monkeypatch, slowpath):
+    """Raw line events and spec reads of a mixed bare-fabric sequence.
+
+    Multi-line accesses and bursts stamp each line at the access's local
+    time so far; the loopbacks above issue almost no multi-line access.
+    """
+    if slowpath:
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    system = System(icx())
+    host = system.new_host_core("host")
+    nic = system.new_nic_core("nic")
+    base = system.alloc_host("buf", 64 * 16).base
+    obs = Observability(flight=FlightRecorder(), sanitizer=Sanitizer())
+    system.fabric.instrument(obs)
+    fabric = system.fabric
+    for agent in (nic, host, nic, host):
+        fabric.write(agent, base, 256)
+        fabric.read(agent, base + 64, 192)
+        fabric.access_burst(agent, [(base + 512, 64), (base + 640, 128)], write=True)
+        fabric.access_burst(agent, [(base, 64), (base + 512, 192)], write=False)
+    # Clean shared copies on both sockets, then a multi-line upgrade.
+    fabric.read(nic, base + 896, 128)
+    fabric.read(host, base + 896, 128)
+    fabric.write(nic, base + 896, 128)
+    return list(obs.flight.events), obs.sanitizer.events
+
+
+def test_multi_line_stamps_match_reference(monkeypatch):
+    fast = _fabric_events(monkeypatch, slowpath=False)
+    slow = _fabric_events(monkeypatch, slowpath=True)
+    assert fast == slow
+    events, spec_reads = fast
+    assert spec_reads > 0
+    assert any(ts > 0.0 for ts, *_rest in events)
+    kinds = {kind for *_head, kind, _latency in events}
+    assert {"hit", "cache_remote_spec_hitm", "upgrade_remote"} <= kinds

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MemoryError_
+from repro.errors import AddressSpaceError
 from repro.mem import (
     AddressSpace,
     MemType,
@@ -52,16 +52,16 @@ class TestRegion:
         assert not r.contains(64, 65)
 
     def test_misaligned_base_rejected(self):
-        with pytest.raises(MemoryError_):
+        with pytest.raises(AddressSpaceError):
             Region("bad", base=10, size=64, home=0)
 
     def test_bad_size_rejected(self):
-        with pytest.raises(MemoryError_):
+        with pytest.raises(AddressSpaceError):
             Region("bad", base=0, size=0, home=0)
 
     def test_offset_of_outside_raises(self):
         r = Region("buf", base=0, size=64, home=0)
-        with pytest.raises(MemoryError_):
+        with pytest.raises(AddressSpaceError):
             r.offset_of(100)
 
     def test_default_memtype_is_writeback(self):
@@ -96,7 +96,7 @@ class TestAddressSpace:
     def test_region_of_unmapped_raises(self):
         space = AddressSpace()
         space.allocate("a", 64, home=0)
-        with pytest.raises(MemoryError_):
+        with pytest.raises(AddressSpaceError):
             space.region_of(1)
 
     def test_try_region_of_none(self):
@@ -110,12 +110,12 @@ class TestAddressSpace:
 
     def test_bad_alignment_rejected(self):
         space = AddressSpace()
-        with pytest.raises(MemoryError_):
+        with pytest.raises(AddressSpaceError):
             space.allocate("a", 64, home=0, align=32)
 
     def test_zero_size_rejected(self):
         space = AddressSpace()
-        with pytest.raises(MemoryError_):
+        with pytest.raises(AddressSpaceError):
             space.allocate("a", 0, home=0)
 
     def test_regions_listing_sorted(self):

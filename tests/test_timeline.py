@@ -25,8 +25,6 @@ from repro.obs.timeline import (
     LinkSaturationRule,
     StalledProgressRule,
     TimelineSampler,
-    attach_timeline,
-    detach_timeline,
     run_watchdogs,
     timeline_counter_tracks,
 )
@@ -200,12 +198,17 @@ class TestFingerprintInvariance:
 
     def test_detach_restores_zero_cost_hook(self):
         from repro.analysis.loopback import InterfaceKind, build_interface
+        from repro.obs import Observability
         from repro.platform import icx
 
-        setup = build_interface(icx(), InterfaceKind.CCNIC)
-        sampler = attach_timeline(TimelineSampler(), setup)
+        sampler = TimelineSampler()
+        setup = build_interface(
+            icx(), InterfaceKind.CCNIC, obs=Observability(timeline=sampler)
+        )
         assert setup.system.sim.timeline is sampler
-        detach_timeline(setup)
+        assert "sim.events" in sampler.to_doc()["counters"]
+        # A bundle without a timeline replaces the one with it.
+        setup.instrument(Observability())
         assert setup.system.sim.timeline is None
         assert type(setup.system.sim).timeline is None
 
