@@ -12,9 +12,10 @@ from repro.analysis import perf
 
 
 def test_quick_loopback_meets_committed_floor(tmp_path):
-    doc = perf.run_suite(["loopback_64b"], quick=True, compare=("loopback_64b",))
+    doc = perf.run_suite(["loopback_64b"], quick=True, repeat=2)
     entry = doc["scenarios"]["loopback_64b"]
-    assert entry["deterministic"] is True
+    # A single-process run has no rerun to compare against.
+    assert "deterministic" not in entry and "single_process" not in entry
     assert entry["events"] > 0
     path = perf.write_bench(doc, str(tmp_path / "BENCH_sim_perf.json"))
     reread = json.load(open(path))
@@ -31,7 +32,7 @@ def test_check_regression_flags_slowdowns_and_divergence():
                 "events_per_sec": 100.0,
                 "deterministic": False,
                 "fingerprint": "aaaa",
-                "slowpath": {"fingerprint": "bbbb"},
+                "single_process": {"fingerprint": "bbbb"},
             }
         }
     }

@@ -17,12 +17,8 @@ Each scenario is a fixed partition of per-queue-pair shards;
 processes. The merged metric *fingerprint* — a hash over every shard's
 end-to-end metrics plus the merged reduction — is invariant under the
 worker count, and the harness proves it on every ``--shards`` run by
-re-running the partition single-process and comparing.
-
-Running a scenario with ``REPRO_SIM_SLOWPATH=1`` disables every fast
-path (engine event-record reuse and calendar queue, fabric cost-plan
-memoization, link pair batching) and must also yield the same
-fingerprint: the optimizations are behavior-preserving by construction.
+re-running the partition single-process and comparing. ``repeat`` runs
+must reproduce the same merged document too.
 
 The committed floor in ``benchmarks/perf/baseline.json`` is what CI's
 perf-smoke job regresses against (see :func:`check_regression`).
@@ -42,8 +38,6 @@ from repro.errors import SimulationError
 from repro.shard import run_sharded, scenario, scenario_names
 from repro.shard.merge import fingerprint as _merged_fingerprint
 
-#: Escape hatch read by every layer's fast path (one Simulator at a time).
-SLOWPATH_ENV = "REPRO_SIM_SLOWPATH"
 #: Schema version of the BENCH document.
 BENCH_SCHEMA = 2
 #: Default output path, relative to the invoking directory (repo root).
@@ -62,7 +56,7 @@ def _fingerprint(snapshot: Dict) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class PerfMeasurement:
-    """One timed scenario run (fast path, slow path, or parallel)."""
+    """One timed scenario run (single-process or parallel)."""
 
     scenario: str
     wall_s: float
@@ -72,7 +66,6 @@ class PerfMeasurement:
     peak_rss_kb: int
     fingerprint: str
     extra: Dict[str, float]
-    slowpath: bool
     n_shards: int = 1
     workers: int = 1
     #: Merged per-edge fabric counters (``edge:dir:field`` -> value) when
@@ -106,11 +99,10 @@ def _peak_rss_kb() -> int:
 def run_scenario(
     name: str,
     quick: bool = False,
-    slowpath: bool = False,
     repeat: int = 1,
     workers: int = 1,
 ) -> PerfMeasurement:
-    """Time one scenario; ``slowpath`` runs it with every fast path off.
+    """Time one scenario.
 
     The scenario's fixed shard partition executes on ``workers``
     processes (1 = sequential in this process — the baseline every
@@ -122,29 +114,16 @@ def run_scenario(
     tolerance should paper over.
     """
     spec = scenario(name)
-    prev = os.environ.get(SLOWPATH_ENV)
-    if slowpath:
-        # Workers inherit the environment at fork/spawn time, so the
-        # toggle reaches every shard process too.
-        os.environ[SLOWPATH_ENV] = "1"
-    else:
-        os.environ.pop(SLOWPATH_ENV, None)
-    try:
-        wall = None
-        run = None
-        for _ in range(max(1, repeat)):
-            this = run_sharded(spec, workers=workers, quick=quick)
-            if run is not None and this.doc != run.doc:
-                raise SimulationError(
-                    f"scenario {name!r} is nondeterministic across repeats"
-                )
-            run = this
-            wall = this.wall_s if wall is None else min(wall, this.wall_s)
-    finally:
-        if prev is None:
-            os.environ.pop(SLOWPATH_ENV, None)
-        else:
-            os.environ[SLOWPATH_ENV] = prev
+    wall = None
+    run = None
+    for _ in range(max(1, repeat)):
+        this = run_sharded(spec, workers=workers, quick=quick)
+        if run is not None and this.doc != run.doc:
+            raise SimulationError(
+                f"scenario {name!r} is nondeterministic across repeats"
+            )
+        run = this
+        wall = this.wall_s if wall is None else min(wall, this.wall_s)
     return PerfMeasurement(
         scenario=name,
         wall_s=wall,
@@ -154,7 +133,6 @@ def run_scenario(
         peak_rss_kb=_peak_rss_kb(),
         fingerprint=run.fingerprint,
         extra=run.extra,
-        slowpath=slowpath,
         n_shards=run.n_shards,
         workers=run.workers,
         topology=run.doc["merged"].get("topology"),
@@ -171,14 +149,12 @@ def run_suite(
 ) -> Dict:
     """Run the suite; returns the ``BENCH_sim_perf.json`` document.
 
-    In the default single-process mode, scenarios named in ``compare``
-    run a second time with ``REPRO_SIM_SLOWPATH=1`` to record the
-    fast/slow speedup and check that both paths produced identical
-    fingerprints. With ``shards`` set (> 1 worker processes), the
-    comparison changes meaning: ``compare`` scenarios re-run the same
-    partition single-process and the gate becomes *parallel vs
-    sequential* — same merged fingerprint, speedup = parallel
-    events/sec over sequential.
+    With ``shards`` set (> 1 worker processes), scenarios named in
+    ``compare`` re-run the same partition single-process and the gate
+    checks *parallel vs sequential*: same merged fingerprint
+    (``deterministic``), with ``speedup`` = parallel events/sec over
+    sequential. Single-process runs have nothing to compare against;
+    ``repeat`` > 1 still checks determinism across the repeats.
     """
     names = list(scenarios) if scenarios else scenario_names()
     workers = 1 if shards is None else max(1, shards)
@@ -197,33 +173,19 @@ def run_suite(
     for name in names:
         if progress is not None:
             progress(f"running {name}{' (quick)' if quick else ''} ...")
-        fast = run_scenario(name, quick=quick, repeat=repeat, workers=workers)
-        entry = fast.to_doc()
-        if name in compare:
-            if workers > 1:
-                if progress is not None:
-                    progress(f"running {name} single-process for comparison ...")
-                single = run_scenario(name, quick=quick, repeat=repeat, workers=1)
-                entry["single_process"] = single.to_doc()
-                entry["speedup"] = (
-                    round(fast.events_per_sec / single.events_per_sec, 2)
-                    if single.events_per_sec > 0
-                    else None
-                )
-                entry["deterministic"] = fast.fingerprint == single.fingerprint
-            else:
-                if progress is not None:
-                    progress(f"running {name} with {SLOWPATH_ENV}=1 ...")
-                slow = run_scenario(
-                    name, quick=quick, slowpath=True, repeat=repeat, workers=workers
-                )
-                entry["slowpath"] = slow.to_doc()
-                entry["speedup"] = (
-                    round(fast.events_per_sec / slow.events_per_sec, 2)
-                    if slow.events_per_sec > 0
-                    else None
-                )
-                entry["deterministic"] = fast.fingerprint == slow.fingerprint
+        run = run_scenario(name, quick=quick, repeat=repeat, workers=workers)
+        entry = run.to_doc()
+        if name in compare and workers > 1:
+            if progress is not None:
+                progress(f"running {name} single-process for comparison ...")
+            single = run_scenario(name, quick=quick, repeat=repeat, workers=1)
+            entry["single_process"] = single.to_doc()
+            entry["speedup"] = (
+                round(run.events_per_sec / single.events_per_sec, 2)
+                if single.events_per_sec > 0
+                else None
+            )
+            entry["deterministic"] = run.fingerprint == single.fingerprint
         doc["scenarios"][name] = entry
     return doc
 
@@ -392,12 +354,11 @@ def check_regression(
     """Compare a BENCH document against the committed baseline.
 
     Returns one message per failure: an events/sec figure more than
-    ``tolerance`` below the baseline floor, or a comparison run (fast vs
-    slowpath, or parallel vs single-process) whose fingerprints
-    diverged. An empty list means the gate passes. Scenarios present in
-    only one document are skipped (the baseline carries deliberately
-    conservative floors, valid for both ``--quick`` and full runs across
-    machine classes). A multi-worker document (``doc["shards"] > 1``)
+    ``tolerance`` below the baseline floor, or a parallel run whose
+    fingerprint diverged from its single-process rerun. An empty list
+    means the gate passes. Scenarios present in only one document are
+    skipped (the baseline carries deliberately conservative floors,
+    valid for both ``--quick`` and full runs across machine classes). A multi-worker document (``doc["shards"] > 1``)
     is gated against the baseline's nested ``"sharded"`` floor when one
     is committed, since worker dispatch overhead shifts the achievable
     rate on small machines.
@@ -420,14 +381,10 @@ def check_regression(
             )
     for name, entry in doc["scenarios"].items():
         if entry.get("deterministic") is False:
-            other = entry.get("slowpath") or entry.get("single_process") or {}
-            what = (
-                "parallel and single-process"
-                if "single_process" in entry
-                else f"fast and {SLOWPATH_ENV}=1"
-            )
+            other = entry.get("single_process", {})
             failures.append(
-                f"{name}: {what} runs produced different metric fingerprints "
-                f"({entry['fingerprint']} vs {other.get('fingerprint', '?')})"
+                f"{name}: parallel and single-process runs produced different "
+                f"metric fingerprints ({entry['fingerprint']} vs "
+                f"{other.get('fingerprint', '?')})"
             )
     return failures

@@ -15,16 +15,15 @@ timing-level tests can miss:
   handoff, and writer-homing violations.
 * :func:`run_lint` — a visitor-based static linter over the source
   tree enforcing the determinism contracts the simulator rests on: no
-  wall-clock or unseeded randomness, fast-path/reference twins with a
-  fingerprint test, zero-cost-detached hook guards, no ``id()``-keyed
-  iteration, the ``repro.errors`` exception taxonomy, no additive
+  wall-clock or unseeded randomness, zero-cost-detached hook guards, no
+  ``id()``-keyed iteration, the ``repro.errors`` exception taxonomy, no additive
   time/size unit mixing, and no stale waivers. Inline
   ``# repro: allow(<rule>)`` waivers are counted, never silent.
 * :func:`check_model` — a small-scope exhaustive model checker that
   drives the real coherence fabric through every short op sequence over
   a few agents and lines, checking each observed transition, cost, and
   counter delta against the declarative MESIF spec in ``TRANSITIONS``
-  (plus SWMR, stale-read, and fast/slow twin-equivalence invariants),
+  (plus SWMR and stale-read invariants),
   with shrunk replayable counterexamples and a transition-coverage
   table. ``MUTATIONS`` holds seeded protocol bugs for checking the
   checker.

@@ -9,8 +9,8 @@ permute that order on small registered scenarios, asserting after every
 explored schedule that
 
 * the merged result fingerprint equals the canonical schedule's (tie
-  order is incidental, so any divergence is latent nondeterminism the
-  slowpath-twin contract cannot see), and
+  order is incidental, so any divergence is latent nondeterminism that
+  a fixed-order run cannot see), and
 * the runtime sanitizer stays clean (a reordering that surfaces a
   happens-before race is a protocol bug, not a tolerable quirk).
 

@@ -24,8 +24,6 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.check.rules import (
     WAIVER_RE,
-    ErrorTaxonomyRule,
-    FastpathTwinRule,
     LintRule,
     StaleWaiverRule,
     default_rules,
@@ -180,26 +178,11 @@ def _iter_sources(root: str):
                 yield os.path.join(dirpath, filename)
 
 
-def _tests_have_fingerprint_check(tests_root: str) -> bool:
-    for path in _iter_sources(tests_root):
-        with open(path) as fh:
-            text = fh.read()
-        if "REPRO_SIM_SLOWPATH" in text and "fingerprint" in text.lower():
-            return True
-    return False
-
-
 def run_lint(
     root: Optional[str] = None,
-    tests_root: Optional[str] = None,
     rules: Optional[List[LintRule]] = None,
 ) -> LintReport:
-    """Lint every module under ``root`` (default: the installed package).
-
-    ``tests_root`` enables the run-level fingerprint-test presence check;
-    pass None (or a missing directory) to skip it, e.g. when linting an
-    installed package without its test tree.
-    """
+    """Lint every module under ``root`` (default: the installed package)."""
     if root is None:
         import repro
 
@@ -208,8 +191,6 @@ def run_lint(
         raise LintError(f"lint root {root!r} is not a directory")
     if rules is None:
         rules = default_rules(taxonomy=_taxonomy_names(root))
-    if tests_root is not None and not os.path.isdir(tests_root):
-        tests_root = None
     report = LintReport()
     prefix = os.path.dirname(root)
     for path in _iter_sources(root):
@@ -218,13 +199,6 @@ def run_lint(
         rel = os.path.relpath(path, prefix)
         report.findings.extend(lint_source(source, rel, rules))
         report.files += 1
-    for rule in rules:
-        if isinstance(rule, FastpathTwinRule) and tests_root is not None:
-            rule.note_tests(_tests_have_fingerprint_check(tests_root))
-        for line, col, message in rule.finish(tests_root):
-            report.findings.append(
-                LintFinding(rule.name, tests_root or root, line, col, message)
-            )
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
 

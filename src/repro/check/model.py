@@ -2,18 +2,14 @@
 
 The fabric's MESIF transition behaviour (HITM dirty-ownership transfer,
 homing-dependent charging, speculative reads, store pipelining) is what
-CC-NIC's results rest on — and, since the memoized transition plans
-landed, it is implemented twice. This module pins both implementations
-to one explicit, declarative transition relation
+CC-NIC's results rest on. This module pins the fabric's one
+implementation to an explicit, declarative transition relation
 (:data:`TRANSITIONS`) extracted from ``coherence/state.py`` +
 ``coherence/costs.py``, then *exhaustively enumerates* every reachable
 small-scope configuration (2–3 agents × 1–2 cache lines × all op
 sequences) through the real :class:`~repro.coherence.fabric.CoherenceFabric`,
 checking per step:
 
-* **twin equivalence** — the memoized fast path and the reference path
-  agree exactly on latency, counters and resulting line states for
-  every reachable ``(op, line situation, homing, requester)`` key;
 * **single-writer-multiple-reader** — via the fabric's own
   :meth:`~repro.coherence.fabric.CoherenceFabric.check_invariants`;
 * **transition legality** — every observed transition is in the spec,
@@ -22,8 +18,10 @@ checking per step:
   observes the globally newest version after any remote modify;
 * **coverage** — every spec transition is reached (the coverage table).
 
-On failure the checker emits a *shrunk*, replayable counterexample op
-sequence (see :func:`replay_counterexample`). Named fabric mutations
+Together with the pinned scenario fingerprints, the spec is the
+fabric's independent oracle. On failure the checker emits a *shrunk*,
+replayable counterexample op sequence (see
+:func:`replay_counterexample`). Named fabric mutations
 (:data:`MUTATIONS`) let CI prove the checker actually catches protocol
 bugs: each mutation (e.g. skipping the HITM forward) must produce a
 counterexample.
@@ -266,11 +264,11 @@ _BY_KEY: Dict[tuple, str] = {rule.key: tid for tid, rule in TRANSITIONS.items()}
 
 
 class _World:
-    """One concrete fabric instance (fast or reference path)."""
+    """One concrete fabric instance over the scope's agents and lines."""
 
-    def __init__(self, scope: ModelScope, slowpath: bool) -> None:
+    def __init__(self, scope: ModelScope) -> None:
         self.scope = scope
-        self.sim = Simulator(slowpath=slowpath)
+        self.sim = Simulator()
         self.space = AddressSpace()
         plat = _PLATFORMS[scope.platform]()
         self.link = Link(
@@ -416,18 +414,16 @@ def _violation(invariant: str, message: str, step: int, scope: ModelScope,
 
 
 def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
-    """Replay ``seq`` through a fresh fast/reference twin pair.
+    """Replay ``seq`` through a fresh fabric.
 
     Returns the final abstract state, the transition id taken at each
     step, and the first invariant violation (None when clean). Checks
     run in severity order so a single broken step reports its most
     fundamental cause.
     """
-    fast = _World(scope, slowpath=False)
-    slow = _World(scope, slowpath=True)
+    world = _World(scope)
     if mutation is not None:
-        MUTATIONS[mutation](fast.fabric)
-        MUTATIONS[mutation](slow.fabric)
+        MUTATIONS[mutation](world.fabric)
     # Spec charges bind to the platform preset, not the live fabric:
     # a mutated (or miscalibrated) fabric cost model must *diverge*
     # from the spec, not silently redefine it.
@@ -441,38 +437,22 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
     transitions: List[Optional[str]] = []
     for step, op in enumerate(seq):
         agent_index, write, line_index = op
-        pre = fast.abstract()
+        pre = world.abstract()
         key = _situation(scope, pre, op)
         tid = _BY_KEY.get(key) if key is not None else None
-        before_f = fast.counters()
-        before_s = slow.counters()
-        lat_f = fast.apply(op)
-        lat_s = slow.apply(op)
-        delta_f = _delta(before_f, fast.counters())
-        delta_s = _delta(before_s, slow.counters())
-        post_f = fast.abstract()
-        post_s = slow.abstract()
-        if lat_f != lat_s or delta_f != delta_s or post_f != post_s:
-            return _Outcome(post_f, transitions, _violation(
-                "twin-diverged",
-                "memoized fast path disagrees with the reference path",
-                step, scope, seq,
-                {"fast": {"latency_ns": lat_f, "counters": delta_f,
-                          "state": _state_doc(post_f)},
-                 "reference": {"latency_ns": lat_s, "counters": delta_s,
-                               "state": _state_doc(post_s)}},
+        before = world.counters()
+        lat = world.apply(op)
+        delta = _delta(before, world.counters())
+        post = world.abstract()
+        try:
+            world.fabric.check_invariants()
+        except CoherenceError as exc:
+            return _Outcome(post, transitions, _violation(
+                "swmr", f"fabric invariant violated: {exc}",
+                step, scope, seq, {"state": _state_doc(post)},
             ))
-        for world, path in ((fast, "fast"), (slow, "reference")):
-            try:
-                world.fabric.check_invariants()
-            except CoherenceError as exc:
-                return _Outcome(post_f, transitions, _violation(
-                    "swmr",
-                    f"fabric invariant violated on the {path} path: {exc}",
-                    step, scope, seq, {"state": _state_doc(post_f)},
-                ))
         if tid is None:
-            return _Outcome(post_f, transitions, _violation(
+            return _Outcome(post, transitions, _violation(
                 "transition-unknown",
                 f"no spec transition matches situation {key!r}",
                 step, scope, seq,
@@ -481,33 +461,33 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
             ))
         rule = TRANSITIONS[tid]
         expected = _expected_post(scope, pre, op, rule)
-        if post_f != expected:
-            return _Outcome(post_f, transitions, _violation(
+        if post != expected:
+            return _Outcome(post, transitions, _violation(
                 "transition-mismatch",
                 f"transition {tid} produced a post-state outside the spec",
                 step, scope, seq,
                 {"transition": tid, "expected": _state_doc(expected),
-                 "observed": _state_doc(post_f)},
+                 "observed": _state_doc(post)},
             ))
         want_lat = cost.resolve(rule.cost_case)
         if rule.pipelined:
             want_lat /= pipeline
-        if abs(lat_f - want_lat) > COST_TOL_NS:
-            return _Outcome(post_f, transitions, _violation(
+        if abs(lat - want_lat) > COST_TOL_NS:
+            return _Outcome(post, transitions, _violation(
                 "cost-mismatch",
-                f"transition {tid} charged {lat_f:.3f} ns, spec says "
+                f"transition {tid} charged {lat:.3f} ns, spec says "
                 f"{rule.cost_case}{'/wp' if rule.pipelined else ''} = {want_lat:.3f} ns",
                 step, scope, seq,
-                {"transition": tid, "expected_ns": want_lat, "observed_ns": lat_f},
+                {"transition": tid, "expected_ns": want_lat, "observed_ns": lat},
             ))
         socket = scope.agents[agent_index][1]
         want_counters = {f"s{socket}.{c}": 1.0 for c in rule.counters}
-        if delta_f != want_counters:
-            return _Outcome(post_f, transitions, _violation(
+        if delta != want_counters:
+            return _Outcome(post, transitions, _violation(
                 "counter-mismatch",
-                f"transition {tid} bumped {delta_f}, spec says {want_counters}",
+                f"transition {tid} bumped {delta}, spec says {want_counters}",
                 step, scope, seq,
-                {"transition": tid, "expected": want_counters, "observed": delta_f},
+                {"transition": tid, "expected": want_counters, "observed": delta},
             ))
         # Stale-read oracle (order matters: sourcing before the write bump).
         stale = None
@@ -530,10 +510,10 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
         # Prune shadow copies the protocol just invalidated.
         copies[line_index] = {
             i: v for i, v in copies[line_index].items()
-            if post_f[line_index][i] is not None
+            if post[line_index][i] is not None
         }
         if stale is not None:
-            return _Outcome(post_f, transitions, _violation(
+            return _Outcome(post, transitions, _violation(
                 "stale-read",
                 f"{scope.agents[agent_index][0]} read version {stale} of line "
                 f"{line_index} after it reached version {versions[line_index]}",
@@ -541,9 +521,8 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
                 {"read_version": stale, "newest_version": versions[line_index]},
             ))
         transitions.append(tid)
-        fast.settle()
-        slow.settle()
-    return _Outcome(fast.abstract(), transitions, None)
+        world.settle()
+    return _Outcome(world.abstract(), transitions, None)
 
 
 def _delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
@@ -597,7 +576,7 @@ def check_model(
 
     BFS over abstract line-state configurations: from every reachable
     state (reached via its shortest witness sequence), every op in the
-    scope is probed through a fresh fast/reference twin pair. Seeded
+    scope is probed through a fresh fabric. Seeded
     random walks (``sim/rng``-derived) then re-cover the relation with
     longer mixed sequences. ``mutation`` names a deliberate fabric bug
     from :data:`MUTATIONS` to prove the checker catches it.
@@ -750,23 +729,22 @@ def raise_on_failure(report: Dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 def _mutate_skip_hitm_forward(fabric: CoherenceFabric) -> None:
     """The dirty holder keeps its M copy after a HITM read transfer."""
-    def wrap(inner):
-        def mutated(agent, line, write, region):
-            holders = fabric._holders.get(line, ())
-            dirty = next(
-                (h for h in holders if h.peek(line) is LineState.MODIFIED), None
-            )
-            latency = inner(agent, line, write, region)
-            if not write and dirty is not None and dirty is not agent:
-                dirty.set_state(line, LineState.MODIFIED)
-                holders = fabric._holders.setdefault(line, [])
-                if dirty not in holders:
-                    holders.append(dirty)
-            return latency
-        return mutated
+    inner = fabric._miss
 
-    fabric._miss = wrap(fabric._miss)
-    fabric._miss_fast = wrap(fabric._miss_fast)
+    def mutated(agent, line, write, region):
+        holders = fabric._holders.get(line, ())
+        dirty = next(
+            (h for h in holders if h.peek(line) is LineState.MODIFIED), None
+        )
+        latency = inner(agent, line, write, region)
+        if not write and dirty is not None and dirty is not agent:
+            dirty.set_state(line, LineState.MODIFIED)
+            holders = fabric._holders.setdefault(line, [])
+            if dirty not in holders:
+                holders.append(dirty)
+        return latency
+
+    fabric._miss = mutated
 
 
 def _mutate_skip_remote_invalidate(fabric: CoherenceFabric) -> None:

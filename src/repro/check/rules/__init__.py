@@ -50,10 +50,6 @@ class LintRule:
     def check(self, tree: ast.Module, path: str, source: str) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finish(self, tests_root) -> Iterator[Finding]:
-        """Run-level check after all files; default none."""
-        return iter(())
-
 
 def _is_rng_module(path: str) -> bool:
     normalized = path.replace("\\", "/")
@@ -146,62 +142,6 @@ class WallClockRule(LintRule):
                 yield (node.lineno, node.col_offset,
                        f"call to datetime.datetime.{func.attr}() (wall-clock) "
                        "in simulator code")
-
-
-class FastpathTwinRule(LintRule):
-    """Every ``*_fast`` / ``*_slow`` function needs a reference twin.
-
-    The fabric's fingerprint contract rests on fast-path functions
-    having a reference implementation to diff against; a twin-less
-    fast path cannot be cross-checked. The twin may be the base name
-    (``_miss`` for ``_miss_fast``), an underscore variant, or the
-    opposite suffix (``_run_slow`` for ``_run_fast``), in the same
-    class or module scope.
-    """
-
-    name = "fastpath-twin"
-    description = "fast-path function without a reference twin"
-
-    def __init__(self) -> None:
-        self._saw_fingerprint_test = False
-
-    def check(self, tree, path, source):
-        yield from self._check_scope(tree, tree.body)
-
-    def _check_scope(self, tree, body):
-        names = {
-            node.name
-            for node in body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_scope(tree, node.body)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
-                for suffix, opposite in (("_fast", "_slow"), ("_slow", "_fast")):
-                    if not name.endswith(suffix) or len(name) <= len(suffix):
-                        continue
-                    base = name[: -len(suffix)]
-                    candidates = {base, base.lstrip("_"), "_" + base, base + opposite}
-                    if not (candidates & names):
-                        yield (
-                            node.lineno, node.col_offset,
-                            f"fast-path function {name!r} has no reference twin "
-                            f"(looked for {', '.join(sorted(candidates))})",
-                        )
-
-    def note_tests(self, has_fingerprint_test: bool) -> None:
-        self._saw_fingerprint_test = has_fingerprint_test
-
-    def finish(self, tests_root):
-        if tests_root is not None and not self._saw_fingerprint_test:
-            yield (
-                1, 0,
-                "no test exercises the fingerprint-equality contract "
-                "(expected a test file mentioning both REPRO_SIM_SLOWPATH "
-                "and fingerprint)",
-            )
 
 
 class HookGuardRule(LintRule):
@@ -630,7 +570,6 @@ def default_rules(taxonomy=frozenset()):
     """The standard rule set, in report order."""
     return [
         WallClockRule(),
-        FastpathTwinRule(),
         HookGuardRule(),
         IdKeyRule(),
         ErrorTaxonomyRule(taxonomy=taxonomy),

@@ -5,8 +5,8 @@ The :class:`Sanitizer` attaches like the flight recorder, in the
 hooked component keeps a class-level ``sanitizer = None`` attribute,
 so detached runs pay one attribute test per burst and allocate nothing.
 Attached, it watches the fabric's memoized plan path — the fabric calls
-:meth:`Sanitizer.spec_read` at the reference path's site — so sanitized
-runs stay bit-identical in simulated metrics to unsanitized ones (the
+:meth:`Sanitizer.spec_read` on every reader-homed remote-cache fetch —
+so sanitized runs stay bit-identical in simulated metrics to unsanitized ones (the
 flight-recorder contract).
 
 Checked contracts, one rule id each:

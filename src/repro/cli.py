@@ -1093,7 +1093,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     baseline = perf.load_baseline(args.baseline)
     if baseline is None:
         print(f"no baseline at {args.baseline}; regression check skipped")
-        # Still fail on a fast/slow fingerprint divergence.
+        # Still fail on a parallel/single-process fingerprint divergence.
         failures = perf.check_regression(doc, {"scenarios": {}})
     else:
         failures = perf.check_regression(doc, baseline, tolerance=args.tolerance)
@@ -1240,21 +1240,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         return status
 
     root = args.root or os.path.dirname(os.path.abspath(repro.__file__))
-    tests_root = args.tests
-    if tests_root is None:
-        # Default to the sibling tests/ tree of a source checkout, when
-        # present; an installed package skips the fingerprint-test check.
-        candidate = os.path.join(os.path.dirname(os.path.dirname(root)), "tests")
-        tests_root = candidate if os.path.isdir(candidate) else None
     _check_writable(args.json)
-    report = run_lint(root=root, tests_root=tests_root)
+    report = run_lint(root=root)
     print(format_lint_summary(report))
     if report.findings:
         print()
         print(format_lint_findings(report, limit=args.limit))
     if args.json:
         export_lint_json(
-            report.as_report(config={"root": root, "tests_root": tests_root}),
+            report.as_report(config={"root": root}),
             args.json,
         )
         print(f"wrote lint report to {args.json}")
@@ -1370,9 +1364,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument(
         "--compare", nargs="?", const="all", default="loopback",
         choices=["none", "loopback", "all"],
-        help="which scenarios also run the determinism comparison: against "
-             "REPRO_SIM_SLOWPATH=1, or against a single-process rerun when "
-             "--shards is set (default: loopback; bare --compare means all)",
+        help="with --shards, which scenarios re-run single-process and "
+             "must match its fingerprint; any choice but none also prints "
+             "events/sec deltas against the committed --out document "
+             "(default: loopback; bare --compare means all)",
     )
     pf.add_argument("--out", default="BENCH_sim_perf.json", metavar="FILE")
     pf.add_argument("--baseline", default="benchmarks/perf/baseline.json",
@@ -1418,8 +1413,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ck.add_argument("--root", default=None, metavar="DIR",
                     help="package root to lint (default: installed repro)")
-    ck.add_argument("--tests", default=None, metavar="DIR",
-                    help="tests tree for the fingerprint-test presence check")
     ck.add_argument("--json", default=None, metavar="FILE",
                     help="write the lint report (JSON, repro.check/lint-v1)")
     ck.add_argument("--limit", type=int, default=50, metavar="N",

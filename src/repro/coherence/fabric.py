@@ -32,26 +32,21 @@ change (and the reader-visible invalidation) happens immediately.
 Multi-line accesses model memory-level parallelism: the first line pays
 full latency, subsequent lines overlap and pay ``latency / mlp``.
 
-**Fast path.** When the owning simulator runs its default fast loop (no
-``REPRO_SIM_SLOWPATH=1``), accesses go through a hot path that memoizes
-*transition plans* — the resolved cost constant, precomputed link
-message rows and counter cells for one ``(operation, line situation,
-homing, requester socket)`` combination — so steady-state transitions
-skip all cost recomputation, message-size resolution and counter-name
-formatting. Plans are invalidated when the cost model is swapped, the
-link is rescaled, or the counter bag is reset. An attached fault
-injector keeps the fast path: each remote plan draws its snoop fault
-right after charging its link messages (which draw their link faults
-inside :meth:`Link.occupy_pair`), at the same point and in the same
-order as the reference implementations. The flight recorder and the
-sanitizer, attached through an :class:`~repro.obs.Observability`
-bundle, are observers on the same plan path: their line events,
-drops and speculative-read checks fire at the reference path's sites,
-with its transition kinds and timestamps. The path is chosen once, by
-``REPRO_SIM_SLOWPATH``, and no hook changes it. Results — and flight
-and sanitizer reports — are bit-identical to the reference path (the
-determinism suite compares full metric snapshots across both, faulted
-and observed runs included).
+**Transition plans.** Accesses memoize *transition plans* — the
+resolved cost constant, precomputed link message rows and counter cells
+for one ``(operation, line situation, homing, requester socket)``
+combination — so steady-state transitions skip all cost recomputation,
+message-size resolution and counter-name formatting. Plans are
+invalidated when the cost model is swapped, the link is rescaled, or
+the counter bag is reset. An attached fault injector keeps the plans:
+each remote plan draws its snoop fault right after charging its link
+messages (which draw their link faults inside
+:meth:`Link.occupy_pair`). The flight recorder and the sanitizer,
+attached through an :class:`~repro.obs.Observability` bundle, observe
+the same path: line events, drops and speculative-read checks fire
+inside it, and no hook changes which code runs. The declarative MESIF
+spec in :mod:`repro.check.model` (``check --model``) and the pinned
+scenario fingerprints are the oracles for this one path.
 """
 
 from __future__ import annotations
@@ -152,9 +147,8 @@ class CoherenceFabric(Instrumented):
         # are serialization-bound, so the MLP/store-pipelining divisions
         # that apply to latency must not shrink them.
         self._pending_queue = 0.0
-        # Fast-path state. Plans memoize resolved cost sequences; the
-        # line->region cache is safe because regions are append-only.
-        self._fastpath = not sim.slowpath
+        # Plans memoize resolved cost sequences; the line->region cache
+        # is safe because regions are append-only.
         self._plans: Dict[int, tuple] = {}
         self._plans_epoch = self.counters.epoch
         self._line_regions: Dict[int, Region] = {}
@@ -229,10 +223,10 @@ class CoherenceFabric(Instrumented):
     def _msg_row(self, cls: MessageClass, direction: int, charge: bool = True) -> tuple:
         """Precomputed half of a :meth:`Link.occupy_pair` plan.
 
-        Embeds the direction's live statistics cells; building a row is
-        the same moment the reference path would first send the message,
-        so the per-class cell appears in the same order either way. Two
-        rows concatenate into one flat 16-field plan.
+        Embeds the direction's live statistics cells; a row is built
+        when its message is first sent, which fixes the order per-class
+        cells appear in. Two rows concatenate into one flat 16-field
+        plan.
         """
         link = self.link
         payload = cls.payload_bytes(0)
@@ -325,8 +319,6 @@ class CoherenceFabric(Instrumented):
         first line pays full (possibly pipelined, for writes) latency;
         further lines of a multi-line access overlap via ``mlp``.
         """
-        if not self._fastpath:
-            return self._access_slow(agent, addr, size, write)
         if size <= 0:
             raise CoherenceError(f"access size must be positive, got {size}")
         first = addr // CACHE_LINE_SIZE
@@ -378,12 +370,12 @@ class CoherenceFabric(Instrumented):
                     region = self._resolve_region(addr)
                 agent.misses += 1
                 self._pending_queue = 0.0
-                latency = self._miss_fast(agent, first, write, region)
+                latency = self._miss(agent, first, write, region)
                 if write:
                     latency /= self.write_pipeline
                 total = latency + self._pending_queue
             if agent.prefetch:
-                # Inline twin of _maybe_prefetch (stride tracking and
+                # Inline copy of _maybe_prefetch (stride tracking and
                 # arming rule unchanged).
                 sstate = agent.stream_state.get(region.base)
                 if sstate is None:
@@ -402,50 +394,11 @@ class CoherenceFabric(Instrumented):
             return total
         region = self._region(addr)
         total = 0.0
-        # Observers stamp each line at the access's local time so far,
-        # as the reference path does.
+        # Observers stamp each line at the access's local time so far.
         observed = self.flight is not None or self.sanitizer is not None
         for index, line in enumerate(range(first, last + 1)):
             if observed:
                 self._elapsed = total
-            self._pending_queue = 0.0
-            latency = self._line_access_fast(agent, line, write, region)
-            if write:
-                latency /= self.write_pipeline
-            if index > 0:
-                latency /= self.mlp
-            total += latency + self._pending_queue
-            if agent.prefetch:
-                self._maybe_prefetch(agent, line, region)
-        self._elapsed = 0.0
-        return total
-
-    def _access_slow(self, agent: CacheAgent, addr: int, size: int, write: bool) -> float:
-        """Reference implementation of :meth:`access` (pre-plan path)."""
-        if size <= 0:
-            raise CoherenceError(f"access size must be positive, got {size}")
-        region = self.space.region_of(addr)
-        if not region.memtype.is_cacheable:
-            raise CoherenceError(
-                f"coherent access to non-WB region {region.name!r} ({region.memtype})"
-            )
-        self._elapsed = 0.0
-        first = addr // CACHE_LINE_SIZE
-        last = (addr + size - 1) // CACHE_LINE_SIZE
-        if first == last:
-            # Hot path: the overwhelming majority of modelled accesses
-            # (descriptors, signal words, header probes) touch one line.
-            self._pending_queue = 0.0
-            latency = self._line_access(agent, first, write, region)
-            if write:
-                latency /= self.write_pipeline
-            total = latency + self._pending_queue
-            self._elapsed = total
-            self._maybe_prefetch(agent, first, region)
-            self._elapsed = 0.0
-            return total
-        total = 0.0
-        for index, line in enumerate(range(first, last + 1)):
             self._pending_queue = 0.0
             latency = self._line_access(agent, line, write, region)
             if write:
@@ -453,8 +406,8 @@ class CoherenceFabric(Instrumented):
             if index > 0:
                 latency /= self.mlp
             total += latency + self._pending_queue
-            self._elapsed = total
-            self._maybe_prefetch(agent, line, region)
+            if agent.prefetch:
+                self._maybe_prefetch(agent, line, region)
         self._elapsed = 0.0
         return total
 
@@ -473,8 +426,6 @@ class CoherenceFabric(Instrumented):
         line pays ``latency / mlp``. Bandwidth and protocol state are
         charged for every line exactly as in :meth:`access`.
         """
-        if not self._fastpath:
-            return self._access_burst_slow(agent, spans, write)
         total = 0.0
         first = True
         regions = self._line_regions
@@ -505,7 +456,7 @@ class CoherenceFabric(Instrumented):
             while True:
                 if observed:
                     self._elapsed = total
-                # Inline twin of the hit cases in _line_access_fast:
+                # Inline copy of the hit cases in _line_access:
                 # payload bursts are overwhelmingly warm-line traffic.
                 # (A while walk, not range(): most spans are one line,
                 # and burst payloads dominate the span count.)
@@ -534,7 +485,7 @@ class CoherenceFabric(Instrumented):
                             region = self._resolve_region(addr)
                     if state is None:
                         agent.misses += 1
-                        latency = self._miss_fast(agent, line, write, region)
+                        latency = self._miss(agent, line, write, region)
                     else:
                         # Write hit on a shared line: upgrade in place.
                         agent.hits += 1
@@ -549,7 +500,7 @@ class CoherenceFabric(Instrumented):
                     latency /= mlp
                 total += latency + pending
                 if prefetch:
-                    # Inline twin of _maybe_prefetch (see access()).
+                    # Inline copy of _maybe_prefetch (see access()).
                     sstate = stream.get(region.base)
                     if sstate is None:
                         stream[region.base] = [line, 0]
@@ -567,40 +518,6 @@ class CoherenceFabric(Instrumented):
                 if line == last_line:
                     break
                 line += 1
-        self._elapsed = 0.0
-        return total
-
-    def _access_burst_slow(
-        self,
-        agent: CacheAgent,
-        spans: List[tuple],
-        write: bool,
-    ) -> float:
-        """Reference implementation of :meth:`access_burst`."""
-        total = 0.0
-        first = True
-        self._elapsed = 0.0
-        for addr, size in spans:
-            if size <= 0:
-                raise CoherenceError(f"access size must be positive, got {size}")
-            region = self.space.region_of(addr)
-            if not region.memtype.is_cacheable:
-                raise CoherenceError(
-                    f"coherent access to non-WB region {region.name!r}"
-                )
-            for line in range(addr // CACHE_LINE_SIZE,
-                              (addr + size - 1) // CACHE_LINE_SIZE + 1):
-                self._pending_queue = 0.0
-                latency = self._line_access(agent, line, write, region)
-                if write:
-                    latency /= self.write_pipeline
-                if first:
-                    first = False
-                else:
-                    latency /= self.mlp
-                total += latency + self._pending_queue
-                self._elapsed = total
-                self._maybe_prefetch(agent, line, region)
         self._elapsed = 0.0
         return total
 
@@ -732,125 +649,7 @@ class CoherenceFabric(Instrumented):
     def _line_access(
         self, agent: CacheAgent, line: int, write: bool, region: Region
     ) -> float:
-        state = agent.lookup(line)
-        if state is not None:
-            return self._hit(agent, line, state, write, region)
-        agent.misses += 1
-        return self._miss(agent, line, write, region)
-
-    def _hit(
-        self, agent: CacheAgent, line: int, state: LineState, write: bool,
-        region: Region,
-    ) -> float:
-        agent.hits += 1
-        flight = self.flight
-        if not write:
-            if flight is not None:
-                flight.line_event(
-                    self._now(), line, region, agent.socket, False, "hit",
-                    self.cost.l2_hit,
-                )
-            return self.cost.l2_hit
-        if state.is_writable:
-            agent.set_state(line, LineState.MODIFIED)
-            if flight is not None:
-                flight.line_event(
-                    self._now(), line, region, agent.socket, True, "hit",
-                    self.cost.store_buffer,
-                )
-            return self.cost.store_buffer
-        # Shared/Forward: upgrade requires invalidating other sharers.
-        if flight is not None:
-            # Remote-ness must be read before _invalidate_others mutates
-            # the holders list.
-            remote = any(
-                h is not agent and h.socket != agent.socket
-                for h in self._holders.get(line, ())
-            )
-        latency = self._invalidate_others(agent, line)
-        agent.set_state(line, LineState.MODIFIED)
-        if latency == 0.0:
-            latency = self.cost.local_invalidate
-        if flight is not None:
-            kind = "upgrade_remote" if remote else "upgrade_local"
-            flight.line_event(
-                self._now(), line, region, agent.socket, True, kind, latency
-            )
-        return latency
-
-    def _miss(
-        self, agent: CacheAgent, line: int, write: bool, region: Region
-    ) -> float:
-        holders = self._holders.get(line, [])
-        local_holder: Optional[CacheAgent] = None
-        remote_holder: Optional[CacheAgent] = None
-        dirty_holder: Optional[CacheAgent] = None
-        for holder in holders:
-            if holder.socket == agent.socket:
-                local_holder = holder
-            else:
-                remote_holder = holder
-            if holder.peek(line) is LineState.MODIFIED:
-                dirty_holder = holder
-
-        if local_holder is None and remote_holder is None:
-            return self._fill_from_dram(agent, line, write, region)
-
-        # Data is sourced from the nearest cache; a dirty copy always
-        # responds (HitM), wherever it is.
-        source = dirty_holder if dirty_holder is not None else (local_holder or remote_holder)
-        crosses_link = source.socket != agent.socket
-        if crosses_link:
-            if region.home == agent.socket:
-                latency = self.cost.remote_cache_reader_homed
-                self._count(agent.socket, "spec_mem_read")
-                kind = "cache_remote_spec"
-                if self.sanitizer is not None:
-                    self.sanitizer.spec_read(
-                        self._now(), line, region, agent, write
-                    )
-            else:
-                latency = self.cost.remote_cache_writer_homed
-                kind = "cache_remote"
-            cls = MessageClass.RFO if write else MessageClass.READ
-            self._pending_queue += self.link.occupy(
-                MessageClass.SNOOP, direction=agent.socket, actor=agent.name
-            )
-            self._pending_queue += self.link.occupy(
-                cls, direction=1 - agent.socket, actor=agent.name
-            )
-            self._count(agent.socket, "rfo" if write else "read")
-            if self.faults is not None:
-                self._pending_queue += self._snoop_disruption(agent)
-        else:
-            latency = self.cost.local_cache
-            kind = "cache_local"
-
-        if write:
-            # The RFO itself invalidates every other copy; no extra
-            # round trip is charged beyond the fetch above.
-            self._drop_others(agent, line)
-            self._install(agent, line, LineState.MODIFIED, region)
-        elif dirty_holder is not None:
-            # HitM: dirty data and ownership migrate to the requester.
-            dirty_holder.drop(line)
-            self._forget_holder(dirty_holder, line)
-            self._install(agent, line, LineState.MODIFIED, region)
-        else:
-            self._downgrade_owners(line)
-            self._install(agent, line, LineState.SHARED, region)
-        if self.flight is not None:
-            if dirty_holder is not None and crosses_link:
-                kind += "_hitm"
-            self.flight.line_event(
-                self._now(), line, region, agent.socket, write, kind, latency
-            )
-        return latency
-
-    def _line_access_fast(
-        self, agent: CacheAgent, line: int, write: bool, region: Region
-    ) -> float:
-        """Plan-backed twin of :meth:`_line_access` (+ :meth:`_hit`)."""
+        """One line of an access: a hit, an upgrade or a miss."""
         lines = agent._lines
         state = lines.get(line)
         if state is not None:
@@ -872,13 +671,12 @@ class CoherenceFabric(Instrumented):
                 )
             return latency
         agent.misses += 1
-        return self._miss_fast(agent, line, write, region)
+        return self._miss(agent, line, write, region)
 
     def _upgrade(self, agent: CacheAgent, line: int, region: Region) -> float:
         """Write hit on a Shared/Forward line: invalidate the other copies.
 
-        Plan-path twin of :meth:`_hit`'s upgrade branch; returns the
-        latency before store pipelining.
+        Returns the latency before store pipelining.
         """
         flight = self.flight
         if flight is not None:
@@ -899,18 +697,17 @@ class CoherenceFabric(Instrumented):
             )
         return latency
 
-    def _miss_fast(
+    def _miss(
         self, agent: CacheAgent, line: int, write: bool, region: Region
     ) -> float:
-        """Plan-backed twin of :meth:`_miss` + :meth:`_fill_from_dram`.
+        """Fill a line the agent does not hold; returns its latency.
 
-        The holders scan and all MESIF state transitions are the same
-        code path as the reference implementation; only the latency,
-        link-message and counter bookkeeping comes from a memoized plan.
-        Each remote plan then draws its snoop fault, as the reference
-        path does after the same link charge and counter bump. Observer
-        calls (speculative-read check, holder drops, the line event)
-        sit at the reference path's sites.
+        Data comes from DRAM when no cache holds the line, else from the
+        nearest cache; a dirty copy always responds (HitM) and hands
+        over ownership on a read. Latency, link messages and counter
+        cells come from a memoized plan per ``(situation, write,
+        homing, requester socket)``. Each remote plan then draws its
+        snoop fault after the link charge and counter bump.
         """
         holders = self._holders.get(line)
         flight = self.flight
@@ -982,7 +779,8 @@ class CoherenceFabric(Instrumented):
         else:
             latency = self._local_cache
         if write:
-            # Inline _drop_others over the fetched holders list: the
+            # The RFO itself invalidates every other copy; no extra
+            # round trip is charged beyond the fetch above. The
             # requester missed, so it is never on the list, and every
             # copy goes — drop the whole entry rather than removing
             # holders one by one (_install re-creates it). Recorded
@@ -996,6 +794,7 @@ class CoherenceFabric(Instrumented):
             del self._holders[line]
             self._install(agent, line, _MODIFIED, region)
         elif dirty_holder is not None:
+            # HitM: dirty data and ownership migrate to the requester.
             # Inline drop + _forget_holder: the holders list is already
             # in hand and the dirty holder is known to be on it.
             if flight is None:
@@ -1007,7 +806,8 @@ class CoherenceFabric(Instrumented):
                 del self._holders[line]
             self._install(agent, line, _MODIFIED, region)
         else:
-            # Inline _downgrade_owners over the fetched holders list.
+            # A clean read sourced from another cache: E/F owners fall
+            # to S.
             for holder in holders:
                 hstate = holder._lines.get(line)
                 if hstate is _EXCLUSIVE or hstate is _FORWARD:
@@ -1024,47 +824,6 @@ class CoherenceFabric(Instrumented):
                 self._now(), line, region, agent.socket, write, kind, latency
             )
         return latency
-
-    def _fill_from_dram(
-        self, agent: CacheAgent, line: int, write: bool, region: Region
-    ) -> float:
-        if region.home == agent.socket:
-            latency = self.cost.local_dram
-            kind = "dram_local"
-        else:
-            latency = self.cost.remote_dram
-            kind = "dram_remote"
-            cls = MessageClass.RFO if write else MessageClass.READ
-            latency += self.link.occupy(MessageClass.SNOOP, direction=agent.socket, actor=agent.name)
-            latency += self.link.occupy(cls, direction=1 - agent.socket, actor=agent.name)
-            self._count(agent.socket, "rfo" if write else "read")
-            if self.faults is not None:
-                latency += self._snoop_disruption(agent)
-        new_state = LineState.MODIFIED if write else LineState.EXCLUSIVE
-        self._install(agent, line, new_state, region)
-        if self.flight is not None:
-            self.flight.line_event(
-                self._now(), line, region, agent.socket, write, kind, latency
-            )
-        return latency
-
-    def _downgrade_owners(self, line: int) -> None:
-        """A clean read sourced from another cache: E/F owners fall to S."""
-        for holder in self._holders.get(line, ()):
-            state = holder.peek(line)
-            if state in (LineState.EXCLUSIVE, LineState.FORWARD):
-                holder.set_state(line, LineState.SHARED)
-
-    def _drop_others(self, agent: CacheAgent, line: int) -> None:
-        """Silently drop all other copies (covered by an in-flight RFO)."""
-        holders = self._holders.get(line)
-        if not holders:
-            return
-        for holder in list(holders):
-            if holder is agent:
-                continue
-            holder.drop(line)
-            holders.remove(holder)
 
     def _invalidate_others(self, agent: CacheAgent, line: int) -> float:
         """Drop the line from all *other* caches; returns invalidation latency.
@@ -1088,33 +847,22 @@ class CoherenceFabric(Instrumented):
         if not found_other:
             return 0.0
         if remote:
-            if self._fastpath:
-                plans = self._plans
-                if self.counters.epoch != self._plans_epoch:
-                    plans.clear()
-                    self._plans_epoch = self.counters.epoch
-                key = _PLAN_UPGRADE + agent.socket
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = self._build_upgrade_plan(agent.socket)
-                base, msgs, cell = plan
-                self._pending_queue = self.link.occupy_pair(
-                    msgs, agent.name, self._pending_queue
-                )
-                cell[0] += 1.0
-                if self.faults is not None:
-                    self._pending_queue += self._snoop_disruption(agent)
-                return base
-            self._pending_queue += self.link.occupy(
-                MessageClass.SNOOP, direction=agent.socket, actor=agent.name
+            plans = self._plans
+            if self.counters.epoch != self._plans_epoch:
+                plans.clear()
+                self._plans_epoch = self.counters.epoch
+            key = _PLAN_UPGRADE + agent.socket
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = self._build_upgrade_plan(agent.socket)
+            base, msgs, cell = plan
+            self._pending_queue = self.link.occupy_pair(
+                msgs, agent.name, self._pending_queue
             )
-            self._pending_queue += self.link.occupy(
-                MessageClass.ACK, direction=1 - agent.socket, actor=agent.name
-            )
-            self._count(agent.socket, "rfo")
+            cell[0] += 1.0
             if self.faults is not None:
                 self._pending_queue += self._snoop_disruption(agent)
-            return self.cost.remote_invalidate
+            return base
         return self.cost.local_invalidate
 
     def _install(
@@ -1206,52 +954,41 @@ class CoherenceFabric(Instrumented):
                     crosses = True
         else:
             crosses = region.home != agent.socket
-        if self._fastpath:
-            plans = self._plans
-            if self.counters.epoch != self._plans_epoch:
-                plans.clear()
-                self._plans_epoch = self.counters.epoch
-            key = _PLAN_PREFETCH + (2 if crosses else 0) + agent.socket
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = self._build_prefetch_plan(crosses, agent.socket)
-            _base, msgs, cell = plan
-            if msgs:
-                self.link.occupy_pair(msgs, agent.name)
-            cell[0] += 1.0
-        elif crosses:
-            # Request is control-only; the data line returns on the
-            # opposite direction.
-            self.link.occupy(
-                MessageClass.SNOOP,
-                direction=agent.socket,
-                charge_queueing=False,
-                actor=agent.name,
-            )
-            self.link.occupy(
-                MessageClass.PREFETCH,
-                direction=1 - agent.socket,
-                charge_queueing=False,
-                actor=agent.name,
-            )
-            self._count(agent.socket, "prefetch_remote")
-        else:
-            self._count(agent.socket, "prefetch_local")
+        plans = self._plans
+        if self.counters.epoch != self._plans_epoch:
+            plans.clear()
+            self._plans_epoch = self.counters.epoch
+        key = _PLAN_PREFETCH + (2 if crosses else 0) + agent.socket
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = self._build_prefetch_plan(crosses, agent.socket)
+        _base, msgs, cell = plan
+        if msgs:
+            # Bandwidth only: the request is control-only and the data
+            # line returns on the opposite direction, off the critical
+            # path.
+            self.link.occupy_pair(msgs, agent.name)
+        cell[0] += 1.0
         if dirty_holder is not None:
             # Inline drop + _forget_holder (holders list is in hand).
-            dirty_holder._lines.pop(line, None)
+            # Recorded runs drop through CacheAgent.drop, which reports
+            # the HitM migration.
+            if self.flight is None:
+                dirty_holder._lines.pop(line, None)
+            else:
+                dirty_holder.drop(line)
             holders.remove(dirty_holder)
             if not holders:
                 del self._holders[line]
-            self._install(agent, line, LineState.MODIFIED, region)
+            self._install(agent, line, _MODIFIED, region)
         else:
             if holders:
-                # Inline _downgrade_owners over the fetched list.
+                # A clean copy elsewhere: E/F owners fall to S.
                 for holder in holders:
                     hstate = holder._lines.get(line)
                     if hstate is _EXCLUSIVE or hstate is _FORWARD:
                         holder.set_state(line, _SHARED)
-            self._install(agent, line, LineState.SHARED, region)
+            self._install(agent, line, _SHARED, region)
 
     # ------------------------------------------------------------------
     def _snoop_disruption(self, agent: CacheAgent) -> float:

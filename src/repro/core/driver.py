@@ -22,6 +22,7 @@ from repro.core.results import AllocResult, RxResult, TxResult
 from repro.core.ring import WorkItem
 from repro.errors import NicError
 from repro.obs.instrument import Instrumented
+from repro.sim.stats import ordered_sum
 from repro.workloads.packets import Packet
 
 #: Marker on continuation descriptors of multi-segment TX packets.
@@ -134,7 +135,9 @@ class CcnicDriver(RecoverableDriver, Instrumented):
             return 0.0
         if self.interface.config.caching_stores:
             return fabric.access_burst(self.agent, spans, write=True)
-        return sum(fabric.nt_store(self.agent, addr, size) for addr, size in spans)
+        return ordered_sum(
+            fabric.nt_store(self.agent, addr, size) for addr, size in spans
+        )
 
     # ------------------------------------------------------------------
     # TX / RX

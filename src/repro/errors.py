@@ -93,7 +93,7 @@ class ModelCheckError(CheckError):
 
     Attributes:
         invariant: Violated invariant id (e.g. ``swmr``, ``stale-read``,
-            ``transition-unknown``, ``cost-mismatch``, ``twin-diverged``,
+            ``transition-unknown``, ``cost-mismatch``,
             ``fingerprint-diverged``).
         sequence: The op sequence (or schedule plan) that reproduces the
             violation, as a tuple of JSON-safe steps.

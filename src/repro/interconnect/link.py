@@ -330,7 +330,8 @@ class Link:
         fault draws, window rolls, per-actor demand updates and wait
         arithmetic in the same evaluation order — batching away only
         the per-call validation, payload resolution and attribute
-        traffic. Rows with ``charge_queueing`` False still consume
+        traffic; :meth:`occupy` is the oracle the property tests hold
+        it to. Rows with ``charge_queueing`` False still consume
         window demand but add nothing to the returned total. With an
         injector attached each row runs the fault hooks inline, as
         :meth:`occupy` does: the degrade scale and the per-message draw

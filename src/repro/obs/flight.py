@@ -25,10 +25,8 @@ Cost model:
 * Detached, the recorder costs one ``None`` test per hook site —
   components carry a ``flight = None`` class attribute.
 * Attached, it observes the path the run takes anyway: the fabric's
-  memoized plan path records line events at the reference path's
-  sites, with its transition kinds and timestamps, so recorded runs
-  stay bit-identical to unrecorded ones and the report is the same on
-  either path.
+  memoized plan path records line events and drops in place, so
+  recorded runs stay bit-identical to unrecorded ones.
 """
 
 from __future__ import annotations

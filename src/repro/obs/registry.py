@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim.stats import Counter, Histogram
+from repro.sim.stats import Counter, Histogram, ordered_sum
 
 #: Histogram-summary suffixes with non-additive merge semantics (see
 #: :func:`merge_snapshots`).
@@ -77,13 +77,15 @@ def merge_snapshots(
             elif name.endswith(_WEIGHTED_SUFFIXES):
                 base = name.rsplit(".", 1)[0]
                 weights = [s.get(base + ".count", 1.0) for s in sections if name in s]
-                total = sum(weights)
+                total = ordered_sum(weights)
                 if total <= 0:
-                    merged[name] = sum(values) / len(values)
+                    merged[name] = ordered_sum(values) / len(values)
                 else:
-                    merged[name] = sum(v * w for v, w in zip(values, weights)) / total
+                    merged[name] = (
+                        ordered_sum(v * w for v, w in zip(values, weights)) / total
+                    )
             else:
-                merged[name] = sum(values)
+                merged[name] = ordered_sum(values)
         out[component] = merged
     return out
 

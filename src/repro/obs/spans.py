@@ -187,18 +187,17 @@ class SpanTracer:
         is exactly the descriptor-to-transaction linkage the trace
         viewer shows. Wraps ``fabric.access`` and restores it on exit.
 
-        Fast-path audit: the wrapper is *pure* with respect to the
-        fabric — it calls the original bound method (fast path intact
+        Fabric audit: the wrapper is *pure* with respect to the
+        fabric — it calls the original bound method (plan path intact
         underneath) and only appends to this tracer — so traced and
-        untraced runs produce identical metric fingerprints on both the
-        memoized fast path and ``REPRO_SIM_SLOWPATH=1`` (regression
+        untraced runs produce identical metric fingerprints (regression
         test: ``test_flight.py::TestSpanTracerFabricAudit``). The
         memoized transition plans are invalidated on attach and detach:
         rebuilt plans are deterministic, so this costs one rebuild and
         buys the invariant that the traced region starts from a clean
         plan table. Note the fabric's
-        ``access_burst`` does not route through ``access`` on either
-        path, so burst payload traffic is invisible to this debug hook
+        ``access_burst`` does not route through ``access``, so burst
+        payload traffic is invisible to this debug hook
         — the flight recorder's per-line events cover bursts instead.
         """
         original = fabric.access

@@ -95,8 +95,8 @@ class TimelineSampler:
     right boundary the advance crossed. Window ``w`` therefore holds
     exactly the activity with timestamps in
     ``[w * interval_ns, (w + 1) * interval_ns)`` — cohort members share
-    a timestamp, so the fast and reference engine loops close windows
-    at identical points.
+    a timestamp, so rolling once per cohort closes windows where a
+    per-event roll would.
     """
 
     def __init__(

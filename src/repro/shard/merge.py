@@ -31,7 +31,7 @@ import json
 from typing import Dict, List, Sequence
 
 from repro.errors import ConfigError
-from repro.sim.stats import Histogram
+from repro.sim.stats import Histogram, ordered_sum
 
 #: Schema tag of the merged document.
 MERGED_SCHEMA = "repro.shard/merged-v1"
@@ -51,7 +51,7 @@ def fingerprint(doc: Dict) -> str:
 def _merge_scalar_maps(maps: Sequence[Dict[str, float]]) -> Dict[str, float]:
     """Key-wise sum of flat ``{name: number}`` dicts, sorted key order."""
     names = sorted({name for m in maps for name in m})
-    return {name: sum(m[name] for m in maps if name in m) for name in names}
+    return {name: ordered_sum(m[name] for m in maps if name in m) for name in names}
 
 
 def _merge_link(stats: Sequence[List[Dict]]) -> List[Dict]:
@@ -62,7 +62,7 @@ def _merge_link(stats: Sequence[List[Dict]]) -> List[Dict]:
         rows = [r[direction] for r in stats if direction < len(r)]
         entry: Dict = {}
         for key in ("messages", "payload", "wire", "busy"):
-            entry[key] = sum(row.get(key, 0) for row in rows)
+            entry[key] = ordered_sum(row.get(key, 0) for row in rows)
         for key in ("by_class", "wire_by_class"):
             entry[key] = _merge_scalar_maps([row.get(key, {}) for row in rows])
         merged.append(entry)
@@ -84,7 +84,7 @@ def _merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
         elif values and isinstance(values[0], dict):
             merged[key] = _merge_scalar_maps(values)
         else:
-            merged[key] = sum(values)
+            merged[key] = ordered_sum(values)
     return merged
 
 
@@ -180,7 +180,8 @@ def merge_timelines(results: Sequence[Dict]) -> Dict:
         for name in names:
             rows = [doc.get(kind, {}).get(name, []) for doc in docs]
             out[name] = [
-                sum(row[w] for row in rows if w < len(row)) for w in range(windows)
+                ordered_sum(row[w] for row in rows if w < len(row))
+                for w in range(windows)
             ]
         return out
 

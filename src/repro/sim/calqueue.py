@@ -6,10 +6,11 @@ Popping scans forward from the current day; with a width near the mean
 inter-event gap, each pop touches O(1) buckets, beating a binary heap's
 O(log n) once tens of thousands of events are pending.
 
-The engine only migrates to a :class:`CalendarQueue` on its fast path
-(see :class:`repro.sim.engine.Simulator`); ordering is the same total
-order the heap uses — ``(when, seq)`` via list comparison of the
-``[when, seq, kind, payload]`` records — so the schedule is identical.
+The engine migrates to a :class:`CalendarQueue` past a pending-event
+threshold (see :class:`repro.sim.engine.Simulator`); ordering is the
+same total order the heap uses — ``(when, seq)`` via list comparison of
+the ``[when, seq, kind, payload]`` records — so the schedule is
+identical.
 
 Two invariants the engine guarantees make the cursor scan correct:
 
@@ -84,7 +85,10 @@ class CalendarQueue:
         for offset in range(nb):
             d = day + offset
             bucket = buckets[d % nb]
-            if bucket and bucket[0][0] < (d + 1) * width:
+            # The head's day is computed as push() computed it: a bound
+            # test against (d + 1) * width can round the other way and
+            # skip a record due today.
+            if bucket and int(bucket[0][0] / width) <= d:
                 self._day = d
                 self._len -= 1
                 return bucket.pop(0)

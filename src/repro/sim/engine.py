@@ -18,18 +18,14 @@ that much virtual time; other processes scheduled earlier run first.
 Processes end by returning. The engine is deterministic: ties in time are
 broken by spawn order, then scheduling order.
 
-Two execution paths produce bit-identical schedules:
-
-* The default fast path reuses one mutable event record per process step
-  instead of allocating a fresh tuple, dispatches a rescheduled step
-  directly when it is strictly earlier than every queued event (the
-  dominant single-runnable-process case), and transparently switches to a
-  bucketed :class:`~repro.sim.calqueue.CalendarQueue` when the pending
-  event count grows large.
-* Setting ``REPRO_SIM_SLOWPATH=1`` in the environment (or passing
-  ``slowpath=True``) selects the straightforward heap-per-event loop the
-  engine originally shipped with. It exists as an escape hatch and as the
-  reference implementation the determinism tests compare against.
+The loop drains same-timestamp events as one *cohort*, reuses one
+mutable event record per process step instead of allocating a fresh
+tuple, dispatches a rescheduled step directly when it is strictly
+earlier than every queued event (the dominant single-runnable-process
+case), and switches to a bucketed
+:class:`~repro.sim.calqueue.CalendarQueue` when the pending event count
+grows large. Its schedule is the one a plain heap-per-event loop gives;
+``tests/test_engine_twin_property.py`` keeps such a loop as the oracle.
 
 ``events_executed`` counts an event as executed the moment it is taken
 off the queue, *before* its handler runs. If a process step raises, the
@@ -42,7 +38,6 @@ consistent state.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -57,11 +52,6 @@ ProcessBody = Generator[float, None, None]
 #: record comparison never reaches the payload.
 _STEP = 0
 _CALL = 1
-
-
-def slowpath_requested() -> bool:
-    """True when ``REPRO_SIM_SLOWPATH=1`` asks for the reference loop."""
-    return os.environ.get("REPRO_SIM_SLOWPATH", "") == "1"
 
 
 class Delay(float):
@@ -127,16 +117,10 @@ class Simulator(Instrumented):
     The clock starts at 0.0 ns and only moves forward. All model objects
     that need the current time should hold a reference to the simulator
     and read :attr:`now`.
-
-    Args:
-        slowpath: Force the reference event loop. ``None`` (default)
-            consults the ``REPRO_SIM_SLOWPATH`` environment variable at
-            construction, so fast and reference simulators can coexist
-            in one interpreter.
     """
 
-    #: Pending-event count at which the fast path migrates the heap into
-    #: a bucketed calendar queue (O(1)-ish hold/pop under heavy load).
+    #: Pending-event count at which the heap migrates into a bucketed
+    #: calendar queue (O(1)-ish hold/pop under heavy load).
     CALENDAR_THRESHOLD = 4096
 
     #: Optional :class:`repro.obs.timeline.TimelineSampler`; when
@@ -148,16 +132,17 @@ class Simulator(Instrumented):
     #: Optional cohort-dispatch chooser ``(when, records) -> index``,
     #: used by :mod:`repro.check.explore` to permute intra-cohort
     #: dispatch order. Class-level ``None`` so unexplored runs pay one
-    #: attribute load in :meth:`run`; attaching forces the reference
-    #: loop (the fast loop's cohort draining assumes seq order). The
-    #: ``records`` argument is the seq-ordered list of every pending
-    #: ``[when, seq, kind, payload]`` record tied at ``when``; returning
-    #: ``0`` everywhere reproduces the canonical schedule exactly.
+    #: ``None`` test per event. The ``records`` argument is the
+    #: seq-ordered list of every pending ``[when, seq, kind, payload]``
+    #: record tied at ``when``; returning ``0`` everywhere reproduces
+    #: the canonical schedule exactly. While a chooser is attached the
+    #: pending set stays in the heap (no calendar queue), where tied
+    #: records pop together.
     chooser = None
 
     _obs_hooks = ("timeline",)
 
-    def __init__(self, slowpath: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list = []
         self._cal: Optional[CalendarQueue] = None
@@ -167,9 +152,6 @@ class Simulator(Instrumented):
         self._done_count = 0
         self._pid_counter = 0
         self.events_executed = 0
-        if slowpath is None:
-            slowpath = slowpath_requested()
-        self.slowpath = bool(slowpath)
 
     def _obs_component(self) -> str:
         return "sim"
@@ -236,13 +218,10 @@ class Simulator(Instrumented):
             return
         heap = self._heap
         heapq.heappush(heap, rec)
-        if (
-            len(heap) >= self.CALENDAR_THRESHOLD
-            and not self.slowpath
-            and self.chooser is None
-        ):
+        if len(heap) >= self.CALENDAR_THRESHOLD and self.chooser is None:
             self._cal = CalendarQueue(heap)
-            self._heap = []
+            # Emptied in place: a running loop holds this list too.
+            heap.clear()
 
     def _requeue(self, rec: list) -> None:
         """Return a popped-but-unexecuted record to the pending set."""
@@ -276,86 +255,29 @@ class Simulator(Instrumented):
         event is counted, ``now`` is its timestamp, and ``stop_when``
         is not called for it.
         """
-        if self.slowpath or self.chooser is not None:
-            if self._cal is not None:
-                # A chooser attached after the fast path migrated to the
-                # calendar queue: fold the pending set back into a heap
-                # so the reference loop sees every record.
-                cal = self._cal
-                self._cal = None
-                heap = self._heap
-                while len(cal):
-                    heapq.heappush(heap, cal.pop())
-            return self._run_slow(until, max_events, stop_when)
-        return self._run_fast(until, max_events, stop_when)
+        chooser = self.chooser
+        if chooser is not None and self._cal is not None:
+            # A chooser attached after the pending set migrated to the
+            # calendar queue: fold it back into the heap, where records
+            # tied at one timestamp pop together.
+            cal = self._cal
+            self._cal = None
+            heap = self._heap
+            while len(cal):
+                heapq.heappush(heap, cal.pop())
+        return self._run_cohorts(until, max_events, stop_when, chooser)
 
-    def _run_slow(
+    def _run_cohorts(
         self,
         until: Optional[float],
         max_events: Optional[int],
         stop_when: Optional[Callable[[], bool]],
+        chooser,
     ) -> float:
-        """Reference loop: one heappop + one handler call per event.
+        """The event loop: cohort draining, record reuse, direct dispatch.
 
-        With a :attr:`chooser` attached, every set of timestamp-tied
-        records becomes a *choice point*: the tied records are popped in
-        seq order, the chooser picks which one dispatches now, and the
-        rest are requeued (seq keys unchanged, so relative order among
-        the survivors is preserved). A chooser that always returns 0
-        reproduces this loop's canonical schedule event-for-event.
-        """
-        executed = 0
-        heap = self._heap
-        while heap:
-            rec = heap[0]
-            when = rec[0]
-            if until is not None and when > until:
-                self.now = until
-                break
-            chooser = self.chooser
-            if chooser is not None:
-                tied = []
-                while heap and heap[0][0] == when:
-                    tied.append(heapq.heappop(heap))
-                if len(tied) > 1:
-                    index = chooser(when, tied)
-                    if not isinstance(index, int) or not 0 <= index < len(tied):
-                        raise SimulationError(
-                            f"chooser returned invalid cohort index {index!r} "
-                            f"for {len(tied)} tied records at t={when}"
-                        )
-                    rec = tied.pop(index)
-                    for other in tied:
-                        self._requeue(other)
-                else:
-                    rec = tied[0]
-            else:
-                heapq.heappop(heap)
-            self.now = when
-            tl = self.timeline
-            if tl is not None and when >= tl.next_ns:
-                tl.roll(when)
-            self.events_executed += 1
-            executed += 1
-            if rec[2] == _STEP:
-                self._step(rec[3])
-            else:
-                rec[3]()
-            if stop_when is not None and stop_when():
-                break
-            if max_events is not None and executed >= max_events:
-                break
-        return self.now
-
-    def _run_fast(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> float:
-        """Fast loop: cohort draining, record reuse, direct dispatch.
-
-        Produces the exact event order of :meth:`_run_slow`:
+        Produces the event order of a heap-per-event loop (one pop, one
+        handler call, one ``until`` and ``stop_when`` check per event):
 
         * Same-timestamp records drain as one *cohort* per outer
           iteration: the clock is written once and ``until`` compared
@@ -366,12 +288,15 @@ class Simulator(Instrumented):
           timestamp* joins the live cohort at its seq position.
         * ``stop_when`` is still consulted after every event: it may
           have side effects (it is allowed to schedule), so a
-          per-cohort check would diverge from the reference loop.
+          per-cohort check would diverge from the per-event loop.
         * A record is only held for direct dispatch when it is
           *strictly* earlier than every queued event, so seq
           tie-breaking is preserved, and any event a ``stop_when``
           callback schedules ahead of the held record demotes it back
-          onto the heap.
+          onto the queue.
+        * With a ``chooser``, each dispatch whose record has tied
+          successors in the heap is a choice point (see
+          :meth:`_choose`).
         """
         executed = 0
         events = self.events_executed
@@ -406,6 +331,8 @@ class Simulator(Instrumented):
                 # same-timestamp successor without re-checking `until`
                 # or rewriting the clock.
                 while True:
+                    if chooser is not None and heap and heap[0][0] == when:
+                        rec = self._choose(chooser, when, rec)
                     events += 1
                     self.events_executed = events
                     executed += 1
@@ -452,8 +379,10 @@ class Simulator(Instrumented):
                         self._held = None
                         if stopped:
                             return self.now
-                        if rec is not None and heap and heap[0] < rec:
-                            heappush(heap, rec)
+                        if rec is not None and (
+                            self._cal is not None or (heap and heap[0] < rec)
+                        ):
+                            self._requeue(rec)
                             rec = None
                     if max_events is not None and executed >= max_events:
                         return self.now
@@ -479,27 +408,28 @@ class Simulator(Instrumented):
             if rec is not None:
                 self._requeue(rec)
 
-    def _step(self, proc: Process) -> None:
-        if proc.done:
-            self._note_done()
-            return
-        try:
-            delay = next(proc.body)
-        except StopIteration:
-            proc.done = True
-            self._note_done()
-            return
-        try:
-            invalid = delay is None or delay < 0
-        except TypeError:
-            invalid = True
-        if invalid:
-            proc.done = True
-            self._note_done()
+    def _choose(self, chooser, when: float, rec: list) -> list:
+        """The record the chooser dispatches among those tied at ``when``.
+
+        ``rec`` is the earliest of them; the rest are popped in seq
+        order, and every record the chooser does not pick is requeued
+        with its seq unchanged, so the survivors keep their relative
+        order.
+        """
+        heap = self._heap
+        tied = [rec]
+        while heap and heap[0][0] == when:
+            tied.append(heapq.heappop(heap))
+        index = chooser(when, tied)
+        if not isinstance(index, int) or not 0 <= index < len(tied):
             raise SimulationError(
-                f"process {proc.name!r} yielded invalid delay {delay!r}"
+                f"chooser returned invalid cohort index {index!r} "
+                f"for {len(tied)} tied records at t={when}"
             )
-        self._schedule(self.now + delay, _STEP, proc)
+        chosen = tied.pop(index)
+        for other in tied:
+            heapq.heappush(heap, other)
+        return chosen
 
     def _note_done(self) -> None:
         """Account one finished process; compact the table when mostly dead."""

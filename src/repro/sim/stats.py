@@ -4,41 +4,23 @@ These are deliberately simple: experiments in this package collect a few
 thousand samples each, so histograms keep raw samples and compute exact
 quantiles.
 
-Sample storage has two interchangeable backends:
-
-* **numpy** (default): samples live in a growable ``float64`` array
-  with amortized appends; quantiles come from :func:`numpy.partition`
-  over the exact order statistics. float64 round-trips Python floats
-  exactly and the mean is kept as a running total accumulated in
-  recording order, so every statistic — and the
-  :meth:`Histogram.samples` recording-order contract the shard merge
-  layer relies on — is bit-identical to the list backend.
-* **list** (reference): plain Python lists and ``sorted()``, retained
-  as the slowpath twin. Selected when ``REPRO_SIM_SLOWPATH=1`` is set
-  (the same switch that selects the reference event loop; stats cannot
-  import :func:`repro.sim.engine.slowpath_requested` without creating
-  an import cycle through ``repro.obs``, so the env check is mirrored
-  here).
+Histogram samples live in a growable numpy ``float64`` array with
+amortized appends; quantiles come from :func:`numpy.partition` over the
+exact order statistics. float64 round-trips Python floats exactly and
+the mean is kept as a running total accumulated in recording order, so
+every statistic equals what ``sorted()`` and :func:`ordered_sum` over
+the same Python floats give, and :meth:`Histogram.samples` keeps the
+recording-order contract the shard merge layer relies on.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Iterable, List, Optional
 
 import numpy as _np
 
 from repro.errors import ConfigError
-
-
-def _use_numpy_backend() -> bool:
-    """True when histograms should store samples in numpy arrays.
-
-    Mirrors ``repro.sim.engine.slowpath_requested()`` — see the module
-    docstring for why the env check is duplicated rather than imported.
-    """
-    return os.environ.get("REPRO_SIM_SLOWPATH", "") != "1"
 
 
 class Counter:
@@ -107,30 +89,31 @@ class Counter:
         return f"Counter({inner})"
 
 
-class Histogram:
-    """Collects raw samples; exact quantiles over what was recorded.
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, the same bits on every Python.
 
-    Backend selection (numpy array vs reference list) happens per
-    instance at construction time — see the module docstring. Every
-    public statistic is bit-identical between the two backends.
+    Since Python 3.12 the builtin ``sum()`` compensates float rounding,
+    so its last bits differ across interpreters; pinned fingerprints and
+    merged documents use this plain left-to-right order instead. Like
+    ``sum()``, it starts from int ``0``, so all-int input stays int.
     """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+class Histogram:
+    """Collects raw samples; exact quantiles over what was recorded."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        if _use_numpy_backend():
-            self._samples: Optional[List[float]] = None
-            self._buf = _np.empty(256, dtype=_np.float64)
-            self._n = 0
-            self._total = 0.0
-        else:
-            self._samples = []
-            self._buf = None
-            self._n = 0
-            self._total = 0.0
-        self._sorted: Optional[List[float]] = None
+        self._buf = _np.empty(256, dtype=_np.float64)
+        self._n = 0
+        self._total = 0.0
 
     def _grow(self, need: int):
-        """Double the numpy buffer until it holds ``need`` samples."""
+        """Double the buffer until it holds ``need`` samples."""
         buf = self._buf
         cap = buf.shape[0]
         while cap < need:
@@ -143,31 +126,22 @@ class Histogram:
     def record(self, value: float) -> None:
         """Add one sample."""
         buf = self._buf
-        if buf is None:
-            self._samples.append(value)
-            self._sorted = None
-        else:
-            n = self._n
-            if n == buf.shape[0]:
-                buf = self._grow(n + 1)
-            buf[n] = value
-            self._n = n + 1
-            # Accumulated in recording order, so it equals sum(samples)
-            # computed left to right — the reference backend's mean.
-            self._total += value
+        n = self._n
+        if n == buf.shape[0]:
+            buf = self._grow(n + 1)
+        buf[n] = value
+        self._n = n + 1
+        # Accumulated in recording order: equals ordered_sum(samples).
+        self._total += value
 
     def extend(self, values: Iterable[float]) -> None:
         """Add many samples."""
-        buf = self._buf
-        if buf is None:
-            self._samples.extend(values)
-            self._sorted = None
-            return
         vals = list(values)
         if not vals:
             return
         n = self._n
         need = n + len(vals)
+        buf = self._buf
         if need > buf.shape[0]:
             buf = self._grow(need)
         buf[n:need] = vals
@@ -178,7 +152,7 @@ class Histogram:
         self._total = total
 
     def __len__(self) -> int:
-        return self._n if self._buf is not None else len(self._samples)
+        return self._n
 
     def samples(self) -> List[float]:
         """Copy of the raw samples, in recording order.
@@ -188,69 +162,46 @@ class Histogram:
         reproduces the quantiles a single-process run over the same
         partition would report, independent of shard execution order.
         """
-        if self._buf is not None:
-            return self._buf[: self._n].tolist()
-        return list(self._samples)
+        return self._buf[: self._n].tolist()
 
     @property
     def count(self) -> int:
-        return len(self)
+        return self._n
 
     @property
     def mean(self) -> float:
-        if self._buf is not None:
-            if not self._n:
-                return math.nan
-            return self._total / self._n
-        if not self._samples:
+        if not self._n:
             return math.nan
-        return sum(self._samples) / len(self._samples)
+        return self._total / self._n
 
     @property
     def minimum(self) -> float:
-        if self._buf is not None:
-            return float(self._buf[: self._n].min()) if self._n else math.nan
-        return min(self._samples) if self._samples else math.nan
+        return float(self._buf[: self._n].min()) if self._n else math.nan
 
     @property
     def maximum(self) -> float:
-        if self._buf is not None:
-            return float(self._buf[: self._n].max()) if self._n else math.nan
-        return max(self._samples) if self._samples else math.nan
+        return float(self._buf[: self._n].max()) if self._n else math.nan
 
     def percentile(self, pct: float) -> float:
         """Exact percentile (nearest-rank with interpolation)."""
-        n = len(self)
+        n = self._n
         if not n:
             return math.nan
         if not 0.0 <= pct <= 100.0:
             raise ConfigError(f"percentile out of range: {pct}")
-        if self._buf is not None:
-            arr = self._buf[:n]
-            if n == 1:
-                return float(arr[0])
-            rank = (pct / 100.0) * (n - 1)
-            low = int(math.floor(rank))
-            high = int(math.ceil(rank))
-            if low == high:
-                # kth element of a partition is the exact order
-                # statistic — same float a full sort would place there.
-                return float(_np.partition(arr, low)[low])
-            part = _np.partition(arr, (low, high))
-            frac = rank - low
-            return float(part[low] * (1.0 - frac) + part[high] * frac)
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        data = self._sorted
-        if len(data) == 1:
-            return data[0]
-        rank = (pct / 100.0) * (len(data) - 1)
+        arr = self._buf[:n]
+        if n == 1:
+            return float(arr[0])
+        rank = (pct / 100.0) * (n - 1)
         low = int(math.floor(rank))
         high = int(math.ceil(rank))
         if low == high:
-            return data[low]
+            # kth element of a partition is the exact order statistic —
+            # the same float a full sort would place there.
+            return float(_np.partition(arr, low)[low])
+        part = _np.partition(arr, (low, high))
         frac = rank - low
-        return data[low] * (1.0 - frac) + data[high] * frac
+        return float(part[low] * (1.0 - frac) + part[high] * frac)
 
     @property
     def median(self) -> float:

@@ -15,8 +15,7 @@ hop-by-hop through each edge's :meth:`Link.one_way` accounting. The
 timing contract is **charge-at-send**: every hop's wait + serialization
 + propagation is resolved against the sender's current window state, so
 the returned delay is a pure function of simulator state at the call —
-this is what keeps sharded runs bit-identical across worker counts and
-fast/slow engine paths (no fabric fast path is involved).
+this is what keeps sharded runs bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -147,9 +146,9 @@ class TopologyNet:
 class Router:
     """Charges messages along shortest paths, one Link hop at a time.
 
-    On the fast path (engine not in slowpath mode) the per-hop
-    :meth:`Link.one_way` calls are replaced by memoized *charge plans*:
-    one flat row per hop (built by :meth:`Link.plan_one_way`) carrying
+    The per-hop :meth:`Link.one_way` accounting is replayed from
+    memoized *charge plans*: one flat row per hop (built by
+    :meth:`Link.plan_one_way`) carrying
     the resolved payload/wire/serialization figures plus the live
     statistics and utilization-window cells, so :meth:`charge` runs the
     window accounting straight-line with no per-hop validation, payload
@@ -161,7 +160,8 @@ class Router:
     mirroring the epoch invalidation of the fabric's transition plans.
     A fault injector attached to an edge is honoured per charge: any
     hop whose link carries ``faults`` falls back to :meth:`Link.one_way`
-    so fault draws keep their order.
+    so fault draws keep their order. The sum of :meth:`Link.one_way`
+    over :meth:`path_hops` is the test oracle for :meth:`charge`.
     """
 
     def __init__(self, net: TopologyNet) -> None:
@@ -171,10 +171,8 @@ class Router:
         self._paths: Dict[Tuple[str, str], Tuple[Tuple[Link, int], ...]] = {}
         # (src, dst, cls, payload_bytes) -> tuple of plan_one_way rows.
         self._plans: Dict[tuple, tuple] = {}
-        self._fastpath = not net.sim.slowpath
-        if self._fastpath:
-            for link in net.links.values():
-                link.on_scaled = self._invalidate_plans
+        for link in net.links.values():
+            link.on_scaled = self._invalidate_plans
 
     def _invalidate_plans(self) -> None:
         """Drop every memoized charge plan (an edge was rescaled/reset)."""
@@ -208,14 +206,12 @@ class Router:
         Every hop books wait + serialization + propagation against its
         edge at the *current* simulator time (charge-at-send): per-edge
         occupancy, per-class stats, and any attached fault injector all
-        see the message exactly as intra-host link traffic would. The
-        fast path replays :meth:`Link.one_way`'s accounting from a
-        memoized plan — same window rolls, same per-actor demand
-        updates, same wait arithmetic in the same evaluation order — so
-        it is bit-identical to :meth:`_charge_slow`.
+        see the message exactly as intra-host link traffic would. Each
+        hop replays :meth:`Link.one_way`'s accounting from a memoized
+        plan — same window rolls, same per-actor demand updates, same
+        wait arithmetic in the same evaluation order — so the total is
+        bit-identical to summing :meth:`Link.one_way` over the hops.
         """
-        if not self._fastpath:
-            return self._charge_slow(src, dst, cls, payload_bytes, actor)
         key = (src, dst, cls, payload_bytes)
         plan = self._plans.get(key)
         if plan is None:
@@ -232,8 +228,8 @@ class Router:
         for (link, d, payload, wire, ser, lat, ser_lat, agg, cell,
              win_busy, win_by, win_start, rho_settled, rho_by) in plan:
             if link.faults is not None:
-                # Fault draws must keep their per-message order; let the
-                # reference path book this hop.
+                # Fault draws must keep their per-message order; let
+                # Link.one_way book this hop.
                 total += link.one_way(
                     cls, d, payload_bytes=payload_bytes, actor=actor
                 )
@@ -297,20 +293,4 @@ class Router:
             fair = ser * over * rho_total * rho_total
             wait = mm1 if mm1 <= fair else fair
             total += wait + ser + lat
-        return total
-
-    def _charge_slow(
-        self,
-        src: str,
-        dst: str,
-        cls: MessageClass,
-        payload_bytes: Optional[int],
-        actor: str,
-    ) -> float:
-        """Reference hop walk: one :meth:`Link.one_way` call per hop."""
-        total = 0.0
-        for link, direction in self.path_hops(src, dst):
-            total += link.one_way(
-                cls, direction, payload_bytes=payload_bytes, actor=actor
-            )
         return total

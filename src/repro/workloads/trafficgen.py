@@ -25,7 +25,7 @@ from repro.core.recovery import RecoveryPolicy
 from repro.errors import RingTimeoutError, WorkloadError
 from repro.obs.instrument import Instrumented
 from repro.sim.rng import make_rng
-from repro.sim.stats import Histogram
+from repro.sim.stats import Histogram, ordered_sum
 from repro.workloads.packets import Packet
 
 #: Fixed per-iteration application overhead, cycles (loop, branch, timestamping).
@@ -269,7 +269,7 @@ class LoopbackApp(Instrumented):
                     if self.arrivals == "poisson":
                         # Exponential inter-arrival per packet, summed
                         # over the burst: same mean rate, bursty.
-                        gap = sum(
+                        gap = ordered_sum(
                             self._rng.expovariate(1.0) * interval
                             for _ in range(burst)
                         )

@@ -14,7 +14,6 @@ from repro.check import (
 )
 from repro.check.rules import (
     ErrorTaxonomyRule,
-    FastpathTwinRule,
     HookGuardRule,
     IdKeyRule,
     UnitsMixingRule,
@@ -25,7 +24,6 @@ from repro.errors import LintError
 from repro.obs.export import export_lint_json, load_lint_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "repro")
-TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _lint(source, rules, path="mod.py"):
@@ -112,53 +110,6 @@ class TestWallClockRule:
             path="repro/sim/rng.py",
         )
         assert findings == []
-
-
-class TestFastpathTwinRule:
-    def test_orphan_fast_flagged(self):
-        findings = _lint(
-            """
-            def _access_fast(x):
-                return x
-            """,
-            [FastpathTwinRule()],
-        )
-        assert _rules_of(findings) == ["fastpath-twin"]
-
-    def test_twinned_pair_allowed(self):
-        findings = _lint(
-            """
-            def _access_fast(x):
-                return x
-
-            def _access_slow(x):
-                return x
-            """,
-            [FastpathTwinRule()],
-        )
-        assert findings == []
-
-    def test_public_reference_counts_as_twin(self):
-        findings = _lint(
-            """
-            class C:
-                def access(self, x):
-                    return x
-
-                def _access_slow(self, x):
-                    return x
-            """,
-            [FastpathTwinRule()],
-        )
-        assert findings == []
-
-    def test_finish_requires_fingerprint_test(self, tmp_path):
-        rule = FastpathTwinRule()
-        rule.note_tests(False)
-        assert list(rule.finish(str(tmp_path)))
-        rule = FastpathTwinRule()
-        rule.note_tests(True)
-        assert not list(rule.finish(str(tmp_path)))
 
 
 class TestHookGuardRule:
@@ -493,19 +444,19 @@ class TestSelfHost:
     """The shipping tree must lint clean modulo justified waivers."""
 
     def test_repro_tree_is_clean(self):
-        report = run_lint(root=SRC, tests_root=TESTS)
+        report = run_lint(root=SRC)
         assert report.active == [], format_lint_findings(report)
         assert report.ok
 
     def test_waivers_are_counted_not_silent(self):
-        report = run_lint(root=SRC, tests_root=TESTS)
+        report = run_lint(root=SRC)
         assert len(report.waived) > 0
         doc = report.as_report()
         assert doc["waived"] == len(report.waived)
         assert doc["active"] == 0
 
     def test_report_schema_and_roundtrip(self, tmp_path):
-        report = run_lint(root=SRC, tests_root=TESTS)
+        report = run_lint(root=SRC)
         doc = report.as_report(config={"root": SRC})
         assert doc["schema"] == LINT_SCHEMA
         path = str(tmp_path / "lint.json")
@@ -513,13 +464,13 @@ class TestSelfHost:
         assert load_lint_json(path) == doc
 
     def test_tables_render(self):
-        report = run_lint(root=SRC, tests_root=TESTS)
+        report = run_lint(root=SRC)
         assert "Lint summary" in format_lint_summary(report)
         assert "waived" in format_lint_findings(report)
 
     def test_subsystem_root_inherits_taxonomy(self):
         # A subsystem-scoped run walks up to the package errors.py.
-        report = run_lint(root=os.path.join(SRC, "topology"), tests_root=TESTS)
+        report = run_lint(root=os.path.join(SRC, "topology"))
         assert report.active == [], format_lint_findings(report)
 
 
@@ -528,7 +479,6 @@ class TestDefaultRules:
         names = {rule.name for rule in default_rules(frozenset({"ReproError"}))}
         assert names == {
             "wall-clock",
-            "fastpath-twin",
             "zero-cost-hooks",
             "id-keyed-iteration",
             "error-taxonomy",

@@ -1,8 +1,8 @@
 """Small-scope protocol model checker: coverage, mutations, replay.
 
-The checker drives the *real* coherence fabric (fast and reference
-twins) through every short op sequence over a few agents and lines and
-checks each observed transition against the declarative MESIF spec in
+The checker drives the *real* coherence fabric through every short op
+sequence over a few agents and lines and checks each observed
+transition against the declarative MESIF spec in
 ``repro.check.model.TRANSITIONS``. These tests pin the clean-run
 contract (full spec coverage, zero violations), prove the checker
 catches seeded protocol bugs with shrunk, replayable counterexamples,

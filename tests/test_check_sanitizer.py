@@ -395,15 +395,10 @@ class TestFingerprintInvariance:
 
     def _fingerprint(self, sanitizer=None):
         setup = _sanitized_loopback(sanitizer=sanitizer)
-        if sanitizer is not None and not setup.system.sim.slowpath:
-            # The sanitizer watched the plan path, not the reference twin.
+        if sanitizer is not None:
+            # The sanitizer watched the memoized plan path.
             assert setup.system.fabric._plans
         return _fingerprint(_system_snapshot(setup.system))
 
     def test_attached_vs_detached_fastpath(self):
         assert self._fingerprint() == self._fingerprint(Sanitizer())
-
-    def test_attached_matches_slowpath(self, monkeypatch):
-        baseline = self._fingerprint()
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-        assert self._fingerprint(Sanitizer()) == baseline

@@ -259,19 +259,9 @@ class TestFingerprintInvariance:
             flight=FlightRecorder()
         )
 
-    def test_recorder_attached_matches_slowpath(self, monkeypatch):
-        baseline = _loopback_fingerprint()
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-        assert _loopback_fingerprint(flight=FlightRecorder()) == baseline
-
 
 class TestSpanTracerFabricAudit:
-    """S1: traced runs keep their fingerprints on both simulator paths."""
+    """S1: traced runs keep their fingerprints."""
 
     def test_traced_vs_untraced_fastpath(self):
         assert _loopback_fingerprint() == _loopback_fingerprint(tracer=SpanTracer())
-
-    def test_traced_vs_untraced_slowpath(self, monkeypatch):
-        baseline = _loopback_fingerprint()
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-        assert _loopback_fingerprint(tracer=SpanTracer()) == baseline

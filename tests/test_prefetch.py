@@ -5,6 +5,8 @@ import pytest
 from repro.coherence import CoherenceFabric, CostModel
 from repro.interconnect import Link
 from repro.mem import AddressSpace
+from repro.obs import Observability
+from repro.obs.flight import FlightRecorder
 from repro.sim import Simulator
 
 COST = CostModel(
@@ -79,6 +81,22 @@ def test_prefetch_steals_remote_dirty_line():
     before = fabric.counters.get("s1.rfo")
     fabric.write(remote, region.base + 128, 8)
     assert fabric.counters.get("s1.rfo") == before + 1
+
+
+def test_recorded_prefetch_reports_the_dirty_steal():
+    """A prefetch that steals a dirty line is a HitM migration: the
+    flight recorder must see the producer's copy go, as it does for a
+    demand miss."""
+    fabric, agent, remote, region = build()
+    recorder = FlightRecorder()
+    fabric.instrument(Observability(flight=recorder))
+    stolen = region.base // 64 + 2
+    fabric.write(remote, region.base + 128, 64)
+    fabric.read(agent, region.base, 64)
+    fabric.read(agent, region.base + 64, 64)  # prefetches line 2 (HitM)
+    assert agent.holds(stolen) and not remote.holds(stolen)
+    stats = recorder.lines[stolen]
+    assert (stats.drops, stats.dirty_drops) == (1, 1)
 
 
 def test_prefetch_counters():

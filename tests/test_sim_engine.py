@@ -199,12 +199,11 @@ def test_done_processes_are_pruned():
     assert sim._processes == []
 
 
-@pytest.mark.parametrize("slowpath", [False, True])
-def test_failed_step_counts_event_and_skips_stop_when(slowpath):
+def test_failed_step_counts_event_and_skips_stop_when():
     """The documented contract: a failing event is included in
     events_executed, now holds its timestamp, and stop_when is not
     consulted for it."""
-    sim = Simulator(slowpath=slowpath)
+    sim = Simulator()
     stop_calls = []
 
     def ok():
@@ -231,9 +230,8 @@ def test_failed_step_counts_event_and_skips_stop_when(slowpath):
     assert stop_calls == [0.0, 0.0, 1.0, 2.0]
 
 
-@pytest.mark.parametrize("slowpath", [False, True])
-def test_events_executed_equal_across_paths(slowpath):
-    sim = Simulator(slowpath=slowpath)
+def test_events_executed_counts_steps_and_returns():
+    sim = Simulator()
 
     def proc():
         for _ in range(10):
@@ -247,8 +245,7 @@ def test_events_executed_equal_across_paths(slowpath):
 
 
 def test_calendar_queue_engaged_past_threshold():
-    # Force the fast path so the test holds under REPRO_SIM_SLOWPATH=1.
-    sim = Simulator(slowpath=False)
+    sim = Simulator()
     fired = []
     n = Simulator.CALENDAR_THRESHOLD + 100
     for i in range(n):
@@ -258,15 +255,6 @@ def test_calendar_queue_engaged_past_threshold():
     sim.run()
     assert fired == list(range(n))
     assert sim.events_executed == n
-
-
-def test_slowpath_never_engages_calendar_queue():
-    sim = Simulator(slowpath=True)
-    for i in range(Simulator.CALENDAR_THRESHOLD + 100):
-        sim.call_at(float(i), lambda: None)
-    assert sim._cal is None
-    sim.run()
-    assert sim._cal is None
 
 
 def test_direct_process_construction_requires_pid():
@@ -409,9 +397,9 @@ class TestChooser:
             sim.run()
 
     def test_calendar_queue_drained_for_late_chooser(self, restore_chooser):
-        # Load enough events to migrate the fast path onto the calendar
-        # queue, then attach a chooser: run() must fold the pending set
-        # back into the heap so the reference loop sees every record.
+        # Load enough events to migrate onto the calendar queue, then
+        # attach a chooser: run() must fold the pending set back into
+        # the heap, where tied records pop together.
         sim = Simulator()
         hits = []
         n = Simulator.CALENDAR_THRESHOLD + 16

@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Counter, Histogram, RateMeter
+from repro.sim.stats import ordered_sum
 
 
 class TestCounter:
@@ -90,6 +93,65 @@ class TestHistogram:
         summary = h.summary()
         assert set(summary) == {"count", "mean", "min", "median", "p99", "max"}
         assert summary["count"] == 3
+
+
+def _sorted_percentile(data, pct):
+    """Exact percentile of ``sorted()`` samples, nearest rank with
+    linear interpolation: what :meth:`Histogram.percentile` promises."""
+    if len(data) == 1:
+        return data[0]
+    rank = (pct / 100.0) * (len(data) - 1)
+    low, high = math.floor(rank), math.ceil(rank)
+    if low == high:
+        return data[low]
+    frac = rank - low
+    return data[low] * (1.0 - frac) + data[high] * frac
+
+
+# A small pool forces duplicates; wide floats exercise the interpolation.
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, 1.5, 1.5, 64.0, 982.0]),
+    st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batches=st.lists(
+        st.tuples(st.booleans(), st.lists(_SAMPLE, min_size=1, max_size=40)),
+        min_size=1, max_size=8,
+    ),
+    pct=st.floats(0.0, 100.0),
+)
+def test_histogram_matches_sorted_reference(batches, pct):
+    h = Histogram()
+    recorded = []
+    for use_extend, values in batches:
+        if use_extend:
+            h.extend(values)
+        else:
+            for value in values:
+                h.record(value)
+        recorded.extend(values)
+    data = sorted(recorded)
+    # A left-to-right sum: newer Pythons compensate inside sum().
+    total = 0.0
+    for value in recorded:
+        total += value
+    assert h.samples() == recorded
+    assert h.count == len(recorded)
+    assert h.mean == total / len(recorded)
+    assert (h.minimum, h.maximum) == (data[0], data[-1])
+    for p in (pct, 0.0, 50.0, 99.0, 100.0):
+        assert h.percentile(p) == _sorted_percentile(data, p)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # A compensated sum, like the builtin sum() since Python 3.12, gives 1.0.
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum(iter([1, 2, 3])) == 6
+    assert isinstance(ordered_sum([1, 2]), int)
+    assert ordered_sum([]) == 0
 
 
 class TestRateMeter:

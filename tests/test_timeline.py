@@ -368,7 +368,7 @@ class TestMergeTimelines:
 
     def test_numpy_backed_histogram_samples_roundtrip(self):
         # Histogram.samples() feeds the shard doc; pooling via extend()
-        # on the numpy twin must reproduce the same order statistics.
+        # must reproduce the same order statistics.
         h = Histogram("lat")
         values = [float(v) for v in range(199, -1, -1)]
         h.extend(values)
