@@ -85,6 +85,8 @@ class TasFastPath(Instrumented):
     ) -> None:
         if n_flows <= 0:
             raise WorkloadError("n_flows must be positive")
+        if offered_mops <= 0 or n_ops <= 0:
+            raise WorkloadError("offered_mops and n_ops must be positive")
         self.setup = setup
         self.n_flows = n_flows
         self.offered_mops = offered_mops

@@ -44,7 +44,7 @@ from repro.errors import CoherenceError, ConfigError, ModelCheckError
 from repro.interconnect.link import Link
 from repro.mem.space import AddressSpace
 from repro.obs.export import MODEL_SCHEMA
-from repro.platform import cxl, icx, spr
+from repro.platform import PLATFORMS
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 
@@ -61,9 +61,6 @@ SETTLE_NS = 100_000.0
 #: a tenth of this.
 MAX_PROBES = 50_000
 
-#: Platform presets usable as a model-check scope.
-_PLATFORMS = {"icx": icx, "spr": spr, "cxl": cxl}
-
 
 @dataclass(frozen=True)
 class ModelScope:
@@ -72,7 +69,7 @@ class ModelScope:
     Attributes:
         agents: ``(name, socket)`` per caching agent.
         line_homes: Home socket per modelled cache line.
-        platform: Platform preset key (``icx``/``spr``) for costs.
+        platform: Platform preset key (of ``repro.platform.PLATFORMS``) for costs.
         settle_ns: Virtual-time gap inserted between ops.
     """
 
@@ -86,9 +83,9 @@ class ModelScope:
             raise ConfigError("model scope needs at least one agent")
         if not self.line_homes:
             raise ConfigError("model scope needs at least one line")
-        if self.platform not in _PLATFORMS:
+        if self.platform not in PLATFORMS:
             raise ConfigError(
-                f"unknown platform {self.platform!r}; pick from {sorted(_PLATFORMS)}"
+                f"unknown platform {self.platform!r}; pick from {sorted(PLATFORMS)}"
             )
         sockets = {socket for _, socket in self.agents}
         if not sockets <= {0, 1}:
@@ -270,7 +267,7 @@ class _World:
         self.scope = scope
         self.sim = Simulator()
         self.space = AddressSpace()
-        plat = _PLATFORMS[scope.platform]()
+        plat = PLATFORMS[scope.platform]()
         self.link = Link(
             self.sim,
             "upi",
@@ -427,7 +424,7 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
     # Spec charges bind to the platform preset, not the live fabric:
     # a mutated (or miscalibrated) fabric cost model must *diverge*
     # from the spec, not silently redefine it.
-    plat = _PLATFORMS[scope.platform]()
+    plat = PLATFORMS[scope.platform]()
     cost = plat.cost
     pipeline = plat.write_pipeline
     # Shadow data-version oracle: versions[l] is the newest write's

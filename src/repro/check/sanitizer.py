@@ -178,7 +178,7 @@ class Sanitizer:
         scenario: Optional[str] = None,
         spec_fingerprint: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Schema-stamped report for :func:`repro.obs.export.export_sanitize_json`.
+        """Schema-stamped report for :func:`repro.obs.export.export_doc`.
 
         ``scenario`` and ``spec_fingerprint`` stamp the report with the
         run it came from; loaders ignore the fields when absent.

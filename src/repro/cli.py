@@ -32,6 +32,7 @@ Commands mirror the measurement tooling used throughout the evaluation:
     loopback/kv/rpc runs via ``--sanitize`` / ``--sanitize strict``.
 """
 
+
 from __future__ import annotations
 
 import argparse
@@ -43,19 +44,20 @@ from typing import List, Optional
 from repro.analysis import InterfaceKind, format_table
 from repro.analysis.loopback import build_interface, run_point, wire_bytes_per_packet
 from repro.core.recovery import RecoveryPolicy
-from repro.errors import ConfigError, SanitizerError
+from repro.errors import ConfigError, FaultError, SanitizerError, WorkloadError
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan
 from repro.obs import (
+    OBS_OFF,
+    TIMELINE_SCHEMA,
     FlightRecorder,
     MetricRegistry,
     Observability,
     SpanTracer,
     export_chrome_trace,
-    export_flight_json,
+    export_doc,
     export_metrics_csv,
-    export_metrics_json,
-    export_timeline_json,
-    load_timeline_json,
+    load_doc,
+    metrics_doc,
 )
 from repro.obs.timeline import DEFAULT_INTERVAL_NS
 from repro.analysis.microbench import (
@@ -66,16 +68,30 @@ from repro.analysis.microbench import (
     wc_store_latency,
     wc_write_throughput,
 )
-from repro.platform import icx, spr, table1_rows
-from repro.platform.presets import PlatformSpec
+from repro.platform import PLATFORMS, table1_rows
 
 
-def _platform(name: str) -> PlatformSpec:
-    if name == "icx":
-        return icx()
-    if name == "spr":
-        return spr()
-    raise SystemExit(f"unknown platform {name!r} (use icx or spr)")
+def _positive(convert):
+    """An argparse type: a number parsed by ``convert`` that must be > 0.
+
+    argparse turns the ``ValueError`` of a malformed or non-positive
+    value into a usage error naming the flag ("invalid positive int
+    value: '0'").
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise ConfigError(f"{text} is not positive")
+        return value
+
+    parse.__name__ = f"positive {convert.__name__}"
+    return parse
+
+
+#: Types of every count, size, rate, factor and interval flag.
+_COUNT = _positive(int)
+_AMOUNT = _positive(float)
 
 
 def _kind(name: str) -> InterfaceKind:
@@ -83,21 +99,7 @@ def _kind(name: str) -> InterfaceKind:
         return InterfaceKind(name)
     except ValueError:
         choices = ", ".join(k.value for k in InterfaceKind)
-        raise SystemExit(f"unknown interface {name!r} (use one of: {choices})")
-
-
-# ----------------------------------------------------------------------
-# Telemetry plumbing (shared by loopback / counters / kv / rpc)
-# ----------------------------------------------------------------------
-def _add_obs_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write a metric-registry snapshot (CSV if FILE ends in .csv, else JSON)",
-    )
-    sub.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="write the span timeline in Chrome trace format",
-    )
+        raise ConfigError(f"unknown interface {name!r} (use one of: {choices})") from None
 
 
 def _check_writable(path: Optional[str]) -> None:
@@ -109,6 +111,9 @@ def _check_writable(path: Optional[str]) -> None:
         raise SystemExit(f"error: cannot write {path!r}: no such directory {parent!r}")
 
 
+# ----------------------------------------------------------------------
+# Observability bundle and reports (shared by every run command)
+# ----------------------------------------------------------------------
 def _make_obs(
     args: argparse.Namespace, force_metrics: bool = False
 ) -> Optional[Observability]:
@@ -122,9 +127,8 @@ def _make_obs(
     flight_out = getattr(args, "flight_out", None)
     sanitize = getattr(args, "sanitize", None)
     sanitize_out = getattr(args, "sanitize_out", None)
-    timeline_out = getattr(args, "timeline_out", None)
     for path in (args.metrics_out, args.trace_out, flight_out, sanitize_out,
-                 timeline_out):
+                 args.timeline_out):
         _check_writable(path)
     members = {}
     if force_metrics or args.metrics_out is not None:
@@ -137,118 +141,94 @@ def _make_obs(
         from repro.check import Sanitizer
 
         members["sanitizer"] = Sanitizer(strict=sanitize == "strict")
-    if timeline_out is not None:
+    if args.timeline_out is not None:
         from repro.obs.timeline import TimelineSampler
 
         members["timeline"] = TimelineSampler(interval_ns=args.timeline_interval)
     return Observability(**members) if members else None
 
 
-def _point_obs(obs: Optional[Observability], kind, kinds: tuple):
-    """The bundle one point of a thread study runs with.
+def _write_reports(
+    args: argparse.Namespace,
+    obs: Optional[Observability],
+    config: dict,
+    scenario: str,
+    metrics: Optional[dict] = None,
+    timeline: Optional[dict] = None,
+    flight: Optional[dict] = None,
+) -> int:
+    """Write every report the run's flags ask for and print the sanitizer's.
 
-    Observers cover one system only (the coherent point when two run):
-    mixing line addresses or windowed series from two systems would
-    corrupt the thrash table, the happens-before state and the
-    per-series rings. Metrics and the tracer cover both.
+    In-process runs pass their bundle and each report is read from it;
+    ``--shards`` runs pass no bundle but the merged ``metrics`` snapshot
+    and ``timeline`` document, and ``profile`` passes its finished
+    ``flight`` report. ``config`` and ``scenario``, with the spec
+    fingerprint of ``config``, are the run identity that stamps the
+    flight and sanitizer reports. Returns 1 when the sanitizer found
+    violations, else 0.
     """
-    if obs is None or kind.is_coherent or len(kinds) == 1:
-        return obs
-    return obs.replace(flight=None, sanitizer=None, timeline=None)
+    from repro.obs.timeline import run_watchdogs
+    from repro.shard.merge import fingerprint
 
-
-def _export_obs(obs: Optional[Observability], args: argparse.Namespace) -> None:
-    if obs is None:
-        return
-    if args.metrics_out:
+    merged = "merged " if obs is None else ""
+    obs = obs or OBS_OFF
+    stamp = {"config": config, "scenario": scenario,
+             "spec_fingerprint": fingerprint(config)}
+    if args.metrics_out and (metrics is not None or obs.metrics.enabled):
+        if metrics is None:
+            metrics = obs.metrics.snapshot()
         if args.metrics_out.endswith(".csv"):
-            count = export_metrics_csv(obs.metrics, args.metrics_out)
+            export_metrics_csv(metrics, args.metrics_out)
         else:
-            doc = export_metrics_json(obs.metrics, args.metrics_out)
-            count = sum(len(section) for section in doc["metrics"].values())
-        print(f"wrote {count} metrics to {args.metrics_out}")
-    if args.trace_out:
+            export_doc(metrics_doc(metrics), args.metrics_out)
+        count = sum(len(section) for section in metrics.values())
+        print(f"wrote {count} {merged}metrics to {args.metrics_out}")
+    if args.trace_out and obs.tracer.enabled:
         events = export_chrome_trace(
             obs.tracer, args.trace_out, flight=obs.flight, timeline=obs.timeline
         )
         print(f"wrote {events} trace events to {args.trace_out}")
+    flight_out = getattr(args, "flight_out", None)
+    if flight_out and (flight is not None or obs.flight is not None):
+        export_doc(flight or obs.flight.report(**stamp), flight_out)
+        print(f"wrote flight report to {flight_out}")
+    if args.timeline_out and (timeline is not None or obs.timeline is not None):
+        if timeline is None:
+            timeline = obs.timeline.to_doc()
+            timeline["scenario"] = scenario
+            timeline["findings"] = run_watchdogs(timeline)
+        export_doc(timeline, args.timeline_out)
+        print(f"wrote {merged}timeline ({timeline['windows']} window(s), "
+              f"{len(timeline['findings'])} finding(s)) to {args.timeline_out}")
+    if obs.sanitizer is None:
+        return 0
+    from repro.analysis.checks import format_rule_summary, format_violation_table
+
+    report = obs.sanitizer.report(**stamp)
+    print()
+    print(format_rule_summary(report))
+    if report["findings"]:
+        print()
+        print(format_violation_table(report))
+    if args.sanitize_out:
+        export_doc(report, args.sanitize_out)
+        print(f"wrote sanitizer report to {args.sanitize_out}")
+    return 1 if report["total"] else 0
 
 
-# ----------------------------------------------------------------------
-# Flight-recorder plumbing (shared by profile / loopback / kv / rpc)
-# ----------------------------------------------------------------------
-def _add_flight_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--flight-out", default=None, metavar="FILE",
-        help="write the cache-line flight-recorder report (JSON)",
-    )
-
-
-def _spec_fingerprint(config: dict) -> str:
-    """Deterministic fingerprint of a run's config block.
-
-    The same hash :func:`repro.shard.merge.fingerprint` uses for metric
-    documents, so a flight/sanitize report can be matched to the run
-    shape that produced it.
-    """
-    from repro.shard.merge import fingerprint
-
-    return fingerprint(config)
-
-
-def _export_flight(
-    obs, args: argparse.Namespace, config: dict, scenario: str = None
-) -> None:
-    if obs is None or obs.flight is None:
-        return
-    report = obs.flight.report(
-        config=config, scenario=scenario,
-        spec_fingerprint=_spec_fingerprint(config),
-    )
-    export_flight_json(report, args.flight_out)
-    print(f"wrote flight report to {args.flight_out}")
-
-
-# ----------------------------------------------------------------------
-# Timeline plumbing (shared by loopback / faults / counters / kv / rpc /
-# profile, plus the ``timeline`` command itself)
-# ----------------------------------------------------------------------
-def _add_heartbeat_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SEC",
-        help="print a wall-clock progress line to stderr every SEC seconds "
-             "while shards run (operator-only; never touches results)",
-    )
-
-
-def _export_timeline(obs, args: argparse.Namespace, scenario: str = None) -> None:
-    """Run the watchdogs over a finished sampler and write its document."""
-    if obs is None or obs.timeline is None:
-        return
-    from repro.obs.timeline import run_watchdogs
-
-    doc = obs.timeline.to_doc()
-    if scenario is not None:
-        doc["scenario"] = scenario
-    doc["findings"] = run_watchdogs(doc)
-    export_timeline_json(doc, args.timeline_out)
-    print(f"wrote timeline ({doc['windows']} window(s), "
-          f"{len(doc['findings'])} finding(s)) to {args.timeline_out}")
-
-
-def _finish_timeline(obs, setup) -> None:
-    """Close the trailing timeline window at the run's end."""
-    if obs is not None and obs.timeline is not None:
-        obs.timeline.finish(setup.system.sim.now)
-
-
-def _export_merged_timeline(doc, args: argparse.Namespace) -> None:
-    """Write a sharded run's merged timeline document (findings included)."""
-    if doc is None or not getattr(args, "timeline_out", None):
-        return
-    export_timeline_json(doc, args.timeline_out)
-    print(f"wrote merged timeline ({doc['windows']} window(s), "
-          f"{len(doc['findings'])} finding(s)) to {args.timeline_out}")
+def _sanitizer_failed(exc, args, obs, config: dict, scenario: str) -> int:
+    """A strict run stopped at its first violation: print it, write the
+    sanitizer report alone, and exit 2."""
+    print(f"SANITIZER: {exc}")
+    print(f"  rule:     {exc.rule}")
+    if exc.addr is not None:
+        print(f"  addr:     {exc.addr:#x}")
+    if exc.agents:
+        print(f"  agents:   {', '.join(exc.agents)}")
+    if exc.sim_time is not None:
+        print(f"  sim time: {exc.sim_time:.1f} ns")
+    _write_reports(args, Observability(sanitizer=obs.sanitizer), config, scenario)
+    return 2
 
 
 #: Sparkline ramp: blank for zero, full block for the series maximum.
@@ -314,91 +294,19 @@ def _findings_rows(findings: list) -> list:
 
 
 # ----------------------------------------------------------------------
-# Sanitizer plumbing (shared by loopback / kv / rpc)
+# Fault injection (shared by loopback / faults / kv / rpc)
 # ----------------------------------------------------------------------
-def _add_sanitize_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--sanitize", nargs="?", const="on", choices=["on", "strict"],
-        default=None,
-        help="attach the protocol sanitizer "
-             "('strict' raises on the first violation)",
-    )
-    sub.add_argument(
-        "--sanitize-out", default=None, metavar="FILE",
-        help="write the sanitizer report (JSON, repro.check/sanitize-v1)",
-    )
-
-
-def _report_sanitizer(
-    obs, args: argparse.Namespace, config: dict, scenario: str = None
-) -> int:
-    """Print + export the sanitizer report; non-zero when it found races."""
-    sanitizer = obs.sanitizer if obs is not None else None
-    if sanitizer is None:
-        return 0
-    from repro.analysis.checks import format_rule_summary, format_violation_table
-    from repro.obs.export import export_sanitize_json
-
-    report = sanitizer.report(
-        config=config, scenario=scenario,
-        spec_fingerprint=_spec_fingerprint(config),
-    )
-    print()
-    print(format_rule_summary(report))
-    if report["findings"]:
-        print()
-        print(format_violation_table(report))
-    if getattr(args, "sanitize_out", None):
-        export_sanitize_json(report, args.sanitize_out)
-        print(f"wrote sanitizer report to {args.sanitize_out}")
-    return 1 if report["total"] else 0
-
-
-def _print_sanitizer_error(exc) -> None:
-    print(f"SANITIZER: {exc}")
-    print(f"  rule:     {exc.rule}")
-    if exc.addr is not None:
-        print(f"  addr:     {exc.addr:#x}")
-    if exc.agents:
-        print(f"  agents:   {', '.join(exc.agents)}")
-    if exc.sim_time is not None:
-        print(f"  sim time: {exc.sim_time:.1f} ns")
-
-
-# ----------------------------------------------------------------------
-# Fault-injection plumbing (shared by loopback / kv / rpc / faults)
-# ----------------------------------------------------------------------
-def _add_fault_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="inject faults from a JSON/TOML plan ('canned' for the built-in)",
-    )
-    sub.add_argument(
-        "--fault-seed", type=int, default=0, metavar="N",
-        help="seed for the fault injector's RNG stream",
-    )
-
-
-def _load_plan(path: str) -> FaultPlan:
-    if path == "canned":
-        return FaultPlan.canned()
-    if not os.path.isfile(path):
-        raise SystemExit(f"error: fault plan {path!r}: no such file")
-    return FaultPlan.load(path)
-
-
 def _make_faults(args: argparse.Namespace):
     """Build (injector, recovery) from the fault args, or (None, None)."""
-    if getattr(args, "fault_plan", None) is None:
+    if args.fault_plan is None:
         return None, None
-    plan = _load_plan(args.fault_plan)
+    plan = FaultPlan.load(args.fault_plan)
     only = getattr(args, "only", None)
     if only:
         plan = plan.restricted(only)
         if not len(plan):
             raise SystemExit(f"error: plan has no events of kind(s) {only}")
-    faults = FaultInjector(plan, seed=args.fault_seed)
-    return faults, RecoveryPolicy()
+    return FaultInjector(plan, seed=args.fault_seed), RecoveryPolicy()
 
 
 def _fault_summary_rows(setup, result, faults) -> list:
@@ -417,146 +325,91 @@ def _fault_summary_rows(setup, result, faults) -> list:
     return rows
 
 
-@contextlib.contextmanager
-def _maybe_trace_fabric(obs: Optional[Observability], fabric):
-    """Record per-access coherence instants while tracing is on."""
-    if obs is not None and obs.tracer.enabled:
-        with obs.tracer.attach_fabric(fabric):
-            yield
-    else:
-        yield
-
-
 # ----------------------------------------------------------------------
-# Shared run-shape flags (loopback / profile / faults / counters / kv / rpc)
+# Run bodies: one loopback point (loopback / faults / counters), one
+# sharded run (loopback / kv --shards), one thread study (kv / rpc)
 # ----------------------------------------------------------------------
-def _run_flags(**overrides) -> argparse.ArgumentParser:
-    """The common run-shape flag block, defined once.
+def _point_config(args: argparse.Namespace) -> dict:
+    """The run identity of one loopback point (stamps its reports)."""
+    return {
+        "command": args.command, "platform": args.platform,
+        "interface": args.interface, "pkt_size": args.size,
+        "n_packets": args.packets,
+    }
 
-    Returned as an argparse *parent* parser: every command that takes a
-    run shape (platform, interface, packet size, counts, queue depth,
-    batch) inherits identical spellings and defaults from here. Per-
-    command defaults are overridden via ``set_defaults`` — argparse
-    gives a parent's ``set_defaults`` precedence over the inherited
-    ``add_argument`` defaults, so e.g. ``faults`` keeps its 256B/6000-
-    packet shape without re-declaring any flag.
+
+def _loopback_point(args: argparse.Namespace, obs, faults=None, recovery=None,
+                    **build_kwargs):
+    """Build ``--interface`` on ``--platform`` and run one loopback point.
+
+    The fabric's coherence instants are traced while ``--trace-out`` is
+    on, and the timeline's trailing window closes at the run's end.
+    Returns ``(setup, result)``.
     """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--platform", default="icx", choices=["icx", "spr"])
-    parent.add_argument("--interface", default="ccnic",
-                        help="comparison point (ccnic/unopt/e810/cx6)")
-    parent.add_argument("--size", type=int, default=64, metavar="BYTES",
-                        help="packet (or object header) size in bytes")
-    parent.add_argument("--packets", type=int, default=5000, metavar="N",
-                        help="packets (or RPC ops) to run")
-    parent.add_argument("--inflight", type=int, default=64, metavar="N",
-                        help="closed-loop window depth")
-    parent.add_argument("--batch", type=int, default=32, metavar="N",
-                        help="tx/rx burst size")
-    parent.add_argument(
-        "--timeline-out", default=None, metavar="FILE",
-        help="write the windowed timeline document "
-             "(JSON, repro.obs/timeline-v1)",
+    setup = build_interface(
+        PLATFORMS[args.platform](), _kind(args.interface), obs=obs,
+        faults=faults, **build_kwargs,
     )
-    parent.add_argument(
-        "--timeline-interval", type=float, default=DEFAULT_INTERVAL_NS,
-        metavar="NS",
-        help="timeline window width in simulated nanoseconds "
-             f"(default {DEFAULT_INTERVAL_NS:.0f})",
+    rate = getattr(args, "rate", None)
+    tracing = (
+        obs.tracer.attach_fabric(setup.system.fabric)
+        if obs is not None and obs.tracer.enabled else contextlib.nullcontext()
     )
-    if overrides:
-        parent.set_defaults(**overrides)
-    return parent
+    with tracing:
+        result = run_point(
+            setup,
+            pkt_size=args.size,
+            n_packets=args.packets,
+            inflight=None if rate else args.inflight,
+            offered_mpps=rate,
+            tx_batch=args.batch,
+            rx_batch=args.batch,
+            obs=obs,
+            recovery=recovery,
+        )
+    if obs is not None and obs.timeline is not None:
+        obs.timeline.finish(setup.system.sim.now)
+    return setup, result
 
 
-def _add_shard_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the run into N per-queue-pair shards and execute "
-             "them across worker processes (merged metrics are bit-identical "
-             "for any worker count)",
-    )
+#: Per-process flags a ``--shards`` run cannot carry into its worker
+#: processes: flag -> (argparse dest, the default it must keep).
+_PER_PROCESS_FLAGS = {
+    "--same-socket": ("same_socket", False),
+    "--latency-factor": ("latency_factor", 1.0),
+    "--bandwidth-factor": ("bandwidth_factor", 1.0),
+    "--trace-out": ("trace_out", None),
+    "--flight-out": ("flight_out", None),
+    "--sanitize": ("sanitize", None),
+    "--sanitize-out": ("sanitize_out", None),
+}
 
 
-class _SnapshotRegistry:
-    """Adapter giving a merged snapshot dict the exporter interface."""
+def _run_sharded(args: argparse.Namespace, title: str, head: tuple,
+                 tail: tuple = (), **fields) -> int:
+    """Run one ``ScenarioSpec`` over ``--shards`` worker processes.
 
-    def __init__(self, snapshot: dict) -> None:
-        self._snapshot = snapshot
-
-    def snapshot(self) -> dict:
-        return self._snapshot
-
-
-def _export_merged_metrics(metrics: Optional[dict], args: argparse.Namespace) -> None:
-    """Write a sharded run's merged metric snapshot via the exporters."""
-    if metrics is None or not getattr(args, "metrics_out", None):
-        return
-    view = _SnapshotRegistry(metrics)
-    if args.metrics_out.endswith(".csv"):
-        count = export_metrics_csv(view, args.metrics_out)
-    else:
-        doc = export_metrics_json(view, args.metrics_out)
-        count = sum(len(section) for section in doc["metrics"].values())
-    print(f"wrote {count} merged metrics to {args.metrics_out}")
-
-
-def _reject_with_shards(args: argparse.Namespace, flags: dict) -> None:
-    """Fail fast on per-process flags that cannot cross shard workers."""
-    for flag, (value, default) in flags.items():
-        if value != default:
-            raise SystemExit(f"error: {flag} is not supported with --shards")
-
-
-def _sharded_summary_rows(run) -> list:
-    merged = run.doc["merged"]
-    rows = [
-        ("shards", run.n_shards),
-        ("workers", run.workers),
-        ("lookahead [ns]", run.lookahead_ns),
-        ("events", run.events),
-        ("sim time [ns]", run.sim_ns),
-        ("median latency [ns]", merged.get("median_ns", float("nan"))),
-        ("p99 latency [ns]", merged.get("p99_ns", float("nan"))),
-        ("merged fingerprint", run.fingerprint),
-    ]
-    return rows
-
-
-# ----------------------------------------------------------------------
-def _loopback_sharded(args: argparse.Namespace) -> int:
+    ``fields`` complete the spec from the command's flags; ``head`` and
+    ``tail`` are ``(label, key)`` rows of the merged document printed
+    around the shared sharding summary.
+    """
     from repro.shard import ScenarioSpec, run_sharded
 
     _kind(args.interface)  # validate before the spec does
-    _reject_with_shards(args, {
-        "--same-socket": (args.same_socket, False),
-        "--latency-factor": (args.latency_factor, 1.0),
-        "--bandwidth-factor": (args.bandwidth_factor, 1.0),
-        "--trace-out": (args.trace_out, None),
-        "--flight-out": (args.flight_out, None),
-        "--sanitize": (args.sanitize, None),
-        "--sanitize-out": (args.sanitize_out, None),
-    })
+    for flag, (dest, default) in _PER_PROCESS_FLAGS.items():
+        if getattr(args, dest, default) != default:
+            raise SystemExit(f"error: {flag} is not supported with --shards")
     _check_writable(args.metrics_out)
     _check_writable(args.timeline_out)
-    try:
-        spec = ScenarioSpec(
-            name=f"loopback_cli_{args.size}b",
-            workload="loopback",
-            platform=args.platform,
-            interface=args.interface,
-            pkt_size=args.size,
-            n_packets=args.packets,
-            inflight=None if args.rate else args.inflight,
-            offered_mpps=args.rate,
-            tx_batch=args.batch,
-            rx_batch=args.batch,
-            fault_plan=args.fault_plan,
-            fault_seed=args.fault_seed,
-            shards=args.shards,
-        ).validate()
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}")
+    spec = ScenarioSpec(
+        platform=args.platform,
+        interface=args.interface,
+        tx_batch=args.batch,
+        fault_plan=args.fault_plan,
+        fault_seed=args.fault_seed,
+        shards=args.shards,
+        **fields,
+    ).validate()
     run = run_sharded(
         spec, with_metrics=args.metrics_out is not None, progress=print,
         timeline_interval=(
@@ -565,64 +418,92 @@ def _loopback_sharded(args: argparse.Namespace) -> int:
         heartbeat_s=args.heartbeat,
     )
     merged = run.doc["merged"]
-    rows = [
-        ("received packets", merged["received"]),
-        ("dropped packets", merged["dropped"]),
-        ("throughput [Mpps]", merged["mpps"]),
-    ] + _sharded_summary_rows(run)
-    if args.fault_plan is not None:
-        rows.append(("faults injected", merged.get("injected", 0)))
+    rows = [(label, merged[key]) for label, key in head] + [
+        ("shards", run.n_shards),
+        ("workers", run.workers),
+        ("lookahead [ns]", run.lookahead_ns),
+        ("events", run.events),
+        ("sim time [ns]", run.sim_ns),
+        ("median latency [ns]", merged.get("median_ns", float("nan"))),
+        ("p99 latency [ns]", merged.get("p99_ns", float("nan"))),
+        ("merged fingerprint", run.fingerprint),
+    ] + [(label, merged.get(key, 0)) for label, key in tail]
+    print(format_table(["Metric", "Value"], rows, title=title))
+    return _write_reports(args, None, spec.to_doc(), spec.name,
+                          metrics=run.metrics, timeline=run.timeline)
+
+
+def _thread_study(args: argparse.Namespace, study, threads_header: str,
+                  title: str, config: dict, scenario: str) -> int:
+    """Run ``study(kind, obs, faults)`` per comparison point (kv / rpc).
+
+    ``--interface both`` runs the CX6 and CC-NIC points; ``study``
+    returns each point's (per-thread Mops, peak Mops, threads) row.
+    """
+    obs = _make_obs(args)
+    if args.interface == "both":
+        kinds = (InterfaceKind.CX6, InterfaceKind.CCNIC)
+    else:
+        kinds = (_kind(args.interface),)
+    rows = []
+    for kind in kinds:
+        point_obs = obs
+        if obs is not None and not kind.is_coherent and len(kinds) > 1:
+            # Observers cover one system only (the coherent point):
+            # mixing line addresses or windowed series from two systems
+            # would corrupt the thrash table, the happens-before state
+            # and the per-series rings. Metrics and the tracer cover both.
+            point_obs = obs.replace(flight=None, sanitizer=None, timeline=None)
+        # Fresh injector per comparison point: one-shot NIC events and
+        # the RNG stream must not be shared between the two systems.
+        faults, _recovery = _make_faults(args)
+        try:
+            rows.append((kind.value, *study(kind, point_obs, faults)))
+        except SanitizerError as exc:
+            return _sanitizer_failed(exc, args, obs, config, scenario)
     print(format_table(
-        ["Metric", "Value"],
+        ["Interface", "Per-thread [Mops]", "Peak [Mops]", threads_header],
         rows,
-        title=f"{args.interface} sharded loopback, {args.size}B packets "
-              f"on {args.platform}",
+        title=title,
     ))
-    _export_merged_metrics(run.metrics, args)
-    _export_merged_timeline(run.timeline, args)
-    return 0
+    return _write_reports(args, obs, config, scenario)
 
 
+# ----------------------------------------------------------------------
 def cmd_loopback(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards > 1:
-        return _loopback_sharded(args)
-    spec = _platform(args.platform)
-    kind = _kind(args.interface)
+        return _run_sharded(
+            args,
+            f"{args.interface} sharded loopback, {args.size}B packets "
+            f"on {args.platform}",
+            head=(("received packets", "received"),
+                  ("dropped packets", "dropped"),
+                  ("throughput [Mpps]", "mpps")),
+            tail=(
+                (("faults injected", "injected"),)
+                if args.fault_plan is not None else ()
+            ),
+            name=f"loopback_cli_{args.size}b",
+            workload="loopback",
+            pkt_size=args.size,
+            n_packets=args.packets,
+            inflight=None if args.rate else args.inflight,
+            offered_mpps=args.rate,
+            rx_batch=args.batch,
+        )
     obs = _make_obs(args)
     faults, recovery = _make_faults(args)
-    setup = build_interface(
-        spec,
-        kind,
-        same_socket=args.same_socket,
-        link_latency_factor=args.latency_factor,
-        link_bandwidth_factor=args.bandwidth_factor,
-        obs=obs,
-        faults=faults,
-    )
-    sanitize_config = {
-        "command": "loopback", "platform": spec.name, "interface": kind.value,
-        "pkt_size": args.size, "n_packets": args.packets,
-        "mode": getattr(args, "sanitize", None) or "on",
-    }
+    config = _point_config(args)
+    scenario = f"loopback_cli_{args.size}b"
     try:
-        with _maybe_trace_fabric(obs, setup.system.fabric):
-            result = run_point(
-                setup,
-                pkt_size=args.size,
-                n_packets=args.packets,
-                inflight=None if args.rate else args.inflight,
-                offered_mpps=args.rate,
-                tx_batch=args.batch,
-                rx_batch=args.batch,
-                obs=obs,
-                recovery=recovery,
-            )
+        setup, result = _loopback_point(
+            args, obs, faults, recovery,
+            same_socket=args.same_socket,
+            link_latency_factor=args.latency_factor,
+            link_bandwidth_factor=args.bandwidth_factor,
+        )
     except SanitizerError as exc:
-        _print_sanitizer_error(exc)
-        _report_sanitizer(obs, args, sanitize_config,
-                          scenario=f"loopback_cli_{args.size}b")
-        return 2
-    _finish_timeline(obs, setup)
+        return _sanitizer_failed(exc, args, obs, config, scenario)
     d0, d1 = wire_bytes_per_packet(setup, result)
     rows = [
         ("received packets", result.received),
@@ -639,39 +520,18 @@ def cmd_loopback(args: argparse.Namespace) -> int:
     print(format_table(
         ["Metric", "Value"],
         rows,
-        title=f"{kind.value} loopback, {args.size}B packets on {spec.name}",
+        title=f"{args.interface} loopback, {args.size}B packets on {args.platform}",
     ))
-    _export_obs(obs, args)
-    scenario = f"loopback_cli_{args.size}b"
-    _export_flight(obs, args, config={
-        "command": "loopback", "platform": spec.name, "interface": kind.value,
-        "pkt_size": args.size, "n_packets": args.packets,
-    }, scenario=scenario)
-    _export_timeline(obs, args, scenario=scenario)
-    return _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
+    return _write_reports(args, obs, config, scenario)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Fault-injection smoke run: canned plan, loopback, full summary."""
-    spec = _platform(args.platform)
-    kind = _kind(args.interface)
     obs = _make_obs(args)
     if args.fault_plan is None:
         args.fault_plan = "canned"
     faults, recovery = _make_faults(args)
-    setup = build_interface(spec, kind, obs=obs, faults=faults)
-    with _maybe_trace_fabric(obs, setup.system.fabric):
-        result = run_point(
-            setup,
-            pkt_size=args.size,
-            n_packets=args.packets,
-            inflight=args.inflight,
-            tx_batch=args.batch,
-            rx_batch=args.batch,
-            obs=obs,
-            recovery=recovery,
-        )
-    _finish_timeline(obs, setup)
+    setup, result = _loopback_point(args, obs, faults, recovery)
     completed = result.received + result.dropped
     rows = [
         ("plan", faults.plan.name),
@@ -686,10 +546,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
     print(format_table(
         ["Metric", "Value"],
         rows,
-        title=f"{kind.value} fault injection on {spec.name}",
+        title=f"{args.interface} fault injection on {args.platform}",
     ))
-    _export_obs(obs, args)
-    _export_timeline(obs, args, scenario=f"faults_cli_{faults.plan.name}")
+    _write_reports(args, obs, _point_config(args), f"faults_cli_{faults.plan.name}")
     if completed < args.packets or result.received == 0:
         print("FAIL: run did not recover (incomplete window or zero goodput)")
         return 1
@@ -697,7 +556,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_microbench(args: argparse.Namespace) -> int:
-    spec = _platform(args.platform)
+    spec = PLATFORMS[args.platform]()
     print(format_table(
         ["Access target", "Latency [ns]"],
         list(access_latency_cases(spec).items()),
@@ -737,16 +596,10 @@ def cmd_microbench(args: argparse.Namespace) -> int:
 
 
 def cmd_counters(args: argparse.Namespace) -> int:
-    spec = _platform(args.platform)
-    kind = _kind(args.interface)
     # This command always runs with a live registry: the table below is
     # read from the registry's "fabric" section, not the fabric object.
     obs = _make_obs(args, force_metrics=True)
-    setup = build_interface(spec, kind, obs=obs)
-    with _maybe_trace_fabric(obs, setup.system.fabric):
-        result = run_point(setup, args.size, args.packets, inflight=args.inflight,
-                           tx_batch=args.batch, rx_batch=args.batch, obs=obs)
-    _finish_timeline(obs, setup)
+    setup, result = _loopback_point(args, obs)
     counters = obs.metrics.snapshot().get("fabric", {})
     nic = setup.system.nic_socket
     rows = [
@@ -757,159 +610,73 @@ def cmd_counters(args: argparse.Namespace) -> int:
     print(format_table(
         ["NIC-socket transaction", "per packet"],
         rows,
-        title=f"{kind.value} batched {args.size}B loopback "
+        title=f"{args.interface} batched {args.size}B loopback "
               f"({result.received} packets)",
     ))
-    _export_obs(obs, args)
-    _export_timeline(obs, args, scenario=f"counters_cli_{args.size}b")
-    return 0
-
-
-def _kv_sharded(args: argparse.Namespace) -> int:
-    from repro.shard import ScenarioSpec, run_sharded
-
-    if args.interface == "both":
-        raise SystemExit(
-            "error: --shards runs one comparison point; pick --interface "
-            "ccnic/unopt/e810/cx6"
-        )
-    _kind(args.interface)
-    _reject_with_shards(args, {
-        "--trace-out": (args.trace_out, None),
-        "--flight-out": (args.flight_out, None),
-        "--sanitize": (args.sanitize, None),
-        "--sanitize-out": (args.sanitize_out, None),
-    })
-    _check_writable(args.metrics_out)
-    _check_writable(args.timeline_out)
-    try:
-        spec = ScenarioSpec(
-            name=f"kv_cli_{args.distribution}",
-            workload="kv",
-            platform=args.platform,
-            interface=args.interface,
-            distribution=args.distribution,
-            n_ops=args.packets,
-            tx_batch=args.batch,
-            fault_plan=args.fault_plan,
-            fault_seed=args.fault_seed,
-            shards=args.shards,
-        ).validate()
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}")
-    run = run_sharded(
-        spec, with_metrics=args.metrics_out is not None, progress=print,
-        timeline_interval=(
-            args.timeline_interval if args.timeline_out is not None else None
-        ),
-        heartbeat_s=args.heartbeat,
-    )
-    merged = run.doc["merged"]
-    rows = [
-        ("completed ops", merged["ops"]),
-        ("throughput [Mops]", merged["mops"]),
-    ] + _sharded_summary_rows(run)
-    print(format_table(
-        ["Metric", "Value"],
-        rows,
-        title=f"{args.interface} sharded KV store ({args.distribution}) "
-              f"on {args.platform}",
-    ))
-    _export_merged_metrics(run.metrics, args)
-    _export_merged_timeline(run.timeline, args)
-    return 0
-
-
-def _study_kinds(args: argparse.Namespace) -> tuple:
-    """Comparison points a thread study runs, per ``--interface``."""
-    if args.interface == "both":
-        return (InterfaceKind.CX6, InterfaceKind.CCNIC)
-    return (_kind(args.interface),)
+    return _write_reports(args, obs, _point_config(args),
+                          f"counters_cli_{args.size}b")
 
 
 def cmd_kv(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards > 1:
-        return _kv_sharded(args)
+        if args.interface == "both":
+            raise SystemExit(
+                "error: --shards runs one comparison point; pick --interface "
+                "ccnic/unopt/e810/cx6"
+            )
+        return _run_sharded(
+            args,
+            f"{args.interface} sharded KV store ({args.distribution}) "
+            f"on {args.platform}",
+            head=(("completed ops", "ops"), ("throughput [Mops]", "mops")),
+            name=f"kv_cli_{args.distribution}",
+            workload="kv",
+            distribution=args.distribution,
+            n_ops=args.packets,
+        )
     from repro.apps.kvstore import KvWorkload, kv_thread_study
 
-    spec = _platform(args.platform)
+    spec = PLATFORMS[args.platform]()
     workload = KvWorkload.ads() if args.distribution == "ads" else KvWorkload.geo()
-    obs = _make_obs(args)
-    scenario = f"kv_cli_{args.distribution}"
-    sanitize_config = {
+
+    def study(kind, obs, faults):
+        point = kv_thread_study(
+            spec, kind, workload, n_ops=args.packets, batch=args.batch,
+            obs=obs, faults=faults,
+        )
+        return point.per_thread_mops, point.peak_mops, point.threads_to_saturate(spec)
+
+    config = {
         "command": "kv", "platform": spec.name, "interface": args.interface,
         "distribution": args.distribution, "n_ops": args.packets,
-        "mode": getattr(args, "sanitize", None) or "on",
     }
-    rows = []
-    kinds = _study_kinds(args)
-    for kind in kinds:
-        # Fresh injector per comparison point: one-shot NIC events and
-        # the RNG stream must not be shared between the two systems.
-        faults, _recovery = _make_faults(args)
-        try:
-            study = kv_thread_study(
-                spec, kind, workload, n_ops=args.packets, batch=args.batch,
-                obs=_point_obs(obs, kind, kinds), faults=faults,
-            )
-        except SanitizerError as exc:
-            _print_sanitizer_error(exc)
-            _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
-            return 2
-        rows.append((kind.value, study.per_thread_mops, study.peak_mops,
-                     study.threads_to_saturate(spec)))
-    print(format_table(
-        ["Interface", "Per-thread [Mops]", "Peak [Mops]", "Threads to saturate"],
-        rows,
-        title=f"KV store ({args.distribution}) on {spec.name}",
-    ))
-    _export_obs(obs, args)
-    _export_flight(obs, args, config={
-        "command": "kv", "platform": spec.name, "interface": args.interface,
-        "distribution": args.distribution, "n_ops": args.packets,
-    }, scenario=scenario)
-    _export_timeline(obs, args, scenario=scenario)
-    return _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
+    return _thread_study(
+        args, study, "Threads to saturate",
+        f"KV store ({args.distribution}) on {spec.name}",
+        config, f"kv_cli_{args.distribution}",
+    )
 
 
 def cmd_rpc(args: argparse.Namespace) -> int:
     from repro.apps.tas import rpc_thread_study
 
-    spec = _platform(args.platform)
-    obs = _make_obs(args)
-    scenario = "rpc_cli"
-    sanitize_config = {
-        "command": "rpc", "platform": spec.name, "interface": args.interface,
-        "n_ops": args.packets, "mode": getattr(args, "sanitize", None) or "on",
-    }
-    rows = []
-    kinds = _study_kinds(args)
-    for kind in kinds:
-        # Fresh injector per comparison point (see cmd_kv).
-        faults, _recovery = _make_faults(args)
-        try:
-            study = rpc_thread_study(
-                spec, kind, n_ops=args.packets, batch=args.batch,
-                obs=_point_obs(obs, kind, kinds), faults=faults,
-            )
-        except SanitizerError as exc:
-            _print_sanitizer_error(exc)
-            _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
-            return 2
-        rows.append((kind.value, study.per_thread_mops, study.peak_mops,
-                     study.threads_to_saturate()))
-    print(format_table(
-        ["Interface", "Per-thread [Mops]", "Peak [Mops]", "Threads for 95%"],
-        rows,
-        title=f"TCP echo RPC (TAS-like) on {spec.name}",
-    ))
-    _export_obs(obs, args)
-    _export_flight(obs, args, config={
+    spec = PLATFORMS[args.platform]()
+
+    def study(kind, obs, faults):
+        point = rpc_thread_study(
+            spec, kind, n_ops=args.packets, batch=args.batch, obs=obs,
+            faults=faults,
+        )
+        return point.per_thread_mops, point.peak_mops, point.threads_to_saturate()
+
+    config = {
         "command": "rpc", "platform": spec.name, "interface": args.interface,
         "n_ops": args.packets,
-    }, scenario=scenario)
-    _export_timeline(obs, args, scenario=scenario)
-    return _report_sanitizer(obs, args, sanitize_config, scenario=scenario)
+    }
+    return _thread_study(
+        args, study, "Threads for 95%", f"TCP echo RPC (TAS-like) on {spec.name}",
+        config, "rpc_cli",
+    )
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -922,12 +689,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         run_profile,
     )
 
-    spec = _platform(args.platform)
     kind = _kind(args.interface)
     obs = _make_obs(args)
     scenario = f"profile_cli_{kind.value}"
     run = run_profile(
-        spec,
+        PLATFORMS[args.platform](),
         kind,
         pkt_size=args.size,
         n_packets=args.packets,
@@ -941,7 +707,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     report = run.report
     print(
-        f"{kind.value} profile on {spec.name}: {run.result.received} packets, "
+        f"{kind.value} profile on {args.platform}: {run.result.received} packets, "
         f"{run.result.mpps:.2f} Mpps, median latency "
         f"{run.result.latency.median:.0f} ns\n"
     )
@@ -954,14 +720,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(format_homing_audit(report))
     print()
     print(format_sample_waterfall(report))
-    if args.flight_out:
-        export_flight_json(report, args.flight_out)
-        print(f"wrote flight report to {args.flight_out}")
-    if obs is not None:
-        obs = obs.replace(flight=run.recorder)
-    _export_obs(obs, args)
-    _export_timeline(obs, args, scenario=scenario)
-    return 0
+    # The trace's flight counter tracks come from the run's own recorder.
+    obs = (obs or OBS_OFF).replace(flight=run.recorder)
+    return _write_reports(args, obs, report["config"], scenario, flight=report)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -979,7 +740,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_forwarding(args: argparse.Namespace) -> int:
     from repro.apps.forwarding import forwarding_study
 
-    spec = _platform(args.platform)
+    spec = PLATFORMS[args.platform]()
     results = forwarding_study(spec, pkt_size=args.size, n_packets=args.packets)
     rows = [
         (mode, r.mpps, r.wire_bytes_per_pkt, r.latency.median)
@@ -1037,8 +798,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         # Fail before any scenario runs: a worker count wider than a
         # scenario's fixed partition cannot be satisfied, only silently
         # clamped — which would misreport the benchmark configuration.
-        if args.shards < 1:
-            raise SystemExit("error: --shards must be >= 1")
         for name in scenarios:
             width = scenario(name).shards
             if args.shards > width:
@@ -1046,13 +805,10 @@ def cmd_perf(args: argparse.Namespace) -> int:
                     f"error: --shards {args.shards} exceeds the fixed "
                     f"partition of scenario {name!r} ({width} shard(s))"
                 )
-    try:
-        doc = perf.run_suite(
-            scenarios, quick=args.quick, compare=compare, repeat=args.repeat,
-            progress=print, shards=args.shards,
-        )
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}")
+    doc = perf.run_suite(
+        scenarios, quick=args.quick, compare=compare, repeat=args.repeat,
+        progress=print, shards=args.shards,
+    )
     rows = []
     for name, entry in doc["scenarios"].items():
         speedup = entry.get("speedup")
@@ -1110,7 +866,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs.timeline import run_watchdogs
 
     if args.load is not None:
-        doc = load_timeline_json(args.load)
+        doc = load_doc(args.load, TIMELINE_SCHEMA)
         title = doc.get("scenario") or args.load
     else:
         import repro.topology  # noqa: F401  registers the rack scenarios
@@ -1158,7 +914,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     else:
         print("watchdogs: no findings")
     if args.out:
-        export_timeline_json(doc, args.out)
+        export_doc(doc, args.out)
         print(f"wrote timeline to {args.out}")
     return 0
 
@@ -1171,7 +927,6 @@ def _cmd_check_model(args: argparse.Namespace) -> int:
         replay_counterexample,
     )
     from repro.errors import ModelCheckError
-    from repro.obs.export import export_model_json
 
     if args.mutate is not None and args.mutate not in MUTATIONS:
         known = ", ".join(sorted(MUTATIONS))
@@ -1181,7 +936,7 @@ def _cmd_check_model(args: argparse.Namespace) -> int:
     report = check_model(mutation=args.mutate)
     print(format_model_summary(report))
     if args.model_out:
-        export_model_json(report, args.model_out)
+        export_doc(report, args.model_out)
         print(f"wrote model report to {args.model_out}")
     if args.mutate is None:
         return 0 if report["ok"] else 1
@@ -1226,7 +981,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         format_lint_summary,
         run_lint,
     )
-    from repro.obs.export import export_lint_json
 
     status = 0
     ran_subcheck = False
@@ -1247,10 +1001,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print()
         print(format_lint_findings(report, limit=args.limit))
     if args.json:
-        export_lint_json(
-            report.as_report(config={"root": root}),
-            args.json,
-        )
+        export_doc(report.as_report(config={"root": root}), args.json)
         print(f"wrote lint report to {args.json}")
     return 0 if report.ok else 1
 
@@ -1265,6 +1016,110 @@ def cmd_table1(_args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+# Flag blocks shared by the run commands
+# ----------------------------------------------------------------------
+def _run_flags(**overrides) -> argparse.ArgumentParser:
+    """The flag block every run command shares, defined once.
+
+    Returned as an argparse *parent* parser: loopback, profile, faults,
+    counters, kv and rpc inherit identical spellings and defaults for
+    the platform, interface, counts, batch and report destinations.
+    Per-command defaults are overridden via ``set_defaults`` — argparse
+    gives a parent's ``set_defaults`` precedence over the inherited
+    ``add_argument`` defaults, so e.g. ``faults`` keeps its 256B/6000-
+    packet shape without re-declaring any flag.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--platform", default="icx", choices=["icx", "spr"])
+    parent.add_argument("--interface", default="ccnic",
+                        help="comparison point (ccnic/unopt/e810/cx6)")
+    parent.add_argument("--packets", type=_COUNT, default=5000, metavar="N",
+                        help="packets (or RPC ops) to run")
+    parent.add_argument("--batch", type=_COUNT, default=32, metavar="N",
+                        help="tx/rx burst size")
+    parent.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help="write a metric-registry snapshot (CSV if FILE ends in .csv, else JSON)",
+    )
+    parent.add_argument(
+        "--trace-out", default=None, metavar="FILE",
+        help="write the span timeline in Chrome trace format",
+    )
+    parent.add_argument(
+        "--timeline-out", default=None, metavar="FILE",
+        help="write the windowed timeline document "
+             "(JSON, repro.obs/timeline-v1)",
+    )
+    parent.add_argument(
+        "--timeline-interval", type=_AMOUNT, default=DEFAULT_INTERVAL_NS,
+        metavar="NS",
+        help="timeline window width in simulated nanoseconds "
+             f"(default {DEFAULT_INTERVAL_NS:.0f})",
+    )
+    parent.set_defaults(**overrides)
+    return parent
+
+
+def _packet_flags(**overrides) -> argparse.ArgumentParser:
+    """:func:`_run_flags` plus the packet shape of the loopback runs."""
+    parent = argparse.ArgumentParser(add_help=False, parents=[_run_flags()])
+    parent.add_argument("--size", type=_COUNT, default=64, metavar="BYTES",
+                        help="packet size in bytes")
+    parent.add_argument("--inflight", type=_COUNT, default=64, metavar="N",
+                        help="closed-loop window depth")
+    parent.set_defaults(**overrides)
+    return parent
+
+
+def _add_shard_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--shards", type=_COUNT, default=None, metavar="N",
+        help="partition the run into N per-queue-pair shards and execute "
+             "them across worker processes (merged metrics are bit-identical "
+             "for any worker count)",
+    )
+
+
+def _add_heartbeat_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--heartbeat", type=_AMOUNT, default=None, metavar="SEC",
+        help="print a wall-clock progress line to stderr every SEC seconds "
+             "while shards run (operator-only; never touches results)",
+    )
+
+
+def _add_flight_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--flight-out", default=None, metavar="FILE",
+        help="write the cache-line flight-recorder report (JSON)",
+    )
+
+
+def _add_sanitize_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--sanitize", nargs="?", const="on", choices=["on", "strict"],
+        default=None,
+        help="attach the protocol sanitizer "
+             "('strict' raises on the first violation)",
+    )
+    sub.add_argument(
+        "--sanitize-out", default=None, metavar="FILE",
+        help="write the sanitizer report (JSON, repro.check/sanitize-v1)",
+    )
+
+
+def _add_fault_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--fault-plan", default=None, metavar="FILE",
+        help="inject faults from a JSON/TOML plan ('canned' for the built-in)",
+    )
+    sub.add_argument(
+        "--fault-seed", type=int, default=0, metavar="N",
+        help="seed for the fault injector's RNG stream",
+    )
+
+
+# ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1273,40 +1128,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lb = sub.add_parser("loopback", help="loopback latency/throughput",
-                        parents=[_run_flags()])
-    lb.add_argument("--rate", type=float, default=None,
+                        parents=[_packet_flags()])
+    lb.add_argument("--rate", type=_AMOUNT, default=None,
                     help="offered rate in Mpps (open loop)")
     lb.add_argument("--same-socket", action="store_true")
-    lb.add_argument("--latency-factor", type=float, default=1.0)
-    lb.add_argument("--bandwidth-factor", type=float, default=1.0)
+    lb.add_argument("--latency-factor", type=_AMOUNT, default=1.0)
+    lb.add_argument("--bandwidth-factor", type=_AMOUNT, default=1.0)
     _add_shard_args(lb)
     _add_heartbeat_arg(lb)
-    _add_obs_args(lb)
     _add_fault_args(lb)
     _add_flight_args(lb)
     _add_sanitize_args(lb)
     lb.set_defaults(func=cmd_loopback)
 
     pr = sub.add_parser("profile", help="flight-recorder critical-path profile",
-                        parents=[_run_flags(packets=3000)])
-    pr.add_argument("--sample-every", type=int, default=1, metavar="N",
+                        parents=[_packet_flags(packets=3000)])
+    pr.add_argument("--sample-every", type=_COUNT, default=1, metavar="N",
                     help="trace every Nth packet's critical path")
-    pr.add_argument("--top", type=int, default=10, metavar="N",
+    pr.add_argument("--top", type=_COUNT, default=10, metavar="N",
                     help="rows in the thrashing-lines table")
-    _add_obs_args(pr)
     _add_flight_args(pr)
     pr.set_defaults(func=cmd_profile)
 
     # Fault runs span the recovery windows (~10x a clean loopback's
     # simulated time), so their default window is coarser.
     fl = sub.add_parser("faults", help="fault-injection loopback study",
-                        parents=[_run_flags(size=256, packets=6000,
-                                            timeline_interval=2000.0)])
+                        parents=[_packet_flags(size=256, packets=6000,
+                                               timeline_interval=2000.0)])
     fl.add_argument(
         "--only", action="append", metavar="KIND", choices=list(FAULT_KINDS),
         help="restrict the plan to these fault kinds (repeatable)",
     )
-    _add_obs_args(fl)
     _add_fault_args(fl)
     fl.set_defaults(func=cmd_faults)
 
@@ -1315,8 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     mb.set_defaults(func=cmd_microbench)
 
     ct = sub.add_parser("counters", help="Fig 17 coherence counters",
-                        parents=[_run_flags(packets=4000, inflight=128)])
-    _add_obs_args(ct)
+                        parents=[_packet_flags(packets=4000, inflight=128)])
     ct.set_defaults(func=cmd_counters)
 
     # The app studies probe a single fast-path thread for a few tens of
@@ -1326,11 +1177,10 @@ def build_parser() -> argparse.ArgumentParser:
                         parents=[_run_flags(interface="both", packets=2000,
                                             timeline_interval=500.0)])
     kv.add_argument("--distribution", default="ads", choices=["ads", "geo"])
-    kv.add_argument("--ops", dest="packets", type=int, metavar="N",
+    kv.add_argument("--ops", dest="packets", type=_COUNT, metavar="N",
                     help="alias for --packets (RPC op count)")
     _add_shard_args(kv)
     _add_heartbeat_arg(kv)
-    _add_obs_args(kv)
     _add_fault_args(kv)
     _add_flight_args(kv)
     _add_sanitize_args(kv)
@@ -1339,9 +1189,8 @@ def build_parser() -> argparse.ArgumentParser:
     rpc = sub.add_parser("rpc", help="TCP RPC thread study",
                          parents=[_run_flags(interface="both", packets=2000,
                                              timeline_interval=500.0)])
-    rpc.add_argument("--ops", dest="packets", type=int, metavar="N",
+    rpc.add_argument("--ops", dest="packets", type=_COUNT, metavar="N",
                      help="alias for --packets (RPC op count)")
-    _add_obs_args(rpc)
     _add_fault_args(rpc)
     _add_flight_args(rpc)
     _add_sanitize_args(rpc)
@@ -1372,7 +1221,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out", default="BENCH_sim_perf.json", metavar="FILE")
     pf.add_argument("--baseline", default="benchmarks/perf/baseline.json",
                     metavar="FILE")
-    pf.add_argument("--repeat", type=int, default=1, metavar="N",
+    pf.add_argument("--repeat", type=_COUNT, default=1, metavar="N",
                     help="time each scenario N times, keep the fastest "
                          "(repeats must fingerprint identically)")
     pf.add_argument("--tolerance", type=float, default=0.30, metavar="FRAC",
@@ -1391,11 +1240,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tm.add_argument("--scenario", default="faults_canned", metavar="NAME",
                     help="registered scenario to run (default: faults_canned)")
-    tm.add_argument("--workers", type=int, default=None, metavar="N",
+    tm.add_argument("--workers", type=_COUNT, default=None, metavar="N",
                     help="worker processes for the sharded run")
     tm.add_argument("--quick", action="store_true",
                     help="small scenario sizes (CI smoke)")
-    tm.add_argument("--interval", type=float, default=DEFAULT_INTERVAL_NS,
+    tm.add_argument("--interval", type=_AMOUNT, default=DEFAULT_INTERVAL_NS,
                     metavar="NS",
                     help="window width in simulated nanoseconds "
                          f"(default {DEFAULT_INTERVAL_NS:.0f})")
@@ -1415,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="package root to lint (default: installed repro)")
     ck.add_argument("--json", default=None, metavar="FILE",
                     help="write the lint report (JSON, repro.check/lint-v1)")
-    ck.add_argument("--limit", type=int, default=50, metavar="N",
+    ck.add_argument("--limit", type=_COUNT, default=50, metavar="N",
                     help="max findings rows to print (default 50)")
     ck.add_argument("--model", action="store_true",
                     help="run the small-scope protocol model checker")
@@ -1432,12 +1281,12 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="NAME",
                     help="scenario to explore (repeatable; default "
                          "loopback_64b and kv_zipf)")
-    ck.add_argument("--explore-ops", type=int, default=None, metavar="N",
+    ck.add_argument("--explore-ops", type=_COUNT, default=None, metavar="N",
                     help="operations per explored scenario run")
     ck.add_argument("--explore-deviations", type=int, default=None,
                     metavar="N",
                     help="max deviations from the canonical schedule")
-    ck.add_argument("--explore-max-schedules", type=int, default=None,
+    ck.add_argument("--explore-max-schedules", type=_COUNT, default=None,
                     metavar="N",
                     help="cap on explored schedules per scenario")
     ck.set_defaults(func=cmd_check)
@@ -1452,8 +1301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fwd = sub.add_parser("forwarding", help="§6 network-function study")
     fwd.add_argument("--platform", default="icx", choices=["icx", "spr"])
-    fwd.add_argument("--size", type=int, default=1500)
-    fwd.add_argument("--packets", type=int, default=2000)
+    fwd.add_argument("--size", type=_COUNT, default=1500)
+    fwd.add_argument("--packets", type=_COUNT, default=2000)
     fwd.set_defaults(func=cmd_forwarding)
     return parser
 
@@ -1466,6 +1315,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early; not an error.
         return 0
+    except (ConfigError, WorkloadError, FaultError, OSError) as exc:
+        # Bad specs, plans and files end in one error line, not a traceback.
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -280,7 +280,14 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
-        """Load a plan file; ``.toml`` parses as TOML, anything else JSON."""
+        """The plan a CLI flag or scenario spec names.
+
+        ``"canned"`` is the built-in :meth:`canned` plan; anything else
+        is a plan file, parsed as TOML when it ends in ``.toml`` and as
+        JSON otherwise.
+        """
+        if path == "canned":
+            return cls.canned()
         try:
             with open(path) as fh:
                 text = fh.read()

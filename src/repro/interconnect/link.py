@@ -92,9 +92,8 @@ class LinkStats:
     def snapshot(self) -> Dict:
         """The canonical dict form of one direction's counters.
 
-        Every consumer of per-direction stats — shard snapshots, the
-        topology per-edge export — uses this shape, so the keys are part
-        of the merged-document fingerprint contract:
+        Shard snapshots carry per-direction stats in this shape, so the
+        keys are part of the merged-document fingerprint contract:
         ``messages``/``payload``/``wire``/``busy`` merge as sums and the
         two ``*_class`` maps merge key-wise (see
         :func:`repro.shard.merge._merge_link`).
@@ -107,10 +106,6 @@ class LinkStats:
             "by_class": self.by_class,
             "wire_by_class": self.wire_by_class,
         }
-
-    def to_doc(self) -> Dict:
-        """Alias of :meth:`snapshot` (JSON-safe plain dict)."""
-        return self.snapshot()
 
 
 class Link:

@@ -26,23 +26,29 @@ Observers never change which code path runs. The pieces:
   path, so recorded runs stay fingerprint-identical.
 * :class:`TimelineSampler` — windowed series over virtual time, with
   watchdog findings.
-* Exporters — serialize a whole run to JSON or CSV, and dump span
-  timelines in Chrome trace format (load via ``chrome://tracing`` or
-  https://ui.perfetto.dev), with flight counter tracks merged in.
+* Exporters — one stamped-JSON writer/loader pair for every report
+  (:func:`export_doc` / :func:`load_doc`), a CSV form of metric
+  snapshots, and span timelines in Chrome trace format (load via
+  ``chrome://tracing`` or https://ui.perfetto.dev), with flight counter
+  tracks merged in.
 
 Typical wiring (the CLI's ``--metrics-out`` / ``--trace-out`` /
 ``--flight-out`` flags do exactly this)::
 
     from repro.obs import FlightRecorder, MetricRegistry, Observability
-    from repro.obs import SpanTracer, export_chrome_trace, export_metrics_json
+    from repro.obs import SpanTracer, export_chrome_trace, export_doc, metrics_doc
 
     obs = Observability(
         metrics=MetricRegistry(), tracer=SpanTracer(), flight=FlightRecorder()
     )
     setup = build_interface(icx(), InterfaceKind.CCNIC, obs=obs)
     run_point(setup, 64, 5000, obs=obs)
-    export_metrics_json(obs.metrics, "metrics.json")
+    export_doc(metrics_doc(obs.metrics.snapshot()), "metrics.json")
+    export_doc(obs.flight.report(), "flight.json")
     export_chrome_trace(obs.tracer, "trace.json", flight=obs.flight)
+
+:func:`load_doc` reads any of those reports back, given the stamp it
+expects (``load_doc("flight.json", FLIGHT_SCHEMA)``).
 
 By default every component carries the shared no-op
 :data:`~repro.obs.instrument.OBS_OFF` bundle: nothing is recorded and
@@ -69,20 +75,15 @@ from repro.obs.spans import Span, SpanTracer
 from repro.obs.flight import FlightRecorder, classify_region
 from repro.obs.waterfall import STAGES, PacketWaterfall, WaterfallStats
 from repro.obs.export import (
+    FLIGHT_SCHEMA,
+    METRICS_SCHEMA,
     TIMELINE_SCHEMA,
     export_chrome_trace,
-    export_flight_json,
-    export_lint_json,
+    export_doc,
     export_metrics_csv,
-    export_metrics_json,
-    export_sanitize_json,
-    export_timeline_json,
-    load_flight_json,
-    load_lint_json,
+    load_doc,
     load_metrics_csv,
-    load_metrics_json,
-    load_sanitize_json,
-    load_timeline_json,
+    metrics_doc,
     metrics_rows,
 )
 from repro.obs.timeline import (
@@ -99,12 +100,14 @@ from repro.obs.wire import instrument_all
 __all__ = [
     "CounterMetric",
     "DEFAULT_WATCHDOGS",
+    "FLIGHT_SCHEMA",
     "FlightRecorder",
     "GaugeMetric",
     "HistogramMetric",
     "Instrumented",
     "LatencyRegressionRule",
     "LinkSaturationRule",
+    "METRICS_SCHEMA",
     "MetricRegistry",
     "NULL_METRIC",
     "NullMetric",
@@ -123,19 +126,12 @@ __all__ = [
     "classify_region",
     "merge_snapshots",
     "export_chrome_trace",
-    "export_flight_json",
-    "export_lint_json",
+    "export_doc",
     "export_metrics_csv",
-    "export_metrics_json",
-    "export_sanitize_json",
-    "export_timeline_json",
     "instrument_all",
-    "load_flight_json",
-    "load_lint_json",
+    "load_doc",
     "load_metrics_csv",
-    "load_metrics_json",
-    "load_sanitize_json",
-    "load_timeline_json",
+    "metrics_doc",
     "metrics_rows",
     "run_watchdogs",
     "timeline_counter_tracks",

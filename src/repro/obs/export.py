@@ -1,11 +1,14 @@
-"""Serialize a run's telemetry to JSON, CSV and Chrome trace format.
+"""Serialize a run's reports to stamped JSON, CSV and Chrome trace format.
 
-Metrics exports carry a ``schema`` marker so loaders can reject files
-from incompatible versions. CSV uses one flat row per metric
-(``component,metric,value``) so snapshots diff cleanly and load into
-pandas/spreadsheets; JSON preserves the nested
+Every JSON report carries a ``schema`` stamp, and one pair of functions
+writes and reads all of them: :func:`export_doc` refuses a document
+whose stamp it does not know, and :func:`load_doc` refuses a file that
+is not JSON or carries another stamp. Metric snapshots are stamped by
+:func:`metrics_doc`, which preserves the nested
 ``{component: {metric: value}}`` shape of
-:meth:`~repro.obs.registry.MetricRegistry.snapshot`.
+:meth:`~repro.obs.registry.MetricRegistry.snapshot`; the CSV form is one
+flat ``component,metric,value`` row per metric, so snapshots diff
+cleanly and load into pandas/spreadsheets.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import csv
 import json
 from typing import Any, Dict, List, Tuple
+
+from repro.errors import ConfigError
 
 METRICS_SCHEMA = "repro.obs/metrics-v1"
 
@@ -22,46 +27,66 @@ SANITIZE_SCHEMA = "repro.check/sanitize-v1"
 
 LINT_SCHEMA = "repro.check/lint-v1"
 
-TOPOLOGY_SCHEMA = "repro.topology/stats-v1"
-
 TIMELINE_SCHEMA = "repro.obs/timeline-v1"
 
 MODEL_SCHEMA = "repro.check/model-v1"
 
+#: Every stamp :func:`export_doc` writes.
+SCHEMAS = (
+    METRICS_SCHEMA, FLIGHT_SCHEMA, SANITIZE_SCHEMA, LINT_SCHEMA,
+    TIMELINE_SCHEMA, MODEL_SCHEMA,
+)
 
-def metrics_rows(registry) -> List[Tuple[str, str, float]]:
-    """Flatten a registry snapshot into sorted (component, metric, value) rows."""
-    rows: List[Tuple[str, str, float]] = []
-    for component, section in registry.snapshot().items():
-        for name, value in section.items():
-            rows.append((component, name, value))
-    rows.sort()
-    return rows
+Snapshot = Dict[str, Dict[str, float]]
 
 
-def export_metrics_json(registry, path: str) -> Dict[str, Any]:
-    """Write the registry snapshot as schema-wrapped JSON; returns the doc."""
-    doc = {"schema": METRICS_SCHEMA, "metrics": registry.snapshot()}
+def metrics_doc(snapshot: Snapshot) -> Dict[str, Any]:
+    """Stamp a live registry's or a merged run's metric snapshot."""
+    return {"schema": METRICS_SCHEMA, "metrics": snapshot}
+
+
+def export_doc(doc: Dict[str, Any], path: str) -> Dict[str, Any]:
+    """Write a stamped report as JSON; returns the doc.
+
+    Reports come stamped from their producers (``FlightRecorder.report``,
+    ``Sanitizer.report``, ``TimelineSampler.to_doc``, ``check_model``,
+    ``LintReport.as_report``, :func:`metrics_doc`); the stamp is enforced
+    here so hand-built dicts cannot silently produce unloadable files.
+    """
+    if doc.get("schema") not in SCHEMAS:
+        raise ConfigError(f"report has no known schema stamp (got {doc.get('schema')!r})")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
 
 
-def load_metrics_json(path: str) -> Dict[str, Dict[str, float]]:
-    """Read a metrics JSON file back into ``{component: {metric: value}}``."""
+def load_doc(path: str, schema: str) -> Dict[str, Any]:
+    """Read a report back; rejects non-JSON files and foreign stamps."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != METRICS_SCHEMA:
-        raise ValueError(  # repro: allow(error-taxonomy) loader contract: stdlib ValueError
-            f"not a metrics export: {path} (schema={doc.get('schema')!r})"
-        )
-    return doc["metrics"]
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"not a JSON report: {path} ({exc})") from exc
+    stamp = doc.get("schema") if isinstance(doc, dict) else None
+    if stamp != schema:
+        raise ConfigError(f"not a {schema} report: {path} (schema={stamp!r})")
+    return doc
 
 
-def export_metrics_csv(registry, path: str) -> int:
+def metrics_rows(snapshot: Snapshot) -> List[Tuple[str, str, float]]:
+    """Flatten a metric snapshot into sorted (component, metric, value) rows."""
+    rows: List[Tuple[str, str, float]] = []
+    for component, section in snapshot.items():
+        for name, value in section.items():
+            rows.append((component, name, value))
+    rows.sort()
+    return rows
+
+
+def export_metrics_csv(snapshot: Snapshot, path: str) -> int:
     """Write one flat ``component,metric,value`` row per metric; returns row count."""
-    rows = metrics_rows(registry)
+    rows = metrics_rows(snapshot)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component", "metric", "value"])
@@ -69,130 +94,16 @@ def export_metrics_csv(registry, path: str) -> int:
     return len(rows)
 
 
-def load_metrics_csv(path: str) -> Dict[str, Dict[str, float]]:
+def load_metrics_csv(path: str) -> Snapshot:
     """Read a metrics CSV back into ``{component: {metric: value}}``."""
-    out: Dict[str, Dict[str, float]] = {}
+    out: Snapshot = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["component", "metric", "value"]:
-            raise ValueError(  # repro: allow(error-taxonomy) loader contract: stdlib ValueError
-                f"not a metrics CSV: {path} (header={reader.fieldnames})"
-            )
+            raise ConfigError(f"not a metrics CSV: {path} (header={reader.fieldnames})")
         for row in reader:
             out.setdefault(row["component"], {})[row["metric"]] = float(row["value"])
     return out
-
-
-def export_flight_json(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Write a flight-recorder report (already schema-stamped) as JSON.
-
-    ``report`` comes from :meth:`repro.obs.flight.FlightRecorder.report`
-    and carries ``schema: repro.obs/flight-v1``; the stamp is enforced
-    here so hand-built dicts cannot silently produce unloadable files.
-    """
-    if report.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(  # repro: allow(error-taxonomy) loader contract: stdlib ValueError
-            f"flight report missing schema stamp (got {report.get('schema')!r})"
-        )
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return report
-
-
-def load_flight_json(path: str) -> Dict[str, Any]:
-    """Read a flight report back; rejects foreign schemas."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(  # repro: allow(error-taxonomy) loader contract: stdlib ValueError
-            f"not a flight report: {path} (schema={doc.get('schema')!r})"
-        )
-    return doc
-
-
-def _export_stamped_json(report: Dict[str, Any], path: str, schema: str, what: str) -> Dict[str, Any]:
-    """Write an already-schema-stamped report; reject hand-built dicts."""
-    if report.get("schema") != schema:
-        raise ValueError(  # repro: allow(error-taxonomy) loader contract mirrors load_flight_json
-            f"{what} report missing schema stamp (got {report.get('schema')!r})"
-        )
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return report
-
-
-def _load_stamped_json(path: str, schema: str, what: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != schema:
-        raise ValueError(  # repro: allow(error-taxonomy) loader contract mirrors load_flight_json
-            f"not a {what} report: {path} (schema={doc.get('schema')!r})"
-        )
-    return doc
-
-
-def export_sanitize_json(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Write a sanitizer report (from ``Sanitizer.report``) as JSON."""
-    return _export_stamped_json(report, path, SANITIZE_SCHEMA, "sanitizer")
-
-
-def load_sanitize_json(path: str) -> Dict[str, Any]:
-    """Read a sanitizer report back; rejects foreign schemas."""
-    return _load_stamped_json(path, SANITIZE_SCHEMA, "sanitizer")
-
-
-def export_topology_json(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Write a per-edge topology stats report as JSON.
-
-    ``report`` comes from
-    :meth:`repro.topology.net.TopologyNet.stats_report`, which builds
-    each edge's entry from :meth:`LinkStats.to_doc` — no caller
-    hand-rolls the dict shape.
-    """
-    return _export_stamped_json(report, path, TOPOLOGY_SCHEMA, "topology")
-
-
-def load_topology_json(path: str) -> Dict[str, Any]:
-    """Read a topology stats report back; rejects foreign schemas."""
-    return _load_stamped_json(path, TOPOLOGY_SCHEMA, "topology")
-
-
-def export_timeline_json(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Write a timeline document as JSON.
-
-    ``report`` comes from
-    :meth:`repro.obs.timeline.TimelineSampler.to_doc` or
-    :func:`repro.shard.merge.merge_timelines`; both stamp
-    ``schema: repro.obs/timeline-v1``.
-    """
-    return _export_stamped_json(report, path, TIMELINE_SCHEMA, "timeline")
-
-
-def load_timeline_json(path: str) -> Dict[str, Any]:
-    """Read a timeline document back; rejects foreign schemas."""
-    return _load_stamped_json(path, TIMELINE_SCHEMA, "timeline")
-
-
-def export_model_json(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Write a model-checker report (from ``check_model``) as JSON."""
-    return _export_stamped_json(report, path, MODEL_SCHEMA, "model-check")
-
-
-def load_model_json(path: str) -> Dict[str, Any]:
-    """Read a model-checker report back; rejects foreign schemas."""
-    return _load_stamped_json(path, MODEL_SCHEMA, "model-check")
-
-
-def export_lint_json(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Write a lint report (from ``LintReport.as_report``) as JSON."""
-    return _export_stamped_json(report, path, LINT_SCHEMA, "lint")
-
-
-def load_lint_json(path: str) -> Dict[str, Any]:
-    """Read a lint report back; rejects foreign schemas."""
-    return _load_stamped_json(path, LINT_SCHEMA, "lint")
 
 
 def export_chrome_trace(tracer, path: str, flight=None, timeline=None) -> int:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.obs.export import FLIGHT_SCHEMA
 from repro.obs.waterfall import WaterfallStats, build_waterfall
 
 #: Region classes the thrash table is keyed by. The report enumerates
@@ -372,7 +373,7 @@ class FlightRecorder:
         incomplete = len(self._active)
         self.waterfalls.incomplete = incomplete
         doc: Dict[str, Any] = {
-            "schema": "repro.obs/flight-v1",
+            "schema": FLIGHT_SCHEMA,
             "line_events": {
                 "seen": self.events_seen,
                 "dropped": self.events_dropped,

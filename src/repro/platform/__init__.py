@@ -2,7 +2,7 @@
 
 from repro.platform.links import LINK_GENERATIONS, LinkGeneration, table1_rows
 from repro.platform.nicspecs import CX6, E810, NicHardwareSpec
-from repro.platform.presets import PlatformSpec, cxl, icx, spr
+from repro.platform.presets import PLATFORMS, PlatformSpec, cxl, icx, spr
 from repro.platform.system import System
 
 __all__ = [
@@ -11,6 +11,7 @@ __all__ = [
     "LINK_GENERATIONS",
     "LinkGeneration",
     "NicHardwareSpec",
+    "PLATFORMS",
     "PlatformSpec",
     "System",
     "cxl",

@@ -214,3 +214,9 @@ def cxl() -> PlatformSpec:
         upi_latency_ns=base.upi_latency_ns * factor,
         upi_data_gbps=504.0,   # CXL 2.0 x16 (Table 1: 63 GB/s)
     )
+
+
+#: Preset builders by name: the one lookup every tool shares. Each
+#: caller keeps its own allowed subset (the CLI's ``--platform``
+#: choices, ``ScenarioSpec``'s ``PLATFORMS``, ``ModelScope``).
+PLATFORMS = {"icx": icx, "spr": spr, "cxl": cxl}

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.core.recovery import RecoveryPolicy
 from repro.errors import ConfigError
-from repro.platform import icx, spr
+from repro.platform import PLATFORMS
 from repro.shard.merge import (
     fingerprint,
     merge_metrics,
@@ -59,24 +59,12 @@ from repro.shard.spec import ScenarioSpec, scenario
 # ----------------------------------------------------------------------
 # Spec execution (one process)
 # ----------------------------------------------------------------------
-def _platform_spec(name: str):
-    if name == "icx":
-        return icx()
-    if name == "spr":
-        return spr()
-    raise ConfigError(f"unknown platform {name!r}")
-
-
 def _make_faults(spec: ScenarioSpec):
     if spec.fault_plan is None:
         return None
     from repro.faults import FaultInjector, FaultPlan
 
-    if spec.fault_plan == "canned":
-        plan = FaultPlan.canned()
-    else:
-        plan = FaultPlan.load(spec.fault_plan)
-    return FaultInjector(plan, seed=spec.fault_seed)
+    return FaultInjector(FaultPlan.load(spec.fault_plan), seed=spec.fault_seed)
 
 
 def lookahead_ns(spec: ScenarioSpec) -> float:
@@ -88,7 +76,7 @@ def lookahead_ns(spec: ScenarioSpec) -> float:
     any cross-host message *could* arrive (none does: per-host fabric
     occupancy is charged shard-locally, see ``docs/TOPOLOGY.md``).
     """
-    platform = _platform_spec(spec.platform)
+    platform = PLATFORMS[spec.platform]()
     kind = InterfaceKind(spec.interface)
     if kind.is_coherent:
         base = platform.upi_latency_ns
@@ -165,7 +153,7 @@ def _finish_timeline(obs, result, system) -> None:
 def _execute_loopback(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict:
     faults = _make_faults(spec)
     setup = build_interface(
-        _platform_spec(spec.platform),
+        PLATFORMS[spec.platform](),
         InterfaceKind(spec.interface),
         obs=obs,
         faults=faults,
@@ -221,7 +209,7 @@ def _execute_kv(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict:
 
     faults = _make_faults(spec)
     setup = build_interface(
-        _platform_spec(spec.platform),
+        PLATFORMS[spec.platform](),
         InterfaceKind(spec.interface),
         obs=obs,
         faults=faults,

@@ -25,7 +25,6 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ConfigError
 from repro.interconnect.link import Link
 from repro.interconnect.messages import MessageClass
-from repro.obs.export import TOPOLOGY_SCHEMA
 from repro.topology.graph import TopologySpec
 from repro.topology.routing import RouteTables
 from repro.units import gbps_to_bytes_per_ns
@@ -101,21 +100,6 @@ class TopologyNet:
                 flat[f"{prefix}:wire"] = stats.wire_bytes
                 flat[f"{prefix}:busy"] = stats.busy_ns
         return flat
-
-    def stats_report(self, config: Optional[Dict] = None) -> Dict:
-        """Schema-stamped per-edge report for ``obs.export_topology_json``."""
-        return {
-            "schema": TOPOLOGY_SCHEMA,
-            "topology": self.spec.name,
-            "edges": {
-                edge.name: [
-                    self.links[edge.name].stats[0].to_doc(),
-                    self.links[edge.name].stats[1].to_doc(),
-                ]
-                for edge in self.spec.edges
-            },
-            "config": config or {},
-        }
 
     def publish_metrics(self, registry) -> None:
         """Register per-edge collector gauges under ``topology.*``.

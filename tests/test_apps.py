@@ -106,6 +106,18 @@ class TestTasFastPath:
         with pytest.raises(WorkloadError):
             TasFastPath(setup, n_flows=0, offered_mops=10.0, n_ops=10)
 
+    @pytest.mark.parametrize(
+        "offered_mops, n_ops",
+        [(30.0, 0), (0.0, 10), (-1.0, 10)],
+        ids=["no-ops", "zero-rate", "negative-rate"],
+    )
+    def test_ops_and_rate_validation(self, offered_mops, n_ops):
+        # With no ops the fast path polled until max_sim_ns; with a zero
+        # rate client() divided by zero.
+        setup = build_interface(icx(), InterfaceKind.CCNIC)
+        with pytest.raises(WorkloadError, match="must be positive"):
+            TasFastPath(setup, n_flows=16, offered_mops=offered_mops, n_ops=n_ops)
+
     def test_flowstate_defaults(self):
         flow = FlowState(flow_id=3)
         assert flow.seq == 0 and flow.ack == 0

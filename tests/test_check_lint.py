@@ -21,7 +21,7 @@ from repro.check.rules import (
     default_rules,
 )
 from repro.errors import LintError
-from repro.obs.export import export_lint_json, load_lint_json
+from repro.obs.export import export_doc, load_doc
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "repro")
 
@@ -460,8 +460,8 @@ class TestSelfHost:
         doc = report.as_report(config={"root": SRC})
         assert doc["schema"] == LINT_SCHEMA
         path = str(tmp_path / "lint.json")
-        export_lint_json(doc, path)
-        assert load_lint_json(path) == doc
+        export_doc(doc, path)
+        assert load_doc(path, LINT_SCHEMA) == doc
 
     def test_tables_render(self):
         report = run_lint(root=SRC)

@@ -23,7 +23,7 @@ from repro.check import (
     replay_counterexample,
 )
 from repro.errors import ConfigError, ModelCheckError
-from repro.obs.export import MODEL_SCHEMA, export_model_json, load_model_json
+from repro.obs.export import MODEL_SCHEMA, export_doc, load_doc
 from repro.obs import Observability
 from repro.obs.flight import FlightRecorder
 from repro.shard.runner import execute_spec
@@ -52,15 +52,15 @@ class TestCleanModel:
         assert report["schema"] == MODEL_SCHEMA
         assert report["kind"] == "model"
         path = str(tmp_path / "model.json")
-        export_model_json(report, path)
-        assert load_model_json(path) == report
+        export_doc(report, path)
+        assert load_doc(path, MODEL_SCHEMA) == report
 
     def test_foreign_schema_rejected(self, report, tmp_path):
         path = str(tmp_path / "foreign.json")
         with open(path, "w") as handle:
             handle.write('{"schema": "repro.check/lint-v1"}')
         with pytest.raises(ValueError):
-            load_model_json(path)
+            load_doc(path, MODEL_SCHEMA)
 
     def test_raise_on_failure_passes_clean_report(self, report):
         raise_on_failure(report)

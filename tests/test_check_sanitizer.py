@@ -11,11 +11,7 @@ from repro.core.buffers import Buffer
 from repro.core.config import CcnicConfig
 from repro.errors import SanitizerError
 from repro.obs import Observability
-from repro.obs.export import (
-    SANITIZE_SCHEMA,
-    export_sanitize_json,
-    load_sanitize_json,
-)
+from repro.obs.export import SANITIZE_SCHEMA, export_doc, load_doc
 from repro.platform import icx
 
 
@@ -324,8 +320,8 @@ class TestReport:
         assert report["counts"] == {"read-before-signal": 1}
         assert not report["truncated"]
         path = str(tmp_path / "san.json")
-        export_sanitize_json(report, path)
-        assert load_sanitize_json(path) == report
+        export_doc(report, path)
+        assert load_doc(path, SANITIZE_SCHEMA) == report
 
     def test_tables_render(self):
         san = Sanitizer()
@@ -400,5 +396,5 @@ class TestFingerprintInvariance:
             assert setup.system.fabric._plans
         return _fingerprint(_system_snapshot(setup.system))
 
-    def test_attached_vs_detached_fastpath(self):
+    def test_attached_vs_detached(self):
         assert self._fingerprint() == self._fingerprint(Sanitizer())

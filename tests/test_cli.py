@@ -22,6 +22,51 @@ class TestParser:
             main(["loopback", "--interface", "rdma"])
 
 
+#: Bad input that ended in a traceback, or was silently accepted.
+BAD_ARGV = [
+    pytest.param(["loopback", "--packets", "0"], id="loopback-packets-0"),
+    pytest.param(["loopback", "--inflight", "0"], id="loopback-inflight-0"),
+    pytest.param(["loopback", "--rate", "-1"], id="loopback-rate-negative"),
+    pytest.param(["loopback", "--size", "0"], id="loopback-size-0"),
+    pytest.param(["loopback", "--batch", "0"], id="loopback-batch-0"),
+    pytest.param(["loopback", "--latency-factor", "0"], id="loopback-latency-factor-0"),
+    pytest.param(["profile", "--sample-every", "0"], id="profile-sample-every-0"),
+    pytest.param(["timeline", "--quick", "--workers", "0"], id="timeline-workers-0"),
+    pytest.param(["timeline", "--quick", "--workers", "1", "--interval", "0"],
+                 id="timeline-interval-0"),
+    pytest.param(["loopback", "--packets", "50", "--fault-plan", "README.md"],
+                 id="loopback-malformed-fault-plan"),
+    pytest.param(["timeline", "--load", "missing.json"], id="timeline-load-missing"),
+    pytest.param(["timeline", "--load", "README.md"], id="timeline-load-not-json"),
+    pytest.param(["timeline", "--load", "metrics.json"], id="timeline-load-foreign-schema"),
+    pytest.param(["perf", "--quick", "--repeat", "0", "--scenario", "loopback_64b",
+                  "--compare", "none", "--out", "bench.json"], id="perf-repeat-0"),
+    pytest.param(["loopback", "--packets", "50", "--shards", "0"], id="loopback-shards-0"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", BAD_ARGV)
+    def test_ends_in_one_error_line(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "README.md").write_text("# not JSON\n")
+        (tmp_path / "metrics.json").write_text(
+            '{"schema": "repro.obs/metrics-v1", "metrics": {}}\n'
+        )
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        code = info.value.code
+        if isinstance(code, str):
+            # The main() boundary: one "error: ..." message.
+            assert code.startswith("error: ")
+        else:
+            # argparse: a usage line, then one "error:" line.
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[0].startswith("usage:")
+            assert "error: argument" in err[-1]
+
+
 class TestCommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -55,7 +100,7 @@ class TestCommands:
 
 class TestTelemetryFlags:
     def test_loopback_metrics_and_trace_out(self, capsys, tmp_path):
-        from repro.obs import load_metrics_json
+        from repro.obs import METRICS_SCHEMA, load_doc
 
         metrics_path = str(tmp_path / "m.json")
         trace_path = str(tmp_path / "t.json")
@@ -64,7 +109,7 @@ class TestTelemetryFlags:
                      "--trace-out", trace_path]) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
-        metrics = load_metrics_json(metrics_path)
+        metrics = load_doc(metrics_path, METRICS_SCHEMA)["metrics"]
         assert "fabric" in metrics and "trafficgen" in metrics
         assert metrics["trafficgen"]["received"] == 300.0
         import json
@@ -88,8 +133,33 @@ class TestTelemetryFlags:
                      "--metrics-out", path]) == 0
         out = capsys.readouterr().out
         assert "read" in out
-        from repro.obs import load_metrics_json
-        assert "fabric" in load_metrics_json(path)
+        from repro.obs import METRICS_SCHEMA, load_doc
+        assert "fabric" in load_doc(path, METRICS_SCHEMA)["metrics"]
+
+
+    def test_strict_violation_writes_only_the_sanitizer_report(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.cli
+        from repro.errors import SanitizerError
+        from repro.obs.export import SANITIZE_SCHEMA, load_doc
+
+        def violate(*_args, **_kwargs):
+            raise SanitizerError("consumed before its signal", rule="read-before-signal",
+                                 addr=0x40, agents=("nic",), sim_time=12.0)
+
+        monkeypatch.setattr(repro.cli, "run_point", violate)
+        sanitize_path = tmp_path / "s.json"
+        metrics_path = tmp_path / "m.json"
+        assert main(["loopback", "--packets", "50", "--sanitize", "strict",
+                     "--sanitize-out", str(sanitize_path),
+                     "--metrics-out", str(metrics_path)]) == 2
+        out = capsys.readouterr().out
+        assert "SANITIZER: consumed before its signal" in out
+        assert "addr:     0x40" in out
+        report = load_doc(str(sanitize_path), SANITIZE_SCHEMA)
+        assert report["strict"] and report["scenario"] == "loopback_cli_64b"
+        assert not metrics_path.exists()
 
 
 class TestProfileCommand:
@@ -104,24 +174,24 @@ class TestProfileCommand:
         assert "Sample waterfall" in out
 
     def test_profile_flight_out(self, capsys, tmp_path):
-        from repro.obs import load_flight_json
+        from repro.obs import FLIGHT_SCHEMA, load_doc
 
         path = str(tmp_path / "flight.json")
         assert main(["profile", "--packets", "300", "--inflight", "8",
                      "--batch", "4", "--flight-out", path]) == 0
-        report = load_flight_json(path)
+        report = load_doc(path, FLIGHT_SCHEMA)
         assert report["config"]["interface"] == "ccnic"
         assert set(report["classes"]) == {
             "descriptor", "signal", "payload", "pool_meta", "other"}
         assert report["waterfall"]["completed"] == 300
 
     def test_loopback_flight_out(self, capsys, tmp_path):
-        from repro.obs import load_flight_json
+        from repro.obs import FLIGHT_SCHEMA, load_doc
 
         path = str(tmp_path / "flight.json")
         assert main(["loopback", "--packets", "300", "--inflight", "8",
                      "--batch", "4", "--flight-out", path]) == 0
-        report = load_flight_json(path)
+        report = load_doc(path, FLIGHT_SCHEMA)
         assert report["config"]["command"] == "loopback"
         assert report["line_events"]["seen"] > 0
 
@@ -215,9 +285,9 @@ class TestCheckCommand:
         assert main(["check", "--model", "--model-out", path]) == 0
         out = capsys.readouterr().out
         assert "RESULT: ok" in out
-        from repro.obs.export import load_model_json
+        from repro.obs.export import MODEL_SCHEMA, load_doc
 
-        report = load_model_json(path)
+        report = load_doc(path, MODEL_SCHEMA)
         assert report["kind"] == "model"
         assert report["coverage"]["reached"] == report["coverage"]["total"]
 

@@ -166,8 +166,8 @@ def _run_program(program, reference, chooser=None):
 
 @settings(max_examples=60, deadline=None)
 @given(program=_program)
-def test_fast_and_slow_paths_are_twins(program):
-    # The engine's cohort loop (fast) against reference_run (slow).
+def test_cohort_loop_matches_reference_run(program):
+    # The engine's cohort loop against the heap-per-event reference_run.
     engine = _run_program(program, reference=False)
     assert engine == _run_program(program, reference=True)
 

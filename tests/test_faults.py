@@ -501,7 +501,7 @@ COMPRESSED_PLAN = FaultPlan.from_dict({
 })
 
 
-class TestFastPathUnderFaults:
+class TestFaultedRunPins:
     """Fault draws run inside the fabric plans and ``Link.occupy_pair``.
 
     Each pin is the fingerprint a faulted run produced on both the plan
@@ -526,7 +526,7 @@ class TestFastPathUnderFaults:
          (InterfaceKind.E810, "5ba5e747e0b53649")],
         ids=["ccnic", "e810"],
     )
-    def test_fast_matches_reference(self, kind, pinned):
+    def test_loopback_fingerprint_pinned(self, kind, pinned):
         snap = self._run(kind)
         assert snap["watchdog_resets"] >= 1
         assert snap["received"] + snap["dropped"] == 3000
@@ -542,7 +542,7 @@ class TestFastPathUnderFaults:
             )
         assert fingerprint(snap) == pinned
 
-    def test_every_snoop_site_matches_reference(self):
+    def test_every_snoop_site_fingerprint_pinned(self):
         # One remote DRAM fill, one remote-cache fetch and one remote
         # upgrade, each NACKed once, on a bare fabric.
         # Loopback runs fill remote lines from DRAM only at cold start,

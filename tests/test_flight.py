@@ -9,14 +9,15 @@ from repro.analysis.perf import _fingerprint
 from repro.shard.runner import _system_snapshot
 from repro.analysis.profile import run_profile
 from repro.obs import (
+    FLIGHT_SCHEMA,
     STAGES,
     FlightRecorder,
     Observability,
     SpanTracer,
     classify_region,
     export_chrome_trace,
-    export_flight_json,
-    load_flight_json,
+    export_doc,
+    load_doc,
 )
 from repro.obs.flight import REGION_CLASSES
 from repro.obs.waterfall import WaterfallStats, build_waterfall
@@ -213,15 +214,15 @@ class TestProfileEndToEnd:
 
     def test_report_round_trips_and_rejects_foreign(self, profile_run, tmp_path):
         path = str(tmp_path / "flight.json")
-        export_flight_json(profile_run.report, path)
-        assert load_flight_json(path) == json.loads(json.dumps(profile_run.report))
+        export_doc(profile_run.report, path)
+        assert load_doc(path, FLIGHT_SCHEMA) == json.loads(json.dumps(profile_run.report))
         bad = str(tmp_path / "bad.json")
         with open(bad, "w") as fh:
             json.dump({"schema": "some/other-v1"}, fh)
         with pytest.raises(ValueError):
-            load_flight_json(bad)
+            load_doc(bad, FLIGHT_SCHEMA)
         with pytest.raises(ValueError):
-            export_flight_json({"classes": {}}, str(tmp_path / "x.json"))
+            export_doc({"classes": {}}, str(tmp_path / "x.json"))
 
     def test_chrome_trace_merges_counter_tracks(self, profile_run, tmp_path):
         tracer = SpanTracer()
@@ -263,5 +264,5 @@ class TestFingerprintInvariance:
 class TestSpanTracerFabricAudit:
     """S1: traced runs keep their fingerprints."""
 
-    def test_traced_vs_untraced_fastpath(self):
+    def test_traced_vs_untraced(self):
         assert _loopback_fingerprint() == _loopback_fingerprint(tracer=SpanTracer())

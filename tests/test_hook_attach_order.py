@@ -140,7 +140,7 @@ def _observed_reports(kind, config, monkeypatch):
     return reports, obs, setup.system.fabric
 
 
-class TestReportsMatchAcrossPaths:
+class TestObservedReportPins:
     """The plan path writes the reports the reference twin wrote.
 
     Each pin is the fingerprint both paths produced, byte for byte,
@@ -164,7 +164,7 @@ class TestReportsMatchAcrossPaths:
         ],
         ids=["ccnic", "ccnic-reader-homed", "unopt"],
     )
-    def test_flight_and_sanitizer_reports_identical(
+    def test_flight_and_sanitizer_reports_pinned(
         self, kind, config, pinned, monkeypatch
     ):
         reports, obs, fabric = _observed_reports(kind, config, monkeypatch)
@@ -202,7 +202,7 @@ def _fabric_events():
     return {"events": list(obs.flight.events), "spec_reads": obs.sanitizer.events}
 
 
-def test_multi_line_stamps_match_reference():
+def test_multi_line_stamps_pinned():
     # Pinned where the plan path and the reference path agreed.
     observed = _fabric_events()
     events = observed["events"]

@@ -17,14 +17,17 @@ from repro.obs import (
     NullTracer,
     Observability,
     SpanTracer,
+    METRICS_SCHEMA,
     export_chrome_trace,
+    export_doc,
     export_metrics_csv,
-    export_metrics_json,
     instrument_all,
+    load_doc,
     load_metrics_csv,
-    load_metrics_json,
+    metrics_doc,
     metrics_rows,
 )
+from repro.errors import ConfigError
 from repro.sim.stats import Counter, Histogram
 
 
@@ -263,21 +266,37 @@ class TestExporters:
     def test_json_round_trip(self, tmp_path):
         reg = self._populated()
         path = str(tmp_path / "m.json")
-        doc = export_metrics_json(reg, path)
+        doc = export_doc(metrics_doc(reg.snapshot()), path)
         assert doc["schema"] == "repro.obs/metrics-v1"
-        assert load_metrics_json(path) == reg.snapshot()
+        assert load_doc(path, METRICS_SCHEMA)["metrics"] == reg.snapshot()
 
     def test_json_rejects_foreign_schema(self, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
             json.dump({"schema": "nope", "metrics": {}}, fh)
         with pytest.raises(ValueError):
-            load_metrics_json(path)
+            load_doc(path, METRICS_SCHEMA)
+
+    def test_load_rejects_non_json_as_config_error(self, tmp_path):
+        path = tmp_path / "notes.md"
+        path.write_text("# not a report\n")
+        with pytest.raises(ConfigError, match="not a JSON report"):
+            load_doc(str(path), METRICS_SCHEMA)
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ConfigError, match="schema=None"):
+            load_doc(str(path), METRICS_SCHEMA)
+
+    def test_export_rejects_unknown_stamp(self, tmp_path):
+        with pytest.raises(ConfigError, match="no known schema stamp"):
+            export_doc({"schema": "some/other-v1"}, str(tmp_path / "x.json"))
+        with pytest.raises(ConfigError):
+            export_doc({"metrics": {}}, str(tmp_path / "x.json"))
+        assert not (tmp_path / "x.json").exists()
 
     def test_csv_round_trip(self, tmp_path):
         reg = self._populated()
         path = str(tmp_path / "m.csv")
-        rows = export_metrics_csv(reg, path)
+        rows = export_metrics_csv(reg.snapshot(), path)
         assert rows == 2
         assert load_metrics_csv(path) == reg.snapshot()
 
@@ -290,7 +309,7 @@ class TestExporters:
 
     def test_metrics_rows_sorted(self):
         reg = self._populated()
-        rows = metrics_rows(reg)
+        rows = metrics_rows(reg.snapshot())
         assert rows == sorted(rows)
         assert ("fabric", "s1.read", 12.0) in rows
 
@@ -344,11 +363,11 @@ class TestExportRoundTripProperties:
         with tempfile.TemporaryDirectory() as td:
             jpath = os.path.join(td, "m.json")
             cpath = os.path.join(td, "m.csv")
-            export_metrics_json(reg, jpath)
-            export_metrics_csv(reg, cpath)
-            assert load_metrics_json(jpath) == snap
+            export_doc(metrics_doc(reg.snapshot()), jpath)
+            export_metrics_csv(reg.snapshot(), cpath)
+            assert load_doc(jpath, METRICS_SCHEMA)["metrics"] == snap
             assert load_metrics_csv(cpath) == snap
-        rows = metrics_rows(reg)
+        rows = metrics_rows(reg.snapshot())
         assert rows == sorted(rows)
         assert {comp for comp, _name, _value in rows} == set(snap)
 
@@ -367,9 +386,9 @@ class TestExportRoundTripProperties:
         assert snap["fabric#2"]["lat.ns.count"] == 1.0
         jpath = str(tmp_path / "m.json")
         cpath = str(tmp_path / "m.csv")
-        export_metrics_json(reg, jpath)
-        export_metrics_csv(reg, cpath)
-        assert load_metrics_json(jpath) == load_metrics_csv(cpath) == snap
+        export_doc(metrics_doc(reg.snapshot()), jpath)
+        export_metrics_csv(reg.snapshot(), cpath)
+        assert load_doc(jpath, METRICS_SCHEMA)["metrics"] == load_metrics_csv(cpath) == snap
 
 
 class TestEndToEnd:

@@ -34,7 +34,7 @@ QUICK_FINGERPRINTS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(QUICK_FINGERPRINTS))
-def test_fast_and_slow_paths_fingerprint_identically(scenario):
+def test_quick_fingerprint_matches_pin(scenario):
     # Pins the value the engine/fabric/router fast paths and their
     # deleted reference twins both produced.
     assert perf.run_scenario(scenario, quick=True).fingerprint == (

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.obs.export import (
+    FLIGHT_SCHEMA,
     TIMELINE_SCHEMA,
-    export_timeline_json,
-    load_timeline_json,
+    export_doc,
+    load_doc,
 )
 from repro.obs.timeline import (
     DEFAULT_WATCHDOGS,
@@ -463,22 +464,21 @@ class TestExports:
         run = run_sharded("loopback_64b", workers=1, quick=True,
                           timeline_interval=1000.0)
         path = str(tmp_path / "tl.json")
-        export_timeline_json(run.timeline, path)
-        assert load_timeline_json(path) == run.timeline
+        export_doc(run.timeline, path)
+        assert load_doc(path, TIMELINE_SCHEMA) == run.timeline
 
     def test_foreign_schema_rejected(self, tmp_path):
         path = str(tmp_path / "bogus.json")
         with open(path, "w") as fh:
             json.dump({"schema": "repro.obs/flight-v1"}, fh)
         with pytest.raises(ValueError):
-            load_timeline_json(path)
+            load_doc(path, TIMELINE_SCHEMA)
         sampler = TimelineSampler()
         with pytest.raises(ValueError):
-            export_timeline_json({"windows": 3}, path)  # missing stamp
+            export_doc({"windows": 3}, path)  # missing stamp
 
     def test_flight_report_stamped_with_scenario(self, tmp_path):
-        from repro.obs import FlightRecorder, export_flight_json
-        from repro.obs.export import load_flight_json
+        from repro.obs import FlightRecorder
 
         report = FlightRecorder().report(
             config={"x": 1}, scenario="loopback_cli_64b",
@@ -487,20 +487,19 @@ class TestExports:
         assert report["scenario"] == "loopback_cli_64b"
         assert report["spec_fingerprint"] == "abc123"
         path = str(tmp_path / "f.json")
-        export_flight_json(report, path)
-        assert load_flight_json(path)["scenario"] == "loopback_cli_64b"
+        export_doc(report, path)
+        assert load_doc(path, FLIGHT_SCHEMA)["scenario"] == "loopback_cli_64b"
 
     def test_flight_loader_accepts_unstamped_docs(self, tmp_path):
         # Pre-stamp documents (no scenario/spec_fingerprint) keep
         # loading: the fields are additive.
-        from repro.obs import FlightRecorder, export_flight_json
-        from repro.obs.export import load_flight_json
+        from repro.obs import FlightRecorder
 
         report = FlightRecorder().report()
         assert "scenario" not in report
         path = str(tmp_path / "f.json")
-        export_flight_json(report, path)
-        loaded = load_flight_json(path)
+        export_doc(report, path)
+        loaded = load_doc(path, FLIGHT_SCHEMA)
         assert loaded.get("scenario") is None
 
     def test_sanitizer_report_stamped(self):
@@ -542,7 +541,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "watchdog findings" in out
         assert "sim.events" in out
-        doc = load_timeline_json(path)
+        doc = load_doc(path, TIMELINE_SCHEMA)
         assert doc["scenario"] == "faults_canned"
         assert doc["findings"]
 
@@ -553,7 +552,7 @@ class TestCli:
         sampler.gauge("g", lambda: 2.0)
         sampler.finish(250.0)
         path = str(tmp_path / "tl.json")
-        export_timeline_json(sampler.to_doc(), path)
+        export_doc(sampler.to_doc(), path)
         assert main(["timeline", "--load", path]) == 0
         out = capsys.readouterr().out
         assert "timeline:" in out and "g" in out
@@ -570,7 +569,7 @@ class TestCli:
         path = str(tmp_path / "tl.json")
         assert main(["loopback", "--packets", "300", "--inflight", "8",
                      "--timeline-out", path]) == 0
-        doc = load_timeline_json(path)
+        doc = load_doc(path, TIMELINE_SCHEMA)
         assert doc["scenario"] == "loopback_cli_64b"
         assert "sim.events" in doc["counters"]
         assert "wrote timeline" in capsys.readouterr().out
@@ -581,7 +580,7 @@ class TestCli:
         path = str(tmp_path / "tl.json")
         assert main(["loopback", "--packets", "400", "--shards", "2",
                      "--timeline-out", path]) == 0
-        doc = load_timeline_json(path)
+        doc = load_doc(path, TIMELINE_SCHEMA)
         assert doc["n_shards"] == 2
         assert "wrote merged timeline" in capsys.readouterr().out
 

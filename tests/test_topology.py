@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.interconnect import MessageClass
-from repro.obs.export import export_topology_json, load_topology_json
 from repro.shard import run_sharded, scenario, scenario_names
 from repro.sim import Simulator
 from repro.topology import (
@@ -170,17 +169,6 @@ class TestTopologyNet:
         net = TopologyNet(sim, mesh(2, 2))
         with pytest.raises(ConfigError):
             net.hop("h0_0", "h1_1")  # not adjacent
-
-    def test_stats_report_export_round_trip(self, tmp_path):
-        sim = Simulator()
-        net = TopologyNet(sim, single_switch(2))
-        net.router.charge("h0", "tor0", MessageClass.DMA_WRITE, payload_bytes=64)
-        report = net.stats_report(config={"pkt": 64})
-        path = tmp_path / "topo.json"
-        export_topology_json(report, str(path))
-        assert load_topology_json(str(path)) == report
-        with pytest.raises(ValueError):
-            load_topology_json(__file__)  # not a stamped report
 
 
 # ----------------------------------------------------------------------
