@@ -223,18 +223,18 @@ class CoherenceFabric(Instrumented):
     def _msg_row(self, cls: MessageClass, direction: int, charge: bool = True) -> tuple:
         """Precomputed half of a :meth:`Link.occupy_pair` plan.
 
-        Embeds the direction's live statistics cells; a row is built
-        when its message is first sent, which fixes the order per-class
-        cells appear in. Two rows concatenate into one flat 16-field
-        plan.
+        Embeds the direction's live ``busy`` cell and the message
+        shape's count cell; a row is built when its message is first
+        sent, which fixes the order per-class totals appear in. Two rows
+        concatenate into one flat 14-field plan.
         """
         link = self.link
         payload = cls.payload_bytes(0)
         wire = int((payload + link.header_overhead) * 1.0)
         ser = wire / link.bandwidth
         st = link.stats[direction]
-        return (direction, cls, payload, wire, ser, charge,
-                st.agg, st.class_cell(cls))
+        return (direction, cls, wire, ser, charge,
+                st.busy, st.shape_cell(cls, payload, wire))
 
     def _build_dram_plan(self, write: bool, socket: int) -> tuple:
         """Remote-homed DRAM fill: snoop out, data-class back."""
@@ -707,7 +707,9 @@ class CoherenceFabric(Instrumented):
         over ownership on a read. Latency, link messages and counter
         cells come from a memoized plan per ``(situation, write,
         homing, requester socket)``. Each remote plan then draws its
-        snoop fault after the link charge and counter bump.
+        snoop fault after the link charge and counter bump. A HitM read
+        and a write miss hand the line's holders list to the requester
+        in place rather than deleting and rebuilding it.
         """
         holders = self._holders.get(line)
         flight = self.flight
@@ -782,29 +784,29 @@ class CoherenceFabric(Instrumented):
             # The RFO itself invalidates every other copy; no extra
             # round trip is charged beyond the fetch above. The
             # requester missed, so it is never on the list, and every
-            # copy goes — drop the whole entry rather than removing
-            # holders one by one (_install re-creates it). Recorded
-            # runs drop through CacheAgent.drop, which reports the loss.
+            # copy goes: the requester takes the holders list over in
+            # place. Recorded runs drop through CacheAgent.drop, which
+            # reports the loss.
             if flight is None:
                 for holder in holders:
                     holder._lines.pop(line, None)
             else:
                 for holder in holders:
                     holder.drop(line)
-            del self._holders[line]
-            self._install(agent, line, _MODIFIED, region)
+            if len(holders) > 1:
+                del holders[1:]
+            holders[0] = agent
+            self._take(agent, line, _MODIFIED)
         elif dirty_holder is not None:
-            # HitM: dirty data and ownership migrate to the requester.
-            # Inline drop + _forget_holder: the holders list is already
-            # in hand and the dirty holder is known to be on it.
+            # HitM: dirty data and ownership migrate to the requester,
+            # which takes over the dirty holder's entry in place (a
+            # Modified copy is the line's only one).
             if flight is None:
                 dirty_holder._lines.pop(line, None)
             else:
                 dirty_holder.drop(line)
-            holders.remove(dirty_holder)
-            if not holders:
-                del self._holders[line]
-            self._install(agent, line, _MODIFIED, region)
+            holders[holders.index(dirty_holder)] = agent
+            self._take(agent, line, _MODIFIED)
         else:
             # A clean read sourced from another cache: E/F owners fall
             # to S.
@@ -868,15 +870,22 @@ class CoherenceFabric(Instrumented):
     def _install(
         self, agent: CacheAgent, line: int, state: LineState, region: Region
     ) -> None:
-        lines = agent._lines
-        # Every caller installs on a miss (the agent does not hold the
-        # line), so the insert already lands in MRU position.
-        lines[line] = state
         holders = self._holders.get(line)
         if holders is None:
             self._holders[line] = [agent]
         elif agent not in holders:
             holders.append(agent)
+        self._take(agent, line, state)
+
+    def _take(self, agent: CacheAgent, line: int, state: LineState) -> None:
+        """Insert a missed line into ``agent``'s tags; evict past capacity.
+
+        The caller has already put ``agent`` on the line's holders list.
+        """
+        lines = agent._lines
+        # Every caller installs on a miss (the agent does not hold the
+        # line), so the insert already lands in MRU position.
+        lines[line] = state
         if len(lines) > agent.capacity_lines:
             # Inline evict_victim + _forget_holder: at steady state this
             # runs on every install.
@@ -970,17 +979,15 @@ class CoherenceFabric(Instrumented):
             self.link.occupy_pair(msgs, agent.name)
         cell[0] += 1.0
         if dirty_holder is not None:
-            # Inline drop + _forget_holder (holders list is in hand).
-            # Recorded runs drop through CacheAgent.drop, which reports
-            # the HitM migration.
+            # HitM steal: the prefetching agent takes over the dirty
+            # holder's entry in place. Recorded runs drop through
+            # CacheAgent.drop, which reports the HitM migration.
             if self.flight is None:
                 dirty_holder._lines.pop(line, None)
             else:
                 dirty_holder.drop(line)
-            holders.remove(dirty_holder)
-            if not holders:
-                del self._holders[line]
-            self._install(agent, line, _MODIFIED, region)
+            holders[holders.index(dirty_holder)] = agent
+            self._take(agent, line, _MODIFIED)
         else:
             if holders:
                 # A clean copy elsewhere: E/F owners fall to S.

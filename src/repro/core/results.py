@@ -5,10 +5,12 @@ result carries ``count`` and ``ns``, plus the payload (``bufs`` or
 ``entries``) where one exists. They do not tuple-unpack; read the named
 attributes.
 
-These objects are constructed on every burst call, including the empty
-polls that dominate a latency-bound run, so they are kept deliberately
-lean: two fields, ``count`` derived lazily, and the payload sequence
-stored as passed (drivers hand over a fresh list they never reuse).
+These objects are built on every burst call that moves data, so they
+are kept deliberately lean: two fields, ``count`` derived lazily, and
+the payload sequence stored as passed. Results are immutable and a
+driver never mutates a sequence it has handed over, so a result may be
+shared: the CC-NIC driver returns one cached empty ``RxResult`` (with
+an empty tuple for ``entries``) for every empty poll of the same cost.
 """
 
 from __future__ import annotations

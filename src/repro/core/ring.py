@@ -336,36 +336,32 @@ class CoherentQueue(Instrumented):
 
     def _poll_grouped(self, agent: CacheAgent, max_items: int) -> Tuple[List[WorkItem], float]:
         fabric = self.system.fabric
-        ns = 0.0
-        out: List[WorkItem] = []
-        mlp = fabric.mlp
-        first = True
         now = self.system.sim.now
         slots = self._slots
         n_slots = self.n_slots
-        cycles_desc = self._cycles_desc
         region_base = self.region.base
         bps = self._bytes_per_slot
+        base = self.head  # group-aligned, so the group never wraps
+        i0 = base % n_slots
+        addr = region_base + i0 * bps
+        line = addr - (addr % 64)
+        # The signal read. An empty poll ends here: it pays this one
+        # access (a hit on the consumer's own copy until the producer's
+        # store invalidates it) and skips the consume-loop set-up.
+        ns = fabric.access(agent, line, 64, False)
+        first_slot = slots[i0]
+        if first_slot is None:
+            return [], ns  # unproduced line: this read was the (cheap) signal poll
+        # Slots only ever hold WorkItem, _SKIPPED, or None (handled
+        # above), so a sentinel identity test replaces isinstance.
+        if first_slot is not _SKIPPED and first_slot.visible_at > now:
+            return [], ns  # written, but the store has not retired yet
+        out: List[WorkItem] = []
+        mlp = fabric.mlp
+        cycles_desc = self._cycles_desc
         append = out.append
-        while len(out) < max_items:
-            base = self.head  # group-aligned, so the group never wraps
-            i0 = base % n_slots
-            addr = region_base + i0 * bps
-            line = addr - (addr % 64)
-            cost = fabric.access(agent, line, 64, False)
-            if first:
-                first = False
-                ns += cost
-            else:
-                ns += cost / mlp
-            first_slot = slots[i0]
-            if first_slot is None:
-                break  # unproduced line: this read was the (cheap) signal poll
-            # Slots only ever hold WorkItem, _SKIPPED, or None (handled
-            # above), so a sentinel identity test replaces isinstance.
-            if first_slot is not _SKIPPED and first_slot.visible_at > now:
-                break  # written, but the store has not retired yet
-            san = self.sanitizer
+        san = self.sanitizer
+        while True:
             if san is not None:
                 san.signal_observe(self, agent, base, now)
             for index in (i0, i0 + 1, i0 + 2, i0 + 3):
@@ -385,7 +381,19 @@ class CoherentQueue(Instrumented):
             # producer (Fig 6b): one write frees the group for reuse.
             cost = fabric.access(agent, line, 64, True)
             ns += cost / mlp
-            self.head = base + GROUP
+            self.head = base = base + GROUP
+            if len(out) >= max_items:
+                break
+            i0 = base % n_slots
+            addr = region_base + i0 * bps
+            line = addr - (addr % 64)
+            cost = fabric.access(agent, line, 64, False)
+            ns += cost / mlp
+            first_slot = slots[i0]
+            if first_slot is None or (
+                first_slot is not _SKIPPED and first_slot.visible_at > now
+            ):
+                break  # the next line is unproduced or not yet retired
         return out, ns
 
     def _poll_per_descriptor(self, agent: CacheAgent, max_items: int) -> Tuple[List[WorkItem], float]:

@@ -14,6 +14,13 @@ their hook points:
 * :meth:`snoop_decide` — per-snoop draw for delayed/NACKed responses.
 * :meth:`nic_decide` — one-shot stall/reset events for a queue engine.
 
+The three per-message hooks read *compiled window segments*: the
+plan's ``start_ns``/``end_ns`` boundaries cut time into segments inside
+which the set of active events cannot change, so each hook caches the
+segment holding the last ``now`` it saw (per link name for the link
+hooks) with the active, matching events in plan order, and rescans the
+plan only when ``now`` leaves it.
+
 Every injected fault is tallied in a :class:`~repro.sim.stats.Counter`
 bag adopted by the ``repro.obs`` registry under the ``faults``
 component, so ``--metrics-out`` reports exactly what was injected.
@@ -21,8 +28,9 @@ component, so ``--metrics-out`` reports exactly what was injected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultError
 from repro.faults.plan import (
@@ -74,8 +82,56 @@ class NicFault:
     duration_ns: float = 0.0
 
 
+#: A segment no time falls in: the first call of every hook compiles.
+_NO_SEGMENT = (math.inf, -math.inf, None)
+
+
+def _segment(events: Sequence[FaultEvent], now: float) -> Tuple[float, float, tuple]:
+    """The window segment holding ``now``: ``(lo, hi, active)``.
+
+    ``lo`` is the latest window boundary (any event's ``start_ns`` or
+    ``end_ns``) at or before ``now`` and ``hi`` the earliest one after
+    it. No boundary falls inside ``[lo, hi)``, so every event is active
+    at every time in the segment exactly when it is active at ``now``.
+    ``active`` keeps those events in plan order.
+    """
+    lo = -math.inf
+    hi = math.inf
+    for ev in events:
+        for edge in (ev.start_ns, ev.end_ns):
+            if edge <= now:
+                if edge > lo:
+                    lo = edge
+            elif edge < hi:
+                hi = edge
+    return lo, hi, tuple(ev for ev in events if ev.active(now))
+
+
+def _link_fault(ev: FaultEvent) -> LinkFault:
+    """The (immutable) outcome a successful draw of ``ev`` returns."""
+    if ev.kind == "link_drop":
+        return LinkFault("link_drop", extra_ns=ev.extra_ns, retransmit=True)
+    if ev.kind == "link_duplicate":
+        return LinkFault("link_duplicate", duplicate=True)
+    return LinkFault("link_delay", extra_ns=ev.extra_ns)
+
+
+def _snoop_fault(ev: FaultEvent) -> SnoopFault:
+    """The (immutable) outcome a successful draw of ``ev`` returns."""
+    if ev.kind == "snoop_nack":
+        return SnoopFault("snoop_nack", extra_ns=ev.extra_ns, reissue=True)
+    return SnoopFault("snoop_delay", extra_ns=ev.extra_ns)
+
+
 class FaultInjector(Instrumented):
     """Deterministic fault oracle for one simulation run.
+
+    The per-message hooks answer from cached window segments (see the
+    module docstring): a hook rescans the plan only when ``now`` leaves
+    its cached segment, and inside one segment it replays the scan's
+    outcome exactly — degrade scales divide in plan order, draws run in
+    plan order with one RNG call per active matching event until one
+    fires, and the counters and injection log see the same entries.
 
     Args:
         plan: The fault schedule.
@@ -97,6 +153,12 @@ class FaultInjector(Instrumented):
         #: One-shot bookkeeping: (event position in plan, queue index).
         self._fired: Set[Tuple[int, int]] = set()
         self._injection_log: List[Tuple[float, str]] = []
+        # Compiled window segments, (lo, hi, cached answer). Link hooks
+        # keep one per link name; the degrade answer is the scale
+        # product, the draw answers (probability, kind, outcome) rows.
+        self._degrade_segments: Dict[str, tuple] = {}
+        self._link_segments: Dict[str, tuple] = {}
+        self._snoop_segment: tuple = _NO_SEGMENT
 
     # ------------------------------------------------------------------
     def _obs_component(self) -> str:
@@ -129,10 +191,17 @@ class FaultInjector(Instrumented):
         never perturbs the injector's stream. Overlapping windows
         compound.
         """
-        scale = 1.0
-        for ev in self._degrade_events:
-            if ev.active(now) and ev.matches_link(link_name):
+        segment = self._degrade_segments.get(link_name, _NO_SEGMENT)
+        if not segment[0] <= now < segment[1]:
+            lo, hi, active = _segment(
+                [ev for ev in self._degrade_events if ev.matches_link(link_name)],
+                now,
+            )
+            scale = 1.0
+            for ev in active:
                 scale /= ev.factor
+            segment = self._degrade_segments[link_name] = (lo, hi, scale)
+        scale = segment[2]
         if scale != 1.0:
             self.counters.add("degraded_messages")
         return scale
@@ -143,17 +212,18 @@ class FaultInjector(Instrumented):
         The first matching event in plan order wins; at most one link
         fault is injected per message.
         """
-        for ev in self._link_events:
-            if not ev.active(now) or not ev.matches_link(link_name):
-                continue
-            if self._rng.random() >= ev.probability:
-                continue
-            self._note(now, ev.kind)
-            if ev.kind == "link_drop":
-                return LinkFault("link_drop", extra_ns=ev.extra_ns, retransmit=True)
-            if ev.kind == "link_duplicate":
-                return LinkFault("link_duplicate", duplicate=True)
-            return LinkFault("link_delay", extra_ns=ev.extra_ns)
+        segment = self._link_segments.get(link_name, _NO_SEGMENT)
+        if not segment[0] <= now < segment[1]:
+            lo, hi, active = _segment(
+                [ev for ev in self._link_events if ev.matches_link(link_name)],
+                now,
+            )
+            rows = tuple((ev.probability, ev.kind, _link_fault(ev)) for ev in active)
+            segment = self._link_segments[link_name] = (lo, hi, rows)
+        for probability, kind, fault in segment[2]:
+            if self._rng.random() < probability:
+                self._note(now, kind)
+                return fault
         return None
 
     # ------------------------------------------------------------------
@@ -161,15 +231,15 @@ class FaultInjector(Instrumented):
     # ------------------------------------------------------------------
     def snoop_decide(self, now: float) -> Optional[SnoopFault]:
         """Per-snoop draw: delayed response or NACK + re-issue."""
-        for ev in self._snoop_events:
-            if not ev.active(now):
-                continue
-            if self._rng.random() >= ev.probability:
-                continue
-            self._note(now, ev.kind)
-            if ev.kind == "snoop_nack":
-                return SnoopFault("snoop_nack", extra_ns=ev.extra_ns, reissue=True)
-            return SnoopFault("snoop_delay", extra_ns=ev.extra_ns)
+        segment = self._snoop_segment
+        if not segment[0] <= now < segment[1]:
+            lo, hi, active = _segment(self._snoop_events, now)
+            rows = tuple((ev.probability, ev.kind, _snoop_fault(ev)) for ev in active)
+            segment = self._snoop_segment = (lo, hi, rows)
+        for probability, kind, fault in segment[2]:
+            if self._rng.random() < probability:
+                self._note(now, kind)
+                return fault
         return None
 
     # ------------------------------------------------------------------

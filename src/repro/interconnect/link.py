@@ -28,66 +28,80 @@ from repro.sim.engine import Simulator
 
 
 class LinkStats:
-    """Aggregate per-direction traffic counters.
+    """Per-direction traffic counters, counted once per message shape.
 
-    The four scalar counters live in the mutable list :attr:`agg`
-    (``[messages, payload_bytes, wire_bytes, busy_ns]``) so batched
-    senders (:meth:`Link.occupy_pair`) can bump them with plain list
-    stores; the named attributes stay available as read-only properties
-    for snapshot-time consumers.
+    A message's *shape* is its ``(class, payload bytes, wire bytes)``
+    triple. A charged message bumps the one ``[count]`` cell of its
+    shape (:meth:`shape_cell`) and adds its serialization time to the
+    running ``[busy_ns]`` cell :attr:`busy`; that is all the per-message
+    work, so batched senders (:meth:`Link.occupy_pair`,
+    :meth:`repro.topology.net.Router.charge`) hold both cells in their
+    plans and bump them with two list stores. ``messages``, the byte
+    totals and the two per-class maps are summed from the shape counts
+    when read. Integer totals do not depend on the order messages were
+    counted in, so they equal per-message counting exactly; ``busy``
+    stays a float sum in send order because its bits are pinned.
     """
 
-    __slots__ = ("agg", "_per_class")
+    __slots__ = ("busy", "_shapes")
 
     def __init__(self) -> None:
-        self.agg: list = [0, 0, 0, 0.0]
-        # One [count, wire_bytes] cell per message class: note() is on
-        # the per-message hot path, so both counters share a single
-        # dict lookup.
-        self._per_class: Dict[str, list] = {}
+        #: ``[busy_ns]``: serialization time summed in send order.
+        self.busy: list = [0.0]
+        # (class value, payload, wire) -> [count], in first-use order.
+        self._shapes: Dict[tuple, list] = {}
+
+    def shape_cell(self, cls: MessageClass, payload: int, wire: int) -> list:
+        """Get-or-create the mutable ``[count]`` cell of one message shape."""
+        key = (cls.value, payload, wire)
+        cell = self._shapes.get(key)
+        if cell is None:
+            cell = self._shapes[key] = [0]
+        return cell
 
     def note(self, cls: MessageClass, payload: int, wire: int, ser_ns: float) -> None:
-        agg = self.agg
-        agg[0] += 1
-        agg[1] += payload
-        agg[2] += wire
-        agg[3] += ser_ns
-        entry = self.class_cell(cls)
-        entry[0] += 1
-        entry[1] += wire
+        """Count one message of the given shape."""
+        self.shape_cell(cls, payload, wire)[0] += 1
+        self.busy[0] += ser_ns
+
+    def _totals(self) -> tuple:
+        """``(messages, payload, wire, by_class, wire_by_class)`` from the shapes."""
+        messages = payload_bytes = wire_bytes = 0
+        by_class: Dict[str, int] = {}
+        wire_by_class: Dict[str, int] = {}
+        for (cls, payload, wire), (count,) in self._shapes.items():
+            messages += count
+            payload_bytes += count * payload
+            wire_bytes += count * wire
+            by_class[cls] = by_class.get(cls, 0) + count
+            wire_by_class[cls] = wire_by_class.get(cls, 0) + count * wire
+        return messages, payload_bytes, wire_bytes, by_class, wire_by_class
 
     @property
     def messages(self) -> int:
-        return self.agg[0]
+        return self._totals()[0]
 
     @property
     def payload_bytes(self) -> int:
-        return self.agg[1]
+        return self._totals()[1]
 
     @property
     def wire_bytes(self) -> int:
-        return self.agg[2]
+        return self._totals()[2]
 
     @property
     def busy_ns(self) -> float:
-        return self.agg[3]
+        return self.busy[0]
 
     @property
     def by_class(self) -> Dict[str, int]:
         """Per-class message counts (snapshot view)."""
-        return {k: v[0] for k, v in self._per_class.items()}
+        return self._totals()[3]
 
     @property
     def wire_by_class(self) -> Dict[str, int]:
         """Per-class wire bytes (snapshot view)."""
-        return {k: v[1] for k, v in self._per_class.items()}
-
-    def class_cell(self, cls: MessageClass) -> list:
-        """Get-or-create the mutable ``[count, wire_bytes]`` cell of a class."""
-        entry = self._per_class.get(cls.value)
-        if entry is None:
-            self._per_class[cls.value] = entry = [0, 0]
-        return entry
+        return self._totals()[4]
 
     def snapshot(self) -> Dict:
         """The canonical dict form of one direction's counters.
@@ -98,13 +112,14 @@ class LinkStats:
         two ``*_class`` maps merge key-wise (see
         :func:`repro.shard.merge._merge_link`).
         """
+        messages, payload, wire, by_class, wire_by_class = self._totals()
         return {
-            "messages": self.agg[0],
-            "payload": self.agg[1],
-            "wire": self.agg[2],
-            "busy": self.agg[3],
-            "by_class": self.by_class,
-            "wire_by_class": self.wire_by_class,
+            "messages": messages,
+            "payload": payload,
+            "wire": wire,
+            "busy": self.busy[0],
+            "by_class": by_class,
+            "wire_by_class": wire_by_class,
         }
 
 
@@ -312,29 +327,30 @@ class Link:
 
         The coherence fabric's memoized transition plans always pair one
         request message with one response on the opposite half of the
-        duplex link, so the whole plan is a flat 16-field tuple — two
-        ``(direction, cls, payload, wire, ser, charge_queueing, agg,
-        class_cell)`` rows concatenated — that unpacks in one step and
-        runs straight-line. ``wire``/``ser`` are resolved against the
-        current bandwidth and header configuration and ``agg``/
-        ``class_cell`` are the live statistics cells of each direction's
-        :class:`LinkStats` (the fabric rebuilds its plans via
-        :attr:`on_scaled` when either goes stale — both :meth:`scaled`
-        and :meth:`reset_stats` fire it). The accounting is
-        bit-identical to calling :meth:`occupy` once per row — same
-        fault draws, window rolls, per-actor demand updates and wait
-        arithmetic in the same evaluation order — batching away only
-        the per-call validation, payload resolution and attribute
-        traffic; :meth:`occupy` is the oracle the property tests hold
-        it to. Rows with ``charge_queueing`` False still consume
-        window demand but add nothing to the returned total. With an
-        injector attached each row runs the fault hooks inline, as
-        :meth:`occupy` does: the degrade scale and the per-message draw
-        (whose wasted copy books ahead of the row), then the row's own
-        accounting, with the draw's extra delay charged beside its wait.
+        duplex link, so the whole plan is a flat 14-field tuple — two
+        ``(direction, cls, wire, ser, charge_queueing, busy, count)``
+        rows concatenated — that unpacks in one step and runs
+        straight-line. ``wire``/``ser`` are resolved against the current
+        bandwidth and header configuration; ``busy`` and ``count`` are
+        the direction's :attr:`LinkStats.busy` cell and the row shape's
+        :meth:`LinkStats.shape_cell`, so counting a message is two list
+        stores (the fabric rebuilds its plans via :attr:`on_scaled` when
+        either goes stale — both :meth:`scaled` and :meth:`reset_stats`
+        fire it). The accounting is bit-identical to calling
+        :meth:`occupy` once per row — same fault draws, window rolls,
+        per-actor demand updates and wait arithmetic in the same
+        evaluation order — batching away only the per-call validation,
+        payload resolution and attribute traffic; :meth:`occupy` is the
+        oracle the property tests hold it to. Rows with
+        ``charge_queueing`` False still consume window demand but add
+        nothing to the returned total. With an injector attached each
+        row runs the fault hooks inline, as :meth:`occupy` does: the
+        degrade scale and the per-message draw (whose wasted copy books
+        ahead of the row), then the row's own accounting, with the
+        draw's extra delay charged beside its wait.
         """
-        (d0, cls0, payload0, wire0, ser0, charge0, agg0, cell0,
-         d1, cls1, payload1, wire1, ser1, charge1, agg1, cell1) = plan
+        (d0, cls0, wire0, ser0, charge0, busy0, count0,
+         d1, cls1, wire1, ser1, charge1, busy1, count1) = plan
         faults = self.faults
         window = self.WINDOW_NS
         cap = self.RHO_CAP
@@ -368,12 +384,8 @@ class Link:
         except KeyError:
             mine = ser0
         by[actor] = mine
-        agg0[0] += 1
-        agg0[1] += payload0
-        agg0[2] += wire0
-        agg0[3] += ser0
-        cell0[0] += 1
-        cell0[1] += wire0
+        count0[0] += 1
+        busy0[0] += ser0
         if charge0:
             wait = 0.0
             try:
@@ -431,12 +443,8 @@ class Link:
         except KeyError:
             mine = ser1
         by[actor] = mine
-        agg1[0] += 1
-        agg1[1] += payload1
-        agg1[2] += wire1
-        agg1[3] += ser1
-        cell1[0] += 1
-        cell1[1] += wire1
+        count1[0] += 1
+        busy1[0] += ser1
         if charge1:
             wait = 0.0
             try:
@@ -473,18 +481,18 @@ class Link:
                      payload_bytes: Optional[int] = None) -> tuple:
         """Build a memoized per-hop charge row for :meth:`one_way`.
 
-        Returns the flat 14-field tuple ``(link, direction, payload,
-        wire, ser, latency, ser+latency, agg, class_cell, win_busy,
-        win_by, win_start, rho_settled, rho_by)`` — the resolved wire
-        figures plus the live statistics and utilization-window cells a
-        caller needs to replay :meth:`one_way`'s accounting without the
-        per-call validation, payload resolution, and class-cell dict
-        lookup (see :meth:`repro.topology.net.Router.charge`). The row
-        embeds mutable state that :meth:`scaled` and :meth:`reset_stats`
-        replace, so holders must drop it when :attr:`on_scaled` fires;
-        fault attachment needs no invalidation because consumers are
-        expected to re-check :attr:`faults` per charge and fall back to
-        :meth:`one_way`.
+        Returns the flat 13-field tuple ``(link, direction, wire, ser,
+        latency, ser+latency, busy, count, win_busy, win_by, win_start,
+        rho_settled, rho_by)`` — the resolved wire figures
+        plus the live statistics cells (:attr:`LinkStats.busy` and the
+        hop's :meth:`LinkStats.shape_cell`) and utilization-window cells
+        a caller needs to replay :meth:`one_way`'s accounting without
+        the per-call validation, payload resolution, and shape lookup
+        (see :meth:`repro.topology.net.Router.charge`). The row embeds
+        mutable state that :meth:`scaled` and :meth:`reset_stats`
+        replace, so holders must drop it when :attr:`on_scaled` fires.
+        Fault attachment needs no invalidation: consumers re-read
+        :attr:`faults` per charge and run its hooks inline.
         """
         if direction not in (0, 1):
             raise InterconnectError(f"direction must be 0 or 1, got {direction}")
@@ -493,8 +501,8 @@ class Link:
         ser = wire / self.bandwidth
         stats = self.stats[direction]
         return (
-            self, direction, payload, wire, ser, self.latency_ns,
-            ser + self.latency_ns, stats.agg, stats.class_cell(cls),
+            self, direction, wire, ser, self.latency_ns,
+            ser + self.latency_ns, stats.busy, stats.shape_cell(cls, payload, wire),
             self._win_busy, self._win_by, self._win_start,
             self._rho, self._rho_by,
         )

@@ -133,19 +133,19 @@ class Router:
     The per-hop :meth:`Link.one_way` accounting is replayed from
     memoized *charge plans*: one flat row per hop (built by
     :meth:`Link.plan_one_way`) carrying
-    the resolved payload/wire/serialization figures plus the live
+    the resolved wire/serialization figures plus the live
     statistics and utilization-window cells, so :meth:`charge` runs the
     window accounting straight-line with no per-hop validation, payload
-    resolution, or class-cell dict lookup. Plans embed state that
+    resolution, or shape lookup. Plans embed state that
     :meth:`Link.scaled` and :meth:`Link.reset_stats` replace, so the
     Router claims every edge link's ``on_scaled`` slot (edge links have
     no other consumer — the coherence fabric only owns the intra-host
     links) and drops all plans when any edge is rescaled or reset,
     mirroring the epoch invalidation of the fabric's transition plans.
-    A fault injector attached to an edge is honoured per charge: any
-    hop whose link carries ``faults`` falls back to :meth:`Link.one_way`
-    so fault draws keep their order. The sum of :meth:`Link.one_way`
-    over :meth:`path_hops` is the test oracle for :meth:`charge`.
+    A fault injector attached to an edge runs inside the hop loop, in
+    :meth:`Link.one_way`'s order, as it does in
+    :meth:`Link.occupy_pair`. The sum of :meth:`Link.one_way` over
+    :meth:`path_hops` is the test oracle for :meth:`charge`.
     """
 
     def __init__(self, net: TopologyNet) -> None:
@@ -194,7 +194,13 @@ class Router:
         hop replays :meth:`Link.one_way`'s accounting from a memoized
         plan — same window rolls, same per-actor demand updates, same
         wait arithmetic in the same evaluation order — so the total is
-        bit-identical to summing :meth:`Link.one_way` over the hops.
+        bit-identical to summing :meth:`Link.one_way` over the hops. On
+        an edge with an injector the hop first scales its serialization
+        by the degrade factor, then makes the per-message draw (whose
+        wasted copy books ahead of the hop), then does its own
+        accounting with the draw's extra delay added beside the wait;
+        the precomputed ``ser + latency`` stands in only while the
+        scale is 1.0.
         """
         key = (src, dst, cls, payload_bytes)
         plan = self._plans.get(key)
@@ -209,15 +215,17 @@ class Router:
         cap = Link.RHO_CAP
         live_floor = window / 4
         total = 0.0
-        for (link, d, payload, wire, ser, lat, ser_lat, agg, cell,
+        for (link, d, wire, ser, lat, ser_lat, busy_cell, count,
              win_busy, win_by, win_start, rho_settled, rho_by) in plan:
-            if link.faults is not None:
-                # Fault draws must keep their per-message order; let
-                # Link.one_way book this hop.
-                total += link.one_way(
-                    cls, d, payload_bytes=payload_bytes, actor=actor
-                )
-                continue
+            faults = link.faults
+            if faults is None:
+                disrupt = 0.0
+            else:
+                scale = faults.link_ser_scale(link.name, t)
+                if scale != 1.0:
+                    ser = ser * scale
+                    ser_lat = ser + lat
+                disrupt = link._fault_disruptions(cls, d, ser, wire, actor)
             elapsed = t - win_start[d]
             if elapsed >= window:
                 rho_settled[d] = min(cap, win_busy[d] / elapsed)
@@ -236,12 +244,8 @@ class Router:
             except KeyError:
                 mine = ser
             by[actor] = mine
-            agg[0] += 1
-            agg[1] += payload
-            agg[2] += wire
-            agg[3] += ser
-            cell[0] += 1
-            cell[1] += wire
+            count[0] += 1
+            busy_cell[0] += ser
             try:
                 settled_others = rho_settled[d] - rho_by[d][actor]
             except KeyError:
@@ -250,7 +254,7 @@ class Router:
                 # Sole actor in the window and nothing settled: the wait
                 # is exactly 0.0, so the hop contributes its precomputed
                 # (ser + latency) — identical to (0.0 + ser) + latency.
-                total += ser_lat
+                total += ser_lat + disrupt
                 continue
             if settled_others < 0.0:
                 settled_others = 0.0
@@ -262,7 +266,7 @@ class Router:
             if rho_others > cap:
                 rho_others = cap
             if rho_others <= 0.0:
-                total += ser_lat
+                total += ser_lat + disrupt
                 continue
             mm1 = ser * rho_others / (1.0 - rho_others)
             own = mine if mine >= ser else ser
@@ -276,5 +280,5 @@ class Router:
                 over = 0.0
             fair = ser * over * rho_total * rho_total
             wait = mm1 if mm1 <= fair else fair
-            total += wait + ser + lat
+            total += wait + ser + lat + disrupt
         return total

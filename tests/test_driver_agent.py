@@ -34,6 +34,22 @@ class TestDriverValidation:
         assert rx.count == 0
         assert rx.ns > 0  # the signal poll still costs
 
+    def test_empty_polls_still_read_the_signal_line(self):
+        """Empty polls return early, but each still makes its one fabric
+        access: a hit on the host's copy of the next ring line, which
+        moves to the MRU end of the host's cache."""
+        _system, nic, driver = make()
+        rx = nic.pair(0).rx
+        agent = driver.agent
+        driver.rx_burst(8)  # the cold first read misses
+        hits, consumed, polls = agent.hits, rx.consumed, 25
+        results = [driver.rx_burst(8) for _ in range(polls)]
+        assert all(not r and r.count == 0 for r in results)
+        assert len({r.ns for r in results}) == 1
+        assert agent.hits == hits + polls
+        assert rx.consumed == consumed
+        assert list(agent.lines())[-1] == rx.line_addr(rx.head) // 64
+
     def test_housekeeping_noop_with_shared_management(self):
         _system, _nic, driver = make()
         assert driver.housekeeping() == 0.0

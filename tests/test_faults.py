@@ -1,8 +1,11 @@
 """Fault plans, the deterministic injector, and the recovery machinery."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.check.model import ModelScope, _World
@@ -10,6 +13,7 @@ from repro.core.recovery import RecoverableDriver, RecoveryPolicy, RingWatchdog
 from repro.core.results import TxResult
 from repro.errors import FaultError, RingTimeoutError
 from repro.faults import FAULT_KINDS, FaultEvent, FaultInjector, FaultPlan
+from repro.faults.injector import LinkFault, SnoopFault
 from repro.interconnect import Link, MessageClass
 from repro.platform import icx
 from repro.shard.merge import fingerprint
@@ -202,6 +206,112 @@ class TestFaultInjector:
         assert fault.kind == "nic_reset" and fault.duration_ns == 1000.0
         assert inj.nic_decide(0, 200.0) is None  # one-shot
         assert inj.nic_decide(1, 200.0) is not None  # independent per queue
+
+
+# ----------------------------------------------------------------------
+# Compiled fault windows against the per-message plan scan
+# ----------------------------------------------------------------------
+class _ScanInjector(FaultInjector):
+    """Answers every call by scanning the whole plan: the reference the
+    compiled window segments must match."""
+
+    def link_ser_scale(self, link_name, now):
+        scale = 1.0
+        for ev in self._degrade_events:
+            if ev.active(now) and ev.matches_link(link_name):
+                scale /= ev.factor
+        if scale != 1.0:
+            self.counters.add("degraded_messages")
+        return scale
+
+    def link_decide(self, link_name, now):
+        for ev in self._link_events:
+            if not ev.active(now) or not ev.matches_link(link_name):
+                continue
+            if self._rng.random() >= ev.probability:
+                continue
+            self._note(now, ev.kind)
+            if ev.kind == "link_drop":
+                return LinkFault("link_drop", extra_ns=ev.extra_ns, retransmit=True)
+            if ev.kind == "link_duplicate":
+                return LinkFault("link_duplicate", duplicate=True)
+            return LinkFault("link_delay", extra_ns=ev.extra_ns)
+        return None
+
+    def snoop_decide(self, now):
+        for ev in self._snoop_events:
+            if not ev.active(now):
+                continue
+            if self._rng.random() >= ev.probability:
+                continue
+            self._note(now, ev.kind)
+            if ev.kind == "snoop_nack":
+                return SnoopFault("snoop_nack", extra_ns=ev.extra_ns, reissue=True)
+            return SnoopFault("snoop_delay", extra_ns=ev.extra_ns)
+        return None
+
+
+# Window edges on a coarse grid, so windows overlap, share edges and
+# queries land exactly on them.
+_EDGE = st.sampled_from([0.0, 100.0, 200.0, 300.0, 500.0, 800.0])
+
+
+@st.composite
+def _window_event(draw):
+    kind = draw(st.sampled_from([
+        "link_drop", "link_duplicate", "link_delay", "link_degrade",
+        "snoop_delay", "snoop_nack",
+    ]))
+    start = draw(_EDGE)
+    end = draw(st.sampled_from([math.inf, start, start + 100.0, start + 300.0]))
+    fields = {"kind": kind, "start_ns": start, "end_ns": end}
+    if kind == "link_degrade":
+        fields["factor"] = draw(st.sampled_from([0.25, 0.5, 0.8]))
+    else:
+        fields["probability"] = draw(st.sampled_from([0.1, 0.5, 1.0]))
+        fields["extra_ns"] = draw(st.sampled_from([0.0, 50.0, 400.0]))
+    if kind.startswith("link_"):
+        fields["target"] = draw(st.sampled_from([None, None, "upi", "pcie"]))
+    return FaultEvent(**fields)
+
+
+# Mostly non-decreasing query times, with repeats and a rare jump back.
+_QUERY = st.tuples(
+    st.sampled_from(["scale", "link", "snoop"]),
+    st.sampled_from(["upi", "pcie", "edge:h0~tor"]),
+    st.sampled_from([0.0, 0.0, 20.0, 50.0, 100.0, 100.0, 250.0, -400.0]),
+)
+
+
+def _injector_state(inj):
+    return (inj._rng.getstate(), inj.counters.snapshot(), inj.injection_log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    events=st.lists(_window_event(), min_size=1, max_size=6),
+    queries=st.lists(_QUERY, min_size=1, max_size=60),
+    seed=st.integers(min_value=0, max_value=3),
+)
+def test_compiled_windows_match_plan_scan(events, queries, seed):
+    plan = FaultPlan(events=tuple(events))
+    compiled, oracle = FaultInjector(plan, seed=seed), _ScanInjector(plan, seed=seed)
+    now = 0.0
+    for hook, link_name, step in queries:
+        now = max(0.0, now + step)
+        if hook == "scale":
+            got = compiled.link_ser_scale(link_name, now)
+            want = oracle.link_ser_scale(link_name, now)
+        elif hook == "link":
+            got = compiled.link_decide(link_name, now)
+            want = oracle.link_decide(link_name, now)
+        else:
+            got = compiled.snoop_decide(now)
+            want = oracle.snoop_decide(now)
+        assert got == want
+        assert _injector_state(compiled) == _injector_state(oracle)
+    # The degraded-message tally exists only once a message degraded.
+    assert list(compiled.counters.snapshot()) == list(oracle.counters.snapshot())
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +583,43 @@ class TestEndToEnd:
     @staticmethod
     def _run(kind, plan, seed=0):
         return _faulted_run(kind, plan, seed)
+
+
+#: One window per message-level fault kind, closing mid-run, with the
+#: probabilities and extra delays of the canned plan.
+SINGLE_KIND_EVENTS = {
+    "link_drop": {"probability": 0.05, "extra_ns": 400.0},
+    "link_duplicate": {"probability": 0.05},
+    "link_delay": {"probability": 0.05, "extra_ns": 150.0},
+    "link_degrade": {"factor": 0.5},
+    "snoop_delay": {"probability": 0.05, "extra_ns": 120.0},
+    "snoop_nack": {"probability": 0.05, "extra_ns": 90.0},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SINGLE_KIND_EVENTS))
+def test_single_kind_conserves_packets(kind):
+    """Each message-level kind alone, on a CC-NIC loopback with
+    recovery: every offered packet is received or dropped, the kind
+    fires, and a same-seed rerun is identical."""
+    plan = FaultPlan(events=(FaultEvent(
+        kind=kind, start_ns=2_000.0, end_ns=30_000.0, **SINGLE_KIND_EVENTS[kind]
+    ),))
+    snapshots = []
+    for _ in range(2):
+        setup, result, faults = _faulted_run(InterfaceKind.CCNIC, plan, seed=5)
+        assert result.received + result.dropped == 1500
+        counters = faults.counters.snapshot()
+        if kind == "link_degrade":
+            assert counters["degraded_messages"] > 0
+        else:
+            assert counters[f"injected_{kind}"] > 0
+            assert {k for _, k in faults.injection_log} == {kind}
+        snap = _run_snapshot(setup, result)
+        snap["faults"] = counters
+        snap["injection_log"] = faults.injection_log
+        snapshots.append(snap)
+    assert snapshots[0] == snapshots[1]
 
 
 # ----------------------------------------------------------------------
