@@ -134,9 +134,7 @@ class KvServerApp(Instrumented):
         self.index = system.alloc_host("kv_index", 1 << 20)
         self._rng = make_rng(workload.seed, "kv")
         self._keys = ZipfKeys(workload.n_keys, workload.zipf_coefficient)
-        self._sizes = [
-            workload.distribution.sample(self._rng) for _ in range(workload.n_keys)
-        ]
+        self._sizes = workload.distribution.sample_many(self._rng, workload.n_keys)
         self._window_start: Optional[float] = None
         #: Server-thread busy time (processing iterations only): the
         #: per-application-thread service cost that the thread-count

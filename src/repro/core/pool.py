@@ -18,6 +18,13 @@ the paper's design features live here:
   consecutive allocations do not touch adjacent lines, defeating the
   remote prefetcher's contention with producer writes.
 
+The shared list starts as buffer *addresses*; a :class:`Buffer` handle
+is built only when the list first hands its address out. A shard uses a
+few dozen of its 2,048 buffers, so building every handle up front would
+be most of the pool's set-up cost for nothing. Freed buffers go back on
+the list as handles, so the address sequence the list hands out is the
+one an eagerly built list would give.
+
 Disabling a feature reverts to PCIe-like behaviour: FIFO reuse through
 the shared structure (maximally cache-cold), one 4KB buffer per packet,
 host-only management.
@@ -26,7 +33,7 @@ host-only management.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Sequence
+from typing import Deque, Dict, List, Sequence, Union
 
 from repro.coherence.cache import CacheAgent
 from repro.core.buffers import Buffer
@@ -39,7 +46,11 @@ from repro.sim.stats import Counter
 
 
 class BufferPool(Instrumented):
-    """Shared pool of packet buffers over a simulated memory region."""
+    """Shared pool of packet buffers over a simulated memory region.
+
+    Each full-size buffer's handle is built on its first allocation
+    from the shared list; until then the list holds its address.
+    """
 
     #: Cycles of core work per buffer handled in an alloc/free batch.
     CYCLES_PER_BUF = 8
@@ -65,13 +76,15 @@ class BufferPool(Instrumented):
         self._entries_base = self.meta.base + 64
         self._head = 0  # shared-ring cursor for cost modelling
 
-        buffers = [
-            Buffer(addr=self.region.base + i * config.buf_size, capacity=config.buf_size)
-            for i in range(config.pool_buffers)
+        # Addresses until first allocated (_alloc_one builds the handle).
+        # The shuffle's draws depend only on the list's length, so the
+        # fill order is the one shuffling handles gave.
+        addrs = [
+            self.region.base + i * config.buf_size for i in range(config.pool_buffers)
         ]
         if config.nonseq_alloc:
-            make_rng(seed, "pool-fill").shuffle(buffers)
-        self._shared: Deque[Buffer] = deque(buffers)
+            make_rng(seed, "pool-fill").shuffle(addrs)
+        self._shared: Deque[Union[int, Buffer]] = deque(addrs)
         self._shared_small: Deque[Buffer] = deque()
         # Per-side recycling stacks, keyed by agent name.
         self._stacks: Dict[str, List[Buffer]] = {}
@@ -256,6 +269,8 @@ class BufferPool(Instrumented):
             return None, cycles
         self._c_shared_alloc[0] += 1.0
         buf = self._shared.popleft()
+        if type(buf) is int:
+            buf = Buffer(addr=buf, capacity=config.buf_size)
         return buf, cycles + self._shared_access(agent, 1, write=False)
 
     def _free_one(self, agent: CacheAgent, buf: Buffer) -> float:

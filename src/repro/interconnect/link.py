@@ -278,6 +278,9 @@ class Link:
         ``ser * rho / (1 - rho)`` where rho is the utilization offered
         by *other* actors — an actor's own stream is already paced by
         the latency charged to it, so it never queues behind itself.
+        By the same rule an actor alone in the live window never waits,
+        whatever others settled in the previous one: its stream is the
+        window's whole demand, so its fair-share term is exactly 0.0.
         """
         t = self.sim.now
         elapsed = t - self._win_start[direction]
@@ -295,13 +298,14 @@ class Link:
         self._win_busy[direction] += ser
         by = self._win_by[direction]
         by[actor] = by.get(actor, 0.0) + ser
+        if self._win_busy[direction] == by[actor]:
+            # Sole actor in the live window: live_others is exactly 0.0
+            # and total / own - 1.0 is exactly 0.0, so the fair share,
+            # and with it the wait, is 0.0 whatever others settled.
+            return 0.0
         settled_others = max(
             0.0, self._rho[direction] - self._rho_by[direction].get(actor, 0.0)
         )
-        if settled_others <= 0.0 and self._win_busy[direction] == by[actor]:
-            # Sole actor, nothing settled from others: live_others and
-            # the clipped settled share are both exactly 0.0.
-            return 0.0
         live_elapsed = max(self.WINDOW_NS / 4, t - self._win_start[direction] + ser)
         live_others = (self._win_busy[direction] - by[actor]) / live_elapsed
         rho_others = min(self.RHO_CAP, max(settled_others, live_others))
@@ -388,15 +392,14 @@ class Link:
         busy0[0] += ser0
         if charge0:
             wait = 0.0
-            try:
-                settled_others = rho_settled[d0] - rho_by[d0][actor]
-            except KeyError:
-                settled_others = rho_settled[d0]
-            # Sole actor in the live window with nothing settled from
-            # others: live_others is exactly 0.0 and the clipped
-            # settled share is 0.0, so the wait is 0.0 — skip its
-            # arithmetic entirely (the dominant uncontended case).
-            if busy != mine or settled_others > 0.0:
+            # Sole actor in the live window: the fair share, and with it
+            # the wait, is exactly 0.0 whatever others settled (see
+            # _enqueue) — skip the arithmetic (the common case).
+            if busy != mine:
+                try:
+                    settled_others = rho_settled[d0] - rho_by[d0][actor]
+                except KeyError:
+                    settled_others = rho_settled[d0]
                 if settled_others < 0.0:
                     settled_others = 0.0
                 live_elapsed = t - win_start[d0] + ser0
@@ -447,11 +450,11 @@ class Link:
         busy1[0] += ser1
         if charge1:
             wait = 0.0
-            try:
-                settled_others = rho_settled[d1] - rho_by[d1][actor]
-            except KeyError:
-                settled_others = rho_settled[d1]
-            if busy != mine or settled_others > 0.0:
+            if busy != mine:
+                try:
+                    settled_others = rho_settled[d1] - rho_by[d1][actor]
+                except KeyError:
+                    settled_others = rho_settled[d1]
                 if settled_others < 0.0:
                     settled_others = 0.0
                 live_elapsed = t - win_start[d1] + ser1

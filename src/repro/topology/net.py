@@ -246,16 +246,17 @@ class Router:
             by[actor] = mine
             count[0] += 1
             busy_cell[0] += ser
+            if busy == mine:
+                # Sole actor in the live window: the wait is exactly 0.0
+                # whatever others settled (see Link._enqueue), so the hop
+                # contributes its precomputed (ser + latency) — identical
+                # to (0.0 + ser) + latency.
+                total += ser_lat + disrupt
+                continue
             try:
                 settled_others = rho_settled[d] - rho_by[d][actor]
             except KeyError:
                 settled_others = rho_settled[d]
-            if busy == mine and settled_others <= 0.0:
-                # Sole actor in the window and nothing settled: the wait
-                # is exactly 0.0, so the hop contributes its precomputed
-                # (ser + latency) — identical to (0.0 + ser) + latency.
-                total += ser_lat + disrupt
-                continue
             if settled_others < 0.0:
                 settled_others = 0.0
             live_elapsed = t - win_start[d] + ser

@@ -18,6 +18,7 @@ import random
 from typing import List, Sequence
 
 from repro.errors import WorkloadError
+from repro.sim.stats import ordered_sum
 
 
 class ObjectSizeDistribution:
@@ -27,6 +28,11 @@ class ObjectSizeDistribution:
     within a segment sizes are sampled log-uniformly. This gives smooth,
     heavy-tailed distributions whose published percentiles we can pin
     exactly.
+
+    The constructor compiles one row per segment: the segment's log
+    lower bound and log width, or its fixed size when the segment is
+    empty (its bound is at most the one below it). :meth:`sample_many`
+    draws from that table; :meth:`sample` is its one-draw case.
     """
 
     def __init__(
@@ -50,24 +56,53 @@ class ObjectSizeDistribution:
         self.max_size = max_size
         self._cums = [cum for cum, _size in breakpoints]
         self._sizes = [size for _cum, size in breakpoints]
+        # Per segment: (log_low, log_high - log_low, 0), or (0.0, 0.0,
+        # fixed size) for an empty segment, which takes no second draw.
+        self._segments: List[tuple] = []
+        low = 16
+        for high in self._sizes:
+            if high <= low:
+                self._segments.append((0.0, 0.0, high))
+            else:
+                log_low = math.log(low)
+                self._segments.append((log_low, math.log(high) - log_low, 0))
+            low = high
 
     def sample(self, rng: random.Random) -> int:
         """Draw one object size in bytes."""
-        u = rng.random()
-        seg = bisect.bisect_left(self._cums, u)
-        if seg >= len(self._sizes):
-            seg = len(self._sizes) - 1
-        low = 16 if seg == 0 else self._sizes[seg - 1]
-        high = self._sizes[seg]
-        if high <= low:
-            return min(high, self.max_size)
-        log_low, log_high = math.log(low), math.log(high)
-        value = math.exp(log_low + (log_high - log_low) * rng.random())
-        return max(1, min(int(value), self.max_size))
+        return self.sample_many(rng, 1)[0]
+
+    def sample_many(self, rng: random.Random, n: int) -> List[int]:
+        """Draw ``n`` object sizes in bytes.
+
+        Makes the same ``rng`` calls, in the same order, as ``n`` calls
+        of :meth:`sample`: one draw picks the segment, and a second places
+        the size log-uniformly inside it unless the segment is empty.
+        """
+        draw = rng.random
+        exp = math.exp
+        bisect_left = bisect.bisect_left
+        cums = self._cums
+        segments = self._segments
+        last = len(segments) - 1
+        cap = self.max_size
+        sizes: List[int] = []
+        append = sizes.append
+        for _ in range(n):
+            seg = bisect_left(cums, draw())
+            if seg > last:
+                seg = last
+            log_low, log_span, fixed = segments[seg]
+            if fixed:
+                append(fixed)
+                continue
+            size = int(exp(log_low + log_span * draw()))
+            append(cap if size > cap else (1 if size < 1 else size))
+        return sizes
 
     def fraction_below(self, threshold: int, rng: random.Random, n: int = 20000) -> float:
         """Empirical fraction of sampled objects smaller than ``threshold``."""
-        hits = sum(1 for _ in range(n) if self.sample(rng) < threshold)
+        hits = sum(1 for size in self.sample_many(rng, n) if size < threshold)
         return hits / n
 
 
@@ -117,7 +152,8 @@ class ZipfKeys:
         self.n_keys = n_keys
         self.coefficient = coefficient
         weights = [1.0 / (k ** coefficient) for k in range(1, n_keys + 1)]
-        total = sum(weights)
+        # Left to right, so the table has the same bits on every Python.
+        total = ordered_sum(weights)
         cumulative: List[float] = []
         running = 0.0
         for w in weights:

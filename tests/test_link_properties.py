@@ -2,14 +2,19 @@
 
 :meth:`Link._enqueue`'s utilization-window arithmetic is written out
 three more times for speed: once per row of :meth:`Link.occupy_pair`
-and once per hop in :meth:`Router.charge`. :meth:`Link.occupy` and
-:meth:`Link.one_way` stay the oracles. Hypothesis drives random message
+and once per hop in :meth:`Router.charge`. All four skip the arithmetic
+when the sender is the only actor in the live window. The oracle is a
+twin whose :meth:`Link.occupy` and :meth:`Link.one_way` run
+:func:`_full_enqueue`, the whole window formula with no such shortcut,
+which lives only here. Hypothesis drives random message
 sequences — clock advances across window boundaries, several actors,
 mixed message classes, both directions, charged and uncharged rows,
 and :meth:`Link.scaled` / :meth:`Link.reset_stats` calls mid-run —
 through an inlined copy and through a twin built the same way, with and
 without an identically seeded fault injector, and compares the returned
-delays, the window state and the injectors' draws.
+delays, the window state and the injectors' draws. Deterministic cases
+pin the state the shortcut covers beyond "nothing settled": an actor
+alone in the live window right after others were busy in the last one.
 
 :class:`LinkStats` counts each message once per shape and sums its
 totals when read. The twins count per message instead: every field of
@@ -18,7 +23,9 @@ totals when read. The twins count per message instead: every field of
 that per-message count after every step.
 """
 
-from hypothesis import given, settings
+import types
+
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.coherence import CoherenceFabric
@@ -87,6 +94,59 @@ def _count_per_message(link):
     link.stats = (_PerMessageStats(), _PerMessageStats())
 
 
+def _full_enqueue(link, direction, ser, actor):
+    """:meth:`Link._enqueue` without the sole-actor shortcut: the whole
+    window formula runs for every message. Counts, on the link, the
+    messages sent alone in the live window after others settled a share
+    in the last one (``busy == mine`` with ``settled_others > 0``)."""
+    t = link.sim.now
+    elapsed = t - link._win_start[direction]
+    if elapsed >= link.WINDOW_NS:
+        link._rho[direction] = min(link.RHO_CAP, link._win_busy[direction] / elapsed)
+        link._rho_by[direction] = {
+            a: min(link.RHO_CAP, busy / elapsed)
+            for a, busy in link._win_by[direction].items()
+        }
+        link._win_start[direction] = t
+        link._win_busy[direction] = 0.0
+        link._win_by[direction] = {}
+    link._win_busy[direction] += ser
+    by = link._win_by[direction]
+    by[actor] = by.get(actor, 0.0) + ser
+    settled_others = max(
+        0.0, link._rho[direction] - link._rho_by[direction].get(actor, 0.0)
+    )
+    if link._win_busy[direction] == by[actor] and settled_others > 0.0:
+        link.sole_after_settled += 1
+    live_elapsed = max(link.WINDOW_NS / 4, t - link._win_start[direction] + ser)
+    live_others = (link._win_busy[direction] - by[actor]) / live_elapsed
+    rho_others = min(link.RHO_CAP, max(settled_others, live_others))
+    if rho_others <= 0.0:
+        return 0.0
+    mm1 = ser * rho_others / (1.0 - rho_others)
+    own = max(by[actor], ser)
+    total = link._win_busy[direction]
+    live_total = total / live_elapsed
+    rho_total = min(1.0, max(link._rho[direction], live_total))
+    fair = ser * max(0.0, total / own - 1.0) * rho_total * rho_total
+    return min(mm1, fair)
+
+
+def _make_twin(link):
+    """Turn ``link`` into the oracle: per-message counting and the full
+    window formula."""
+    _count_per_message(link)
+    link._enqueue = types.MethodType(_full_enqueue, link)
+    link.sole_after_settled = 0
+
+
+def _note_sole_after_settled(twins):
+    """Report, in hypothesis's statistics, whether a run reached the
+    state the sole-actor shortcut covers beyond "nothing settled"."""
+    hits = sum(twin.sole_after_settled for twin in twins)
+    event(f"sole actor after others settled: {'yes' if hits else 'no'}")
+
+
 def _stats_view(stats):
     return (
         stats.snapshot(), stats.messages, stats.payload_bytes, stats.wire_bytes,
@@ -107,19 +167,19 @@ _CONTROL = st.sampled_from(
 )
 
 
-def _reconfigure(control, link, twin):
-    """Apply one control step to both sides; the twin keeps counting
-    per message after a reset."""
+def _reconfigure(control, twin, *links):
+    """Apply one control step to the twin and every other link; the twin
+    keeps counting per message after a reset."""
     if control is None:
         return
     if control == "reset":
-        link.reset_stats()
-        twin.reset_stats()
+        for link in (twin, *links):
+            link.reset_stats()
         _count_per_message(twin)
         return
     _, latency_factor, bandwidth_factor = control
-    link.scaled(latency_factor, bandwidth_factor)
-    twin.scaled(latency_factor, bandwidth_factor)
+    for link in (twin, *links):
+        link.scaled(latency_factor, bandwidth_factor)
 
 
 def _injector(faulted, seed):
@@ -155,8 +215,10 @@ def test_occupy_pair_matches_two_occupy_calls(steps, faulted):
         link.faults = _injector(faulted, seed=11)
         return link
 
-    inlined, twin = make_link(), make_link()
-    _count_per_message(twin)
+    # The inlined plan path, the per-message path (Link._enqueue) and
+    # the full-formula twin.
+    inlined, per_message, twin = make_link(), make_link(), make_link()
+    _make_twin(twin)
     # Rows are memoized the way the fabric memoizes its plans, and
     # dropped the same way: through on_scaled, which scaled() and
     # reset_stats() fire.
@@ -171,22 +233,26 @@ def test_occupy_pair_matches_two_occupy_calls(steps, faulted):
         return rows[key]
 
     for advance, actor, req, resp, direction, charge0, charge1, base, control in steps:
-        _reconfigure(control, inlined, twin)
+        _reconfigure(control, twin, inlined, per_message)
         sim.now += advance
         plan = row(req, direction, charge0) + row(resp, 1 - direction, charge1)
         got = inlined.occupy_pair(plan, actor, base)
         # Uncharged rows book demand but add nothing to the total.
-        want = base
-        wait = twin.occupy(req, direction, charge_queueing=charge0, actor=actor)
-        if charge0:
-            want += wait
-        wait = twin.occupy(resp, 1 - direction, charge_queueing=charge1, actor=actor)
-        if charge1:
-            want += wait
-        assert got == want
-        assert _window_state(inlined) == _window_state(twin)
+        for link in (per_message, twin):
+            total = base
+            wait = link.occupy(req, direction, charge_queueing=charge0, actor=actor)
+            if charge0:
+                total += wait
+            wait = link.occupy(resp, 1 - direction, charge_queueing=charge1, actor=actor)
+            if charge1:
+                total += wait
+            assert got == total
+            assert _window_state(inlined) == _window_state(link)
         _assert_same_stats(inlined, twin)
+        _assert_same_stats(per_message, twin)
     assert _draws(inlined.faults) == _draws(twin.faults)
+    assert _draws(per_message.faults) == _draws(twin.faults)
+    _note_sole_after_settled([twin])
 
 
 _NET_SPEC = mesh(2, 2)
@@ -208,7 +274,7 @@ def test_router_charge_matches_one_way_sum(steps, faulted):
     sim = Simulator()
     planned, twin = TopologyNet(sim, _NET_SPEC), TopologyNet(sim, _NET_SPEC)
     for link in twin.links.values():
-        _count_per_message(link)
+        _make_twin(link)
     # One faulted edge: routes across it mix hops that run the fault
     # hooks inline with clean ones.
     faulted_edge = _NET_SPEC.edges[4].name
@@ -217,7 +283,7 @@ def test_router_charge_matches_one_way_sum(steps, faulted):
     for advance, actor, src, dst, cls, payload, control, edge_index in steps:
         # A control step reconfigures one edge (its plans are dropped).
         edge = _NET_SPEC.edges[edge_index].name
-        _reconfigure(control, planned.links[edge], twin.links[edge])
+        _reconfigure(control, twin.links[edge], planned.links[edge])
         sim.now += advance
         got = planned.router.charge(src, dst, cls, payload_bytes=payload, actor=actor)
         want = 0.0
@@ -232,3 +298,82 @@ def test_router_charge_matches_one_way_sum(steps, faulted):
     assert _draws(planned.links[faulted_edge].faults) == _draws(
         twin.links[faulted_edge].faults
     )
+    _note_sole_after_settled(twin.links.values())
+
+
+# Two actors share one window; then "a" sends alone right after the
+# roll, so its live window holds only its own demand while the settled
+# window credits "b" with a share.
+_SHARED_WINDOW = [(0.0, "a"), (0.0, "b"), (300.0, "a"), (300.0, "b"), (300.0, "b")]
+_PAST_ROLL = Link.WINDOW_NS + 100.0
+
+
+def _assert_sole_after_settled(link, direction, actor):
+    assert set(link._win_by[direction]) == {actor}
+    assert link._rho[direction] - link._rho_by[direction][actor] > 0.0
+
+
+def test_occupy_pair_sole_actor_after_settled_share():
+    plat = icx()
+    sim = Simulator()
+
+    def make_link():
+        return Link(sim, "upi", latency_ns=plat.upi_latency_ns,
+                    bandwidth_bytes_per_ns=plat.upi_wire_bytes_per_ns,
+                    header_overhead=plat.upi_header_overhead)
+
+    inlined, per_message, twin = make_link(), make_link(), make_link()
+    _make_twin(twin)
+    fabric = CoherenceFabric(sim, AddressSpace(), plat.cost, inlined)
+    plan = (fabric._msg_row(MessageClass.SNOOP, 0)
+            + fabric._msg_row(MessageClass.READ, 1))
+
+    def send(actor):
+        got = inlined.occupy_pair(plan, actor, 37.5)
+        for link in (per_message, twin):
+            total = 37.5
+            total += link.occupy(MessageClass.SNOOP, 0, actor=actor)
+            total += link.occupy(MessageClass.READ, 1, actor=actor)
+            assert got == total
+            assert _window_state(inlined) == _window_state(link)
+        return got
+
+    for advance, actor in _SHARED_WINDOW:
+        sim.now += advance
+        send(actor)
+    sim.now += _PAST_ROLL
+    # Both rows roll their window and find "a" alone: no wait.
+    assert send("a") == 37.5
+    for direction in (0, 1):
+        _assert_sole_after_settled(inlined, direction, "a")
+    assert twin.sole_after_settled == 2
+    _assert_same_stats(inlined, twin)
+
+
+def test_router_hop_sole_actor_after_settled_share():
+    sim = Simulator()
+    planned, twin = TopologyNet(sim, _NET_SPEC), TopologyNet(sim, _NET_SPEC)
+    for link in twin.links.values():
+        _make_twin(link)
+    src, dst = "h0_0", "s0_0"  # one hop
+
+    def send(actor):
+        got = planned.router.charge(src, dst, MessageClass.DMA_WRITE, 256, actor=actor)
+        ((link, direction),) = twin.router.path_hops(src, dst)
+        want = link.one_way(MessageClass.DMA_WRITE, direction, 256, actor=actor)
+        assert got == want
+        return got
+
+    for advance, actor in _SHARED_WINDOW:
+        sim.now += advance
+        send(actor)
+    sim.now += _PAST_ROLL
+    ((link, direction),) = planned.router.path_hops(src, dst)
+    ((twin_link, _),) = twin.router.path_hops(src, dst)
+    wire = MessageClass.DMA_WRITE.payload_bytes(256) + link.header_overhead
+    # No wait: serialization plus propagation only.
+    assert send("a") == wire / link.bandwidth + link.latency_ns
+    _assert_sole_after_settled(link, direction, "a")
+    assert twin_link.sole_after_settled == 1
+    assert _window_state(link) == _window_state(twin_link)
+    _assert_same_stats(link, twin_link)

@@ -1,18 +1,23 @@
 """Shared buffer pool: recycling, subdivision, sharing semantics."""
 
+from collections import deque
+
 import pytest
 
+import repro.core.pool as pool_module
 from repro.core import BufferPool, CcnicConfig
+from repro.core.buffers import Buffer
 from repro.errors import PoolError
 from repro.platform import System, icx
+from repro.sim.rng import make_rng
 
 
-def make_pool(**overrides):
+def make_pool(seed=0, **overrides):
     defaults = dict(pool_buffers=32, ring_slots=64)
     defaults.update(overrides)
     config = CcnicConfig(**defaults)
     system = System(icx())
-    pool = BufferPool(system, config)
+    pool = BufferPool(system, config, seed)
     host = system.new_host_core("host")
     nic = system.new_nic_core("nic")
     return system, pool, host, nic
@@ -172,3 +177,91 @@ class TestBufferHandle:
         head.chain(tail)
         assert [s.buf_id for s in head.segments()] == [head.buf_id, tail.buf_id]
         assert head.total_len == 1064
+
+
+class _EagerSharedList:
+    """The shared list as an eager pool had it: every full-size handle
+    built up front, then shuffled. With recycling and small buffers off,
+    every allocation pops its front and every free appends to its back."""
+
+    def __init__(self, pool, seed):
+        config = pool.config
+        buffers = [
+            Buffer(addr=pool.region.base + i * config.buf_size, capacity=config.buf_size)
+            for i in range(config.pool_buffers)
+        ]
+        if config.nonseq_alloc:
+            make_rng(seed, "pool-fill").shuffle(buffers)
+        self.shared = deque(buffers)
+        self.exhausted = 0
+
+    def alloc(self, count):
+        out = []
+        for _ in range(count):
+            if not self.shared:
+                self.exhausted += 1
+                break
+            out.append(self.shared.popleft())
+        return out
+
+    def free(self, bufs):
+        self.shared.extend(bufs)
+
+
+class TestLazyBuffers:
+    def test_construction_builds_no_buffer(self, monkeypatch):
+        built = []
+
+        def counting_buffer(*args, **kwargs):
+            built.append(kwargs["addr"])
+            return Buffer(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "Buffer", counting_buffer)
+        _sys, pool, host, _nic = make_pool(pool_buffers=2048, small_buffers=False)
+        assert built == []
+        assert pool.free_full_buffers == 2048
+        bufs, _ = pool.alloc(host, [4096, 4096])
+        assert built == [buf.addr for buf in bufs]
+
+    @pytest.mark.parametrize("nonseq", [True, False])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_shared_list_matches_eager_construction(self, nonseq, seed):
+        _sys, pool, host, nic = make_pool(
+            seed=seed, pool_buffers=64, nonseq_alloc=nonseq,
+            buf_recycling=False, small_buffers=False,
+        )
+        eager = _EagerSharedList(pool, seed)
+        held, eager_held = [], []
+
+        def check(got, want):
+            assert [b.addr for b in got] == [b.addr for b in want]
+            assert pool.free_full_buffers == len(eager.shared)
+            assert pool.stats.get("exhausted") == eager.exhausted
+
+        def alloc(agent, count):
+            got, _ = pool.alloc(agent, [4096] * count)
+            want = eager.alloc(count)
+            check(got, want)
+            held.extend(got)
+            eager_held.extend(want)
+
+        def free(agent, picks):
+            for index in sorted(picks, reverse=True):
+                buf, twin = held.pop(index), eager_held.pop(index)
+                pool.free(agent, [buf])
+                eager.free([twin])
+                check([], [])
+
+        alloc(host, 5)
+        free(host, [3, 0])
+        alloc(nic, 9)
+        free(nic, [1, 4, 7, 10])
+        # Exhaust the list: a partial allocation, then an empty one.
+        alloc(host, 64)
+        alloc(nic, 3)
+        free(host, [0, 2, 5, 8, 13, 21, 34])
+        alloc(host, 4)
+        free(nic, range(len(held)))
+        # Every buffer back: freed handles and the unbuilt rest come out
+        # in the eager list's order.
+        alloc(host, 70)
