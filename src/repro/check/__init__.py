@@ -21,12 +21,12 @@ timing-level tests can miss:
   ``# repro: allow(<rule>)`` waivers are counted, never silent.
 * :func:`check_model` — a small-scope exhaustive model checker that
   drives the real coherence fabric through every short op sequence over
-  a few agents and lines, checking each observed transition, cost, and
-  counter delta against the declarative MESIF spec in ``TRANSITIONS``
-  (plus SWMR and stale-read invariants),
-  with shrunk replayable counterexamples and a transition-coverage
-  table. ``MUTATIONS`` holds seeded protocol bugs for checking the
-  checker.
+  a few agents and lines, checking each observed transition, cost,
+  counter delta and link message against ``TRANSITIONS``, the MESIF
+  table in :mod:`repro.coherence.transitions` that the fabric compiles
+  its plans from (plus SWMR and stale-read invariants), with shrunk
+  replayable counterexamples and a transition-coverage table.
+  ``MUTATIONS`` holds seeded protocol bugs for checking the checker.
 * :func:`check_explore` — a bounded DFS over intra-cohort dispatch
   orders (via the engine's ``chooser`` hook) on small registered
   scenarios, with partial-order pruning on disjoint footprints,
@@ -55,7 +55,6 @@ from repro.check.lint import (
 )
 from repro.check.model import (
     MUTATIONS,
-    TRANSITIONS,
     ModelScope,
     check_model,
     format_model_summary,
@@ -64,6 +63,7 @@ from repro.check.model import (
 )
 from repro.check.rules import LintRule, default_rules
 from repro.check.sanitizer import METADATA_CLASSES, Sanitizer, Violation
+from repro.coherence.transitions import TRANSITIONS
 from repro.obs.export import LINT_SCHEMA, MODEL_SCHEMA, SANITIZE_SCHEMA
 
 __all__ = [

@@ -2,10 +2,10 @@
 
 The fabric's MESIF transition behaviour (HITM dirty-ownership transfer,
 homing-dependent charging, speculative reads, store pipelining) is what
-CC-NIC's results rest on. This module pins the fabric's one
-implementation to an explicit, declarative transition relation
-(:data:`TRANSITIONS`) extracted from ``coherence/state.py`` +
-``coherence/costs.py``, then *exhaustively enumerates* every reachable
+CC-NIC's results rest on. The protocol is stated once, as the rules of
+:data:`~repro.coherence.transitions.TRANSITIONS`, and the fabric
+compiles its miss and upgrade plans from them. This module holds the
+fabric to that table: it *exhaustively enumerates* every reachable
 small-scope configuration (2–3 agents × 1–2 cache lines × all op
 sequences) through the real :class:`~repro.coherence.fabric.CoherenceFabric`,
 checking per step:
@@ -13,18 +13,21 @@ checking per step:
 * **single-writer-multiple-reader** — via the fabric's own
   :meth:`~repro.coherence.fabric.CoherenceFabric.check_invariants`;
 * **transition legality** — every observed transition is in the spec,
-  with the specified post-state, latency charge and counter deltas;
+  with the specified post-state, latency charge, counter deltas and
+  link messages;
 * **no stale reads** — a shadow data-version oracle asserts every read
   observes the globally newest version after any remote modify;
 * **coverage** — every spec transition is reached (the coverage table).
 
-Together with the pinned scenario fingerprints, the spec is the
-fabric's independent oracle. On failure the checker emits a *shrunk*,
-replayable counterexample op sequence (see
-:func:`replay_counterexample`). Named fabric mutations
-(:data:`MUTATIONS`) let CI prove the checker actually catches protocol
-bugs: each mutation (e.g. skipping the HITM forward) must produce a
-counterexample.
+Sharing the table does not make the check circular: the checker keeps
+its own half — the situation classifier (:func:`_situation`), the
+expected post-state (:func:`_expected_post`), the stale-read oracle,
+SWMR, and costs bound to the platform preset rather than to the live
+fabric. On failure the checker emits a *shrunk*, replayable
+counterexample op sequence (see :func:`replay_counterexample`). Named
+mutations (:data:`MUTATIONS`) let CI prove the checker catches protocol
+bugs: each (e.g. skipping the HITM forward, an edit of one fabric's copy
+of the table) must produce a counterexample.
 
 Scope bounds are deliberately tiny — the point is exhaustiveness within
 a scope small enough that the reachable abstract-state graph closes in
@@ -39,9 +42,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.coherence.fabric import CoherenceFabric
-from repro.coherence.state import LineState
+from repro.coherence.transitions import TRANSITIONS, TransitionRule
 from repro.errors import CoherenceError, ConfigError, ModelCheckError
 from repro.interconnect.link import Link
+from repro.interconnect.messages import MessageClass
 from repro.mem.space import AddressSpace
 from repro.obs.export import MODEL_SCHEMA
 from repro.platform import PLATFORMS
@@ -111,152 +115,6 @@ class ModelScope:
         )
 
 
-@dataclass(frozen=True)
-class TransitionRule:
-    """One allowed protocol transition in the declarative spec.
-
-    Attributes:
-        key: Situation key produced by :func:`_situation`.
-        write: Whether the op is a store.
-        description: Human-readable transition description.
-        cost_case: :class:`~repro.coherence.costs.CostModel` field charged.
-        pipelined: Whether the charge is divided by ``write_pipeline``.
-        counters: Per-socket counter suffixes bumped on the requester's
-            socket (the offcore-response model).
-        observable: Flight-recorder label (``"r:kind"``/``"w:kind"``)
-            this transition produces, tying the spec to scenario runs.
-        installs: Line state installed at the requester afterwards
-            (``None`` keeps the pre-state — read hits).
-        others: Effect on the other holders: ``keep``, ``drop`` (all
-            other copies invalidated), ``drop_dirty`` (only the dirty
-            source invalidated — HITM migration), or ``downgrade``
-            (E/F owners fall to S).
-    """
-
-    key: tuple
-    write: bool
-    description: str
-    cost_case: str
-    pipelined: bool = False
-    counters: Tuple[str, ...] = ()
-    observable: str = ""
-    installs: Optional[str] = None
-    others: str = "keep"
-
-
-def _rules() -> Dict[str, TransitionRule]:
-    r = {}
-
-    def add(tid: str, **kw) -> None:
-        r[tid] = TransitionRule(**kw)
-
-    for state in ("M", "E", "S"):
-        add(
-            f"read_hit_{state}",
-            key=("hit", "r", state),
-            write=False,
-            description=f"load hit on a {state} line: no transition, L2 charge",
-            cost_case="l2_hit",
-            observable="r:hit",
-        )
-    for state in ("M", "E"):
-        add(
-            f"write_hit_{state}",
-            key=("hit", "w", state),
-            write=True,
-            description=f"store hit on a writable {state} line: retire to store buffer, line goes M",
-            cost_case="store_buffer",
-            pipelined=True,
-            observable="w:hit",
-            installs="M",
-        )
-    add(
-        "write_upgrade_local",
-        key=("upgrade", False),
-        write=True,
-        description="store hit on a shared line, all other copies local: cheap invalidate, line goes M",
-        cost_case="local_invalidate",
-        pipelined=True,
-        observable="w:upgrade_local",
-        installs="M",
-        others="drop",
-    )
-    add(
-        "write_upgrade_remote",
-        key=("upgrade", True),
-        write=True,
-        description="store hit on a shared line with a remote copy: cross-link invalidate (RFO), line goes M",
-        cost_case="remote_invalidate",
-        pipelined=True,
-        counters=("rfo",),
-        observable="w:upgrade_remote",
-        installs="M",
-        others="drop",
-    )
-    for write, op in ((False, "r"), (True, "w")):
-        for home_local in (True, False):
-            where = "local" if home_local else "remote"
-            add(
-                f"{'write' if write else 'read'}_miss_dram_{where}",
-                key=("dram", op, home_local),
-                write=write,
-                description=f"{'store' if write else 'load'} miss, no cached copy, {where}-homed DRAM fill",
-                cost_case=f"{where}_dram",
-                pipelined=write,
-                counters=() if home_local else (("rfo",) if write else ("read",)),
-                observable=f"{op}:dram_{where}",
-                installs="M" if write else "E",
-            )
-        for dirty in (False, True):
-            kind = "dirty" if dirty else "clean"
-            add(
-                f"{'write' if write else 'read'}_miss_local_{kind}",
-                key=("local", op, dirty),
-                write=write,
-                description=(
-                    f"{'store' if write else 'load'} miss served by a same-socket "
-                    f"{kind} cache" + ("" if write else
-                                      (": HITM, ownership migrates" if dirty
-                                       else ": shared fill, owners downgrade"))
-                ),
-                cost_case="local_cache",
-                pipelined=write,
-                observable=f"{op}:cache_local",
-                installs="M" if (write or dirty) else "S",
-                others="drop" if write else ("drop_dirty" if dirty else "downgrade"),
-            )
-            for home_local in (True, False):
-                homed = "reader_homed" if home_local else "writer_homed"
-                spec = ("spec_mem_read",) if home_local else ()
-                add(
-                    f"{'write' if write else 'read'}_miss_remote_{kind}_{homed}",
-                    key=("remote", op, dirty, home_local),
-                    write=write,
-                    description=(
-                        f"{'store' if write else 'load'} miss served by a remote "
-                        f"{kind} cache, {homed.replace('_', '-')}"
-                        + (" (HITM transfer)" if dirty else "")
-                    ),
-                    cost_case=f"remote_cache_{homed}",
-                    pipelined=write,
-                    counters=(("rfo",) if write else ("read",)) + spec,
-                    observable=(
-                        f"{op}:cache_remote"
-                        + ("_spec" if home_local else "")
-                        + ("_hitm" if dirty else "")
-                    ),
-                    installs="M" if (write or dirty) else "S",
-                    others="drop" if write else ("drop_dirty" if dirty else "downgrade"),
-                )
-    return r
-
-
-#: The declarative MESIF/HITM transition relation: transition id ->
-#: :class:`TransitionRule`. 23 rules cover every transition the fabric
-#: can take within a write-back, capacity-unbounded scope (FORWARD is
-#: never installed by the fabric, so no rule starts from it).
-TRANSITIONS: Dict[str, TransitionRule] = _rules()
-
 _BY_KEY: Dict[tuple, str] = {rule.key: tid for tid, rule in TRANSITIONS.items()}
 
 
@@ -315,6 +173,10 @@ class _World:
 
     def counters(self) -> Dict[str, float]:
         return dict(self.fabric.counters.snapshot())
+
+    def messages(self) -> List[Dict[str, int]]:
+        """Per-direction link message counts by class."""
+        return [stats.by_class for stats in self.link.stats]
 
 
 def _noop() -> None:
@@ -438,8 +300,12 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
         key = _situation(scope, pre, op)
         tid = _BY_KEY.get(key) if key is not None else None
         before = world.counters()
+        sent_before = world.messages()
         lat = world.apply(op)
         delta = _delta(before, world.counters())
+        sent = [
+            _delta(b, a) for b, a in zip(sent_before, world.messages())
+        ]
         post = world.abstract()
         try:
             world.fabric.check_invariants()
@@ -486,6 +352,20 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
                 step, scope, seq,
                 {"transition": tid, "expected": want_counters, "observed": delta},
             ))
+        # Exact in scope: unbounded capacity, no prefetcher, no faults.
+        want_sent: List[Dict[str, int]] = [{}, {}]
+        if rule.messages:
+            request, response = rule.messages
+            want_sent[socket][request.value] = 1
+            want_sent[1 - socket][response.value] = 1
+        if sent != want_sent:
+            return _Outcome(post, transitions, _violation(
+                "message-mismatch",
+                f"transition {tid} sent {sent} (per link direction), "
+                f"spec says {want_sent}",
+                step, scope, seq,
+                {"transition": tid, "expected": want_sent, "observed": sent},
+            ))
         # Stale-read oracle (order matters: sourcing before the write bump).
         stale = None
         if write:
@@ -524,9 +404,9 @@ def _run_sequence(scope: ModelScope, seq, mutation=None) -> _Outcome:
 
 def _delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
     return {
-        k: after[k] - before.get(k, 0.0)
+        k: after[k] - before.get(k, 0)
         for k in after
-        if after[k] != before.get(k, 0.0)
+        if after[k] != before.get(k, 0)
     }
 
 
@@ -724,46 +604,39 @@ def raise_on_failure(report: Dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # Seeded fabric mutations (deliberate bugs the checker must catch)
 # ----------------------------------------------------------------------
+def _edit_rules(fabric: CoherenceFabric, tids, **changes) -> None:
+    """Hand ``fabric`` a copy of the table with ``changes`` made to
+    ``tids``; the checker keeps reading the unedited table."""
+    rules = dict(TRANSITIONS)
+    for tid in tids:
+        rules[tid] = dataclasses.replace(rules[tid], **changes)
+    fabric.rules = rules
+    fabric.invalidate_plans()
+
+
 def _mutate_skip_hitm_forward(fabric: CoherenceFabric) -> None:
     """The dirty holder keeps its M copy after a HITM read transfer."""
-    inner = fabric._miss
-
-    def mutated(agent, line, write, region):
-        holders = fabric._holders.get(line, ())
-        dirty = next(
-            (h for h in holders if h.peek(line) is LineState.MODIFIED), None
-        )
-        latency = inner(agent, line, write, region)
-        if not write and dirty is not None and dirty is not agent:
-            dirty.set_state(line, LineState.MODIFIED)
-            holders = fabric._holders.setdefault(line, [])
-            if dirty not in holders:
-                holders.append(dirty)
-        return latency
-
-    fabric._miss = mutated
+    _edit_rules(
+        fabric,
+        [tid for tid in TRANSITIONS
+         if tid.startswith("read_miss_") and "_dirty" in tid],
+        others="keep",
+    )
 
 
 def _mutate_skip_remote_invalidate(fabric: CoherenceFabric) -> None:
     """Store upgrades leave remote copies in place (no invalidation)."""
-    inner = fabric._invalidate_others
+    _edit_rules(fabric, ["write_upgrade_remote"], others="keep")
 
-    def mutated(agent, line):
-        survivors = [
-            (h, h.peek(line))
-            for h in fabric._holders.get(line, ())
-            if h is not agent and h.socket != agent.socket
-        ]
-        latency = inner(agent, line)
-        if survivors:
-            holders = fabric._holders.setdefault(line, [])
-            for holder, state in survivors:
-                holder.set_state(line, state)
-                if holder not in holders:
-                    holders.append(holder)
-        return latency
 
-    fabric._invalidate_others = mutated
+def _mutate_read_as_rfo(fabric: CoherenceFabric) -> None:
+    """Remote read fills answer with an RFO while counting a READ."""
+    _edit_rules(
+        fabric,
+        [tid for tid, rule in TRANSITIONS.items()
+         if not rule.write and rule.messages],
+        messages=(MessageClass.SNOOP, MessageClass.RFO),
+    )
 
 
 def _mutate_undercharge_remote_cache(fabric: CoherenceFabric) -> None:
@@ -780,6 +653,7 @@ def _mutate_undercharge_remote_cache(fabric: CoherenceFabric) -> None:
 #: must yield a replayable counterexample; a mutation the checker
 #: misses is a hole in the invariant set.
 MUTATIONS = {
+    "read-as-rfo": _mutate_read_as_rfo,
     "skip-hitm-forward": _mutate_skip_hitm_forward,
     "skip-remote-invalidate": _mutate_skip_remote_invalidate,
     "undercharge-remote-cache": _mutate_undercharge_remote_cache,

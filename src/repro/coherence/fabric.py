@@ -32,30 +32,35 @@ change (and the reader-visible invalidation) happens immediately.
 Multi-line accesses model memory-level parallelism: the first line pays
 full latency, subsequent lines overlap and pay ``latency / mlp``.
 
-**Transition plans.** Accesses memoize *transition plans* — the
-resolved cost constant, precomputed link message rows and counter cells
-for one ``(operation, line situation, homing, requester socket)``
-combination — so steady-state transitions skip all cost recomputation,
-message-size resolution and counter-name formatting. Plans are
-invalidated when the cost model is swapped, the link is rescaled, or
-the counter bag is reset. An attached fault injector keeps the plans:
-each remote plan draws its snoop fault right after charging its link
-messages (which draw their link faults inside
-:meth:`Link.occupy_pair`). The flight recorder and the sanitizer,
-attached through an :class:`~repro.obs.Observability` bundle, observe
-the same path: line events, drops and speculative-read checks fire
-inside it, and no hook changes which code runs. The declarative MESIF
-spec in :mod:`repro.check.model` (``check --model``) and the pinned
-scenario fingerprints are the oracles for this one path.
+**Transition plans.** The protocol is stated once, as the rules of
+:data:`~repro.coherence.transitions.TRANSITIONS`. A miss or a store
+upgrade turns the line's situation into a small-int code naming one
+rule and runs the *plan* compiled from it for the requester's socket:
+the resolved cost constant, link message rows, counter cells, installed
+state, effect on the other holders and flight label. Steady-state
+transitions therefore skip all cost recomputation, message-size
+resolution and counter-name formatting. Plans are invalidated when the
+cost model is swapped, the link is rescaled, or the counter bag is
+reset. Hits never reach a plan: they stay inline in :meth:`access`
+(one line) and :meth:`access_burst` (everything else). An attached
+fault injector keeps the plans: each remote plan draws its snoop fault
+right after charging its link messages (which draw their link faults
+inside :meth:`Link.occupy_pair`). The flight recorder and the
+sanitizer, attached through an :class:`~repro.obs.Observability`
+bundle, observe the same path, and no hook changes which code runs.
+The model checker (``check --model``), which holds every transition to
+the same table with its own classifier and oracle, and the pinned
+scenario fingerprints check this one path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.cache import CacheAgent
 from repro.coherence.costs import CostModel
 from repro.coherence.state import LineState
+from repro.coherence.transitions import TRANSITIONS
 from repro.errors import CoherenceError
 from repro.interconnect.link import Link
 from repro.interconnect.messages import MessageClass
@@ -79,17 +84,42 @@ _EXCLUSIVE = LineState.EXCLUSIVE
 _SHARED = LineState.SHARED
 _FORWARD = LineState.FORWARD
 
-#: Largest constant stride (in lines) the prefetcher recognizes; module
-#: level so the inlined trigger in access()/access_burst() reads a
-#: global rather than a class attribute.
+#: Largest stride (in lines) the DCU-IP prefetcher arms on: a small
+#: positive stride arms it for the next line of the stream, a changed
+#: stride disarms it until it repeats. Module level so the rule, inline
+#: in access() and access_burst(), reads a global.
 _MAX_PREFETCH_STRIDE = 4
 
-# Plan-key packing (small ints hash fastest). Bits: situation code in the
-# high bits, then write, homing, requester socket.
-_PLAN_DRAM = 0       # + write*2 + socket            -> 0..3
-_PLAN_REMOTE = 8     # + write*4 + home_local*2 + socket -> 8..15
-_PLAN_UPGRADE = 16   # + socket                      -> 16..17
-_PLAN_PREFETCH = 24  # + remote*2 + socket           -> 24..27
+# Situation codes; a plan key is ``code * 2 + requester socket`` (small
+# ints hash fastest). A fill adds write*4 + dirty*2 + home_local to its
+# block's base (a DRAM fill is never dirty).
+_DRAM = 0           # 0..7
+_CACHE_LOCAL = 8    # 8..15
+_CACHE_REMOTE = 16  # 16..23
+_UPGRADE = 24       # + 1 when another socket holds a copy
+_PREFETCH = 26      # + 1 when the fill crosses the link (not in the spec)
+
+
+def _codes(key: tuple) -> Tuple[int, ...]:
+    """Situation codes a rule key names (none for a hit)."""
+    kind = key[0]
+    if kind == "hit":
+        return ()
+    if kind == "upgrade":
+        return (_UPGRADE + key[1],)
+    fill = 4 if key[1] == "w" else 0
+    if kind == "dram":
+        return (_DRAM + fill + key[2],)
+    fill += 2 * key[2]
+    if kind == "local":  # one rule for either homing
+        return (_CACHE_LOCAL + fill, _CACHE_LOCAL + fill + 1)
+    return (_CACHE_REMOTE + fill + key[3],)
+
+
+#: Situation code -> id of the rule it names, built from the rule keys.
+_RULE_OF_CODE: Dict[int, str] = {
+    code: tid for tid, rule in TRANSITIONS.items() for code in _codes(rule.key)
+}
 
 
 class CoherenceFabric(Instrumented):
@@ -118,6 +148,10 @@ class CoherenceFabric(Instrumented):
     sanitizer = None
 
     _obs_hooks = ("flight", "sanitizer")
+
+    #: The transition table the plans compile from. Only the model
+    #: checker's mutations hand one fabric an edited copy.
+    rules = TRANSITIONS
 
     def __init__(
         self,
@@ -211,9 +245,6 @@ class CoherenceFabric(Instrumented):
         self._cost = model
         self._l2_hit = model.l2_hit
         self._store_buffer = model.store_buffer
-        self._local_invalidate = model.local_invalidate
-        self._local_cache = model.local_cache
-        self._local_dram = model.local_dram
         self._plans.clear()
 
     def invalidate_plans(self) -> None:
@@ -236,53 +267,36 @@ class CoherenceFabric(Instrumented):
         return (direction, cls, wire, ser, charge,
                 st.busy, st.shape_cell(cls, payload, wire))
 
-    def _build_dram_plan(self, write: bool, socket: int) -> tuple:
-        """Remote-homed DRAM fill: snoop out, data-class back."""
-        cls = MessageClass.RFO if write else MessageClass.READ
-        msgs = (
-            self._msg_row(MessageClass.SNOOP, socket)
-            + self._msg_row(cls, 1 - socket)
-        )
-        cell = self.counters.cell(f"s{socket}.rfo" if write else f"s{socket}.read")
-        return (self._cost.remote_dram, msgs, cell)
+    def _compile(self, key: int) -> tuple:
+        """Build the plan for one ``code * 2 + socket`` key.
 
-    def _build_remote_plan(self, write: bool, home_local: bool, socket: int) -> tuple:
-        """Fetch from a remote cache (both homings of the Fig 7 cases)."""
-        if home_local:
-            base = self._cost.resolve("remote_cache_reader_homed")
-            spec_cell = self.counters.cell(f"s{socket}.spec_mem_read")
-        else:
-            base = self._cost.resolve("remote_cache_writer_homed")
-            spec_cell = None
-        cls = MessageClass.RFO if write else MessageClass.READ
-        msgs = (
-            self._msg_row(MessageClass.SNOOP, socket)
-            + self._msg_row(cls, 1 - socket)
-        )
-        cell = self.counters.cell(f"s{socket}.rfo" if write else f"s{socket}.read")
-        return (base, msgs, cell, spec_cell)
-
-    def _build_upgrade_plan(self, socket: int) -> tuple:
-        """Remote invalidation on a store upgrade: snoop out, ack back."""
-        msgs = (
-            self._msg_row(MessageClass.SNOOP, socket)
-            + self._msg_row(MessageClass.ACK, 1 - socket)
-        )
-        cell = self.counters.cell(f"s{socket}.rfo")
-        return (self._cost.remote_invalidate, msgs, cell)
-
-    def _build_prefetch_plan(self, remote: bool, socket: int) -> tuple:
-        """Speculative line fetch; bandwidth-only when remote."""
-        if remote:
+        A miss or upgrade plan is ``(latency, link rows, counter cells,
+        speculative read, installed state, effect on the other holders,
+        flight label)``, all taken from the rule its situation code
+        names. The prefetcher's two plans are not in the spec: ``(link
+        rows, counter cell)``, charging bandwidth only.
+        """
+        code, socket = divmod(key, 2)
+        counters = self.counters
+        if code >= _PREFETCH:
+            if code == _PREFETCH:
+                return ((), counters.cell(f"s{socket}.prefetch_local"))
             msgs = (
                 self._msg_row(MessageClass.SNOOP, socket, charge=False)
                 + self._msg_row(MessageClass.PREFETCH, 1 - socket, charge=False)
             )
-            cell = self.counters.cell(f"s{socket}.prefetch_remote")
-        else:
-            msgs = ()
-            cell = self.counters.cell(f"s{socket}.prefetch_local")
-        return (0.0, msgs, cell)
+            return (msgs, counters.cell(f"s{socket}.prefetch_remote"))
+        rule = self.rules[_RULE_OF_CODE[code]]
+        msgs = ()
+        if rule.messages:
+            request, response = rule.messages
+            msgs = self._msg_row(request, socket) + self._msg_row(response, 1 - socket)
+        cells = tuple(counters.cell(f"s{socket}.{name}") for name in rule.counters)
+        return (
+            self._cost.resolve(rule.cost_case), msgs, cells,
+            "spec_mem_read" in rule.counters, LineState(rule.installs),
+            rule.others, rule.observable[2:],
+        )
 
     def _resolve_region(self, addr: int) -> Region:
         """Region of ``addr`` (validated WB); caches by line number."""
@@ -375,8 +389,8 @@ class CoherenceFabric(Instrumented):
                     latency /= self.write_pipeline
                 total = latency + self._pending_queue
             if agent.prefetch:
-                # Inline copy of _maybe_prefetch (stride tracking and
-                # arming rule unchanged).
+                # The stride rule (see _MAX_PREFETCH_STRIDE), inline as
+                # in access_burst().
                 sstate = agent.stream_state.get(region.base)
                 if sstate is None:
                     agent.stream_state[region.base] = [first, 0]
@@ -392,24 +406,7 @@ class CoherenceFabric(Instrumented):
                         if target * 64 < region.end and target not in lines:
                             self._prefetch_line(agent, target, region)
             return total
-        region = self._region(addr)
-        total = 0.0
-        # Observers stamp each line at the access's local time so far.
-        observed = self.flight is not None or self.sanitizer is not None
-        for index, line in enumerate(range(first, last + 1)):
-            if observed:
-                self._elapsed = total
-            self._pending_queue = 0.0
-            latency = self._line_access(agent, line, write, region)
-            if write:
-                latency /= self.write_pipeline
-            if index > 0:
-                latency /= self.mlp
-            total += latency + self._pending_queue
-            if agent.prefetch:
-                self._maybe_prefetch(agent, line, region)
-        self._elapsed = 0.0
-        return total
+        return self.access_burst(agent, [(addr, size)], write)
 
     def access_burst(
         self,
@@ -424,7 +421,8 @@ class CoherenceFabric(Instrumented):
         A real out-of-order core overlaps such misses in its fill
         buffers, so only the first line pays full latency; every further
         line pays ``latency / mlp``. Bandwidth and protocol state are
-        charged for every line exactly as in :meth:`access`.
+        charged for every line exactly as in :meth:`access`, which sends
+        its multi-line accesses here as one span.
         """
         total = 0.0
         first = True
@@ -437,6 +435,7 @@ class CoherenceFabric(Instrumented):
         prefetch = agent.prefetch
         stream = agent.stream_state
         flight = self.flight
+        # Observers stamp each line at the burst's local time so far.
         observed = flight is not None or self.sanitizer is not None
         for addr, size in spans:
             if size <= 0:
@@ -456,10 +455,10 @@ class CoherenceFabric(Instrumented):
             while True:
                 if observed:
                     self._elapsed = total
-                # Inline copy of the hit cases in _line_access:
-                # payload bursts are overwhelmingly warm-line traffic.
-                # (A while walk, not range(): most spans are one line,
-                # and burst payloads dominate the span count.)
+                # The hit cases, inline as in access(): payload bursts
+                # are overwhelmingly warm-line traffic. (A while walk,
+                # not range(): most spans are one line, and burst
+                # payloads dominate the span count.)
                 state = lines.get(line)
                 if state is not None and (
                     not write or state is _MODIFIED or state is _EXCLUSIVE
@@ -500,7 +499,7 @@ class CoherenceFabric(Instrumented):
                     latency /= mlp
                 total += latency + pending
                 if prefetch:
-                    # Inline copy of _maybe_prefetch (see access()).
+                    # The stride rule, inline as in access().
                     sstate = stream.get(region.base)
                     if sstate is None:
                         stream[region.base] = [line, 0]
@@ -538,7 +537,12 @@ class CoherenceFabric(Instrumented):
         first = True
         for line in lines_spanned(addr, size):
             self._pending_queue = 0.0
-            latency = self._invalidate_others(agent, line)
+            holders = self._holders.get(line)
+            if holders and (len(holders) > 1 or holders[0] is not agent):
+                # The other copies go as on a store upgrade, by its rule.
+                latency = self._invalidate_others(agent, line)[0]
+            else:
+                latency = 0.0
             if first:
                 first = False
             else:
@@ -646,52 +650,15 @@ class CoherenceFabric(Instrumented):
     # ------------------------------------------------------------------
     # Protocol internals
     # ------------------------------------------------------------------
-    def _line_access(
-        self, agent: CacheAgent, line: int, write: bool, region: Region
-    ) -> float:
-        """One line of an access: a hit, an upgrade or a miss."""
-        lines = agent._lines
-        state = lines.get(line)
-        if state is not None:
-            agent.hits += 1
-            lines.move_to_end(line)
-            if write and state is not _MODIFIED and state is not _EXCLUSIVE:
-                return self._upgrade(agent, line, region)
-            if not write:
-                latency = self._l2_hit
-            else:
-                # Assigning an existing key keeps its (just-moved)
-                # position, so no second move_to_end.
-                lines[line] = _MODIFIED
-                latency = self._store_buffer
-            flight = self.flight
-            if flight is not None:
-                flight.line_event(
-                    self._now(), line, region, agent.socket, write, "hit", latency
-                )
-            return latency
-        agent.misses += 1
-        return self._miss(agent, line, write, region)
-
     def _upgrade(self, agent: CacheAgent, line: int, region: Region) -> float:
         """Write hit on a Shared/Forward line: invalidate the other copies.
 
         Returns the latency before store pipelining.
         """
+        latency, _msgs, _cells, _spec, state, _others, kind = self._invalidate_others(agent, line)
+        agent.set_state(line, state)
         flight = self.flight
         if flight is not None:
-            # Remote-ness must be read before _invalidate_others mutates
-            # the holders list.
-            remote = any(
-                h is not agent and h.socket != agent.socket
-                for h in self._holders.get(line, ())
-            )
-        latency = self._invalidate_others(agent, line)
-        agent.set_state(line, _MODIFIED)
-        if latency == 0.0:
-            latency = self._local_invalidate
-        if flight is not None:
-            kind = "upgrade_remote" if remote else "upgrade_local"
             flight.line_event(
                 self._now(), line, region, agent.socket, True, kind, latency
             )
@@ -703,169 +670,145 @@ class CoherenceFabric(Instrumented):
         """Fill a line the agent does not hold; returns its latency.
 
         Data comes from DRAM when no cache holds the line, else from the
-        nearest cache; a dirty copy always responds (HitM) and hands
-        over ownership on a read. Latency, link messages and counter
-        cells come from a memoized plan per ``(situation, write,
-        homing, requester socket)``. Each remote plan then draws its
-        snoop fault after the link charge and counter bump. A HitM read
-        and a write miss hand the line's holders list to the requester
-        in place rather than deleting and rebuilding it.
+        nearest cache; a dirty copy always responds (HitM). That
+        situation becomes a code naming one transition rule, whose plan
+        supplies the latency, link messages, counter cells, installed
+        state and effect on the other holders. Each remote plan draws
+        its snoop fault after the link charge. A HitM read and a write
+        miss hand the line's holders list to the requester in place
+        rather than deleting and rebuilding it.
         """
         holders = self._holders.get(line)
+        socket = agent.socket
+        code = (4 if write else 0) + (region.home == socket)
+        if holders:
+            local = False
+            dirty_holder = None
+            for holder in holders:
+                if holder.socket == socket:
+                    local = True
+                if holder._lines.get(line) is _MODIFIED:
+                    dirty_holder = holder
+            if dirty_holder is not None:
+                code += 2
+                local = dirty_holder.socket == socket
+            code += _CACHE_LOCAL if local else _CACHE_REMOTE
+        plans = self._plans
+        if self.counters.epoch != self._plans_epoch:
+            plans.clear()
+            self._plans_epoch = self.counters.epoch
+        key = code * 2 + socket
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = self._compile(key)
+        latency, msgs, cells, spec, state, others, kind = plan
+        if spec and self.sanitizer is not None:
+            self.sanitizer.spec_read(self._now(), line, region, agent, write)
+        for cell in cells:
+            cell[0] += 1.0
         flight = self.flight
         if not holders:
-            if region.home == agent.socket:
-                latency = self._local_dram
-                kind = "dram_local"
-            else:
-                kind = "dram_remote"
-                plans = self._plans
-                if self.counters.epoch != self._plans_epoch:
-                    plans.clear()
-                    self._plans_epoch = self.counters.epoch
-                key = _PLAN_DRAM + (2 if write else 0) + agent.socket
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = self._build_dram_plan(write, agent.socket)
-                base, msgs, cell = plan
-                latency = self.link.occupy_pair(msgs, agent.name, base)
-                cell[0] += 1.0
+            if msgs:
+                # A remote-DRAM fill folds its link wait and snoop-fault
+                # delay into the latency it returns, so store pipelining
+                # and MLP divide them; a cache fill books them undivided
+                # in _pending_queue. A known defect (docs/MODEL.md §2),
+                # pinned by TestCongestionWaits in tests/test_fabric.py.
+                latency = self.link.occupy_pair(msgs, agent.name, latency)
                 if self.faults is not None:
                     latency += self._snoop_disruption(agent)
-            self._install(agent, line, _MODIFIED if write else _EXCLUSIVE, region)
-            if flight is not None:
-                flight.line_event(
-                    self._now(), line, region, agent.socket, write, kind, latency
-                )
-            return latency
-        local_holder: Optional[CacheAgent] = None
-        remote_holder: Optional[CacheAgent] = None
-        dirty_holder: Optional[CacheAgent] = None
-        for holder in holders:
-            if holder.socket == agent.socket:
-                local_holder = holder
+            # No other copy for the rule's effect to touch.
+            if holders is None:
+                self._holders[line] = [agent]
             else:
-                remote_holder = holder
-            if holder._lines.get(line) is _MODIFIED:
-                dirty_holder = holder
-        source = dirty_holder if dirty_holder is not None else (local_holder or remote_holder)
-        crosses = source.socket != agent.socket
-        if crosses:
-            plans = self._plans
-            if self.counters.epoch != self._plans_epoch:
-                plans.clear()
-                self._plans_epoch = self.counters.epoch
-            home_local = region.home == agent.socket
-            key = (
-                _PLAN_REMOTE
-                + (4 if write else 0)
-                + (2 if home_local else 0)
-                + agent.socket
-            )
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = self._build_remote_plan(
-                    write, home_local, agent.socket
-                )
-            latency, msgs, cell, spec_cell = plan
-            if spec_cell is not None:
-                spec_cell[0] += 1.0
-                if self.sanitizer is not None:
-                    self.sanitizer.spec_read(self._now(), line, region, agent, write)
-            self._pending_queue = self.link.occupy_pair(
-                msgs, agent.name, self._pending_queue
-            )
-            cell[0] += 1.0
-            if self.faults is not None:
-                self._pending_queue += self._snoop_disruption(agent)
+                holders.append(agent)
+            self._take(agent, line, state)
         else:
-            latency = self._local_cache
-        if write:
-            # The RFO itself invalidates every other copy; no extra
-            # round trip is charged beyond the fetch above. The
-            # requester missed, so it is never on the list, and every
-            # copy goes: the requester takes the holders list over in
-            # place. Recorded runs drop through CacheAgent.drop, which
-            # reports the loss.
-            if flight is None:
-                for holder in holders:
-                    holder._lines.pop(line, None)
+            if msgs:
+                self._pending_queue = self.link.occupy_pair(
+                    msgs, agent.name, self._pending_queue
+                )
+                if self.faults is not None:
+                    self._pending_queue += self._snoop_disruption(agent)
+            if others == "drop_dirty":
+                # HitM: dirty data and ownership migrate to the requester,
+                # which takes over the dirty holder's entry in place (a
+                # Modified copy is the line's only one).
+                if flight is None:
+                    dirty_holder._lines.pop(line, None)
+                else:
+                    dirty_holder.drop(line)
+                holders[holders.index(dirty_holder)] = agent
+                self._take(agent, line, state)
+            elif others == "drop":
+                # Every other copy goes: an RFO's fetch is its
+                # invalidation, with no extra round trip. The requester
+                # missed, so it is never on the list: it takes the
+                # holders list over in place. Recorded runs drop through
+                # CacheAgent.drop, which reports the loss.
+                if flight is None:
+                    for holder in holders:
+                        holder._lines.pop(line, None)
+                else:
+                    for holder in holders:
+                        holder.drop(line)
+                if len(holders) > 1:
+                    del holders[1:]
+                holders[0] = agent
+                self._take(agent, line, state)
             else:
-                for holder in holders:
-                    holder.drop(line)
-            if len(holders) > 1:
-                del holders[1:]
-            holders[0] = agent
-            self._take(agent, line, _MODIFIED)
-        elif dirty_holder is not None:
-            # HitM: dirty data and ownership migrate to the requester,
-            # which takes over the dirty holder's entry in place (a
-            # Modified copy is the line's only one).
-            if flight is None:
-                dirty_holder._lines.pop(line, None)
-            else:
-                dirty_holder.drop(line)
-            holders[holders.index(dirty_holder)] = agent
-            self._take(agent, line, _MODIFIED)
-        else:
-            # A clean read sourced from another cache: E/F owners fall
-            # to S.
-            for holder in holders:
-                hstate = holder._lines.get(line)
-                if hstate is _EXCLUSIVE or hstate is _FORWARD:
-                    holder.set_state(line, _SHARED)
-            self._install(agent, line, _SHARED, region)
+                if others == "downgrade":
+                    # A clean fill from another cache: E/F owners fall
+                    # to S.
+                    for holder in holders:
+                        hstate = holder._lines.get(line)
+                        if hstate is _EXCLUSIVE or hstate is _FORWARD:
+                            holder.set_state(line, _SHARED)
+                self._install(agent, line, state, region)
         if flight is not None:
-            if not crosses:
-                kind = "cache_local"
-            else:
-                kind = "cache_remote" if spec_cell is None else "cache_remote_spec"
-                if dirty_holder is not None:
-                    kind += "_hitm"
             flight.line_event(
-                self._now(), line, region, agent.socket, write, kind, latency
+                self._now(), line, region, socket, write, kind, latency
             )
         return latency
 
-    def _invalidate_others(self, agent: CacheAgent, line: int) -> float:
-        """Drop the line from all *other* caches; returns invalidation latency.
+    def _invalidate_others(self, agent: CacheAgent, line: int) -> tuple:
+        """Run the store-upgrade rule against the line's other holders.
 
-        Local-only invalidations are cheap; any remote holder costs one
-        interconnect round trip (counted as an RFO-class transaction).
+        The rule is ``write_upgrade_remote`` when another socket holds a
+        copy (one link round trip, counted as an RFO-class transaction,
+        its wait booked in ``_pending_queue``), else
+        ``write_upgrade_local``. Returns the rule's plan.
         """
-        holders = self._holders.get(line)
-        if not holders:
-            return 0.0
-        remote = False
-        found_other = False
-        for holder in list(holders):
-            if holder is agent:
-                continue
-            found_other = True
-            holder.drop(line)
-            holders.remove(holder)
-            if holder.socket != agent.socket:
-                remote = True
-        if not found_other:
-            return 0.0
-        if remote:
-            plans = self._plans
-            if self.counters.epoch != self._plans_epoch:
-                plans.clear()
-                self._plans_epoch = self.counters.epoch
-            key = _PLAN_UPGRADE + agent.socket
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = self._build_upgrade_plan(agent.socket)
-            base, msgs, cell = plan
+        socket = agent.socket
+        holders = self._holders[line]
+        code = _UPGRADE
+        for holder in holders:
+            if holder.socket != socket:
+                code = _UPGRADE + 1
+                break
+        plans = self._plans
+        if self.counters.epoch != self._plans_epoch:
+            plans.clear()
+            self._plans_epoch = self.counters.epoch
+        key = code * 2 + socket
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = self._compile(key)
+        _latency, msgs, cells, _spec, _state, others, _kind = plan
+        if others == "drop":
+            for holder in list(holders):
+                if holder is not agent:
+                    holder.drop(line)
+                    holders.remove(holder)
+        for cell in cells:
+            cell[0] += 1.0
+        if msgs:
             self._pending_queue = self.link.occupy_pair(
                 msgs, agent.name, self._pending_queue
             )
-            cell[0] += 1.0
             if self.faults is not None:
                 self._pending_queue += self._snoop_disruption(agent)
-            return base
-        return self.cost.local_invalidate
+        return plan
 
     def _install(
         self, agent: CacheAgent, line: int, state: LineState, region: Region
@@ -918,37 +861,9 @@ class CoherenceFabric(Instrumented):
                 self._holders.pop(line, None)
 
     # ------------------------------------------------------------------
-    # Prefetcher model (DCU IP: detects +1 line strides within a region)
+    # Prefetcher model (DCU IP; the stride rule is inline in the two
+    # access paths)
     # ------------------------------------------------------------------
-    #: Largest constant stride (in lines) the prefetcher recognizes.
-    MAX_PREFETCH_STRIDE = _MAX_PREFETCH_STRIDE
-
-    def _maybe_prefetch(self, agent: CacheAgent, line: int, region: Region) -> None:
-        if not agent.prefetch:
-            return
-        state = agent.stream_state.get(region.base)
-        if state is None:
-            agent.stream_state[region.base] = [line, 0]
-            return
-        last = state[0]
-        last_stride = state[1]
-        stride = line - last
-        state[0] = line
-        state[1] = stride
-        # DCU-IP style: a small positive stride arms the prefetcher for
-        # the next element of the stream (a changed stride disarms it
-        # until it repeats).
-        if stride <= 0 or stride > self.MAX_PREFETCH_STRIDE:
-            return
-        if last_stride != 0 and last_stride != stride:
-            return
-        target = line + stride
-        if target * 64 >= region.end:
-            return
-        if agent.holds(target):
-            return
-        self._prefetch_line(agent, target, region)
-
     def _prefetch_line(self, agent: CacheAgent, line: int, region: Region) -> None:
         """Fetch a line into the cache off the critical path."""
         holders = self._holders.get(line)
@@ -967,11 +882,11 @@ class CoherenceFabric(Instrumented):
         if self.counters.epoch != self._plans_epoch:
             plans.clear()
             self._plans_epoch = self.counters.epoch
-        key = _PLAN_PREFETCH + (2 if crosses else 0) + agent.socket
+        key = (_PREFETCH + crosses) * 2 + agent.socket
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = self._build_prefetch_plan(crosses, agent.socket)
-        _base, msgs, cell = plan
+            plan = plans[key] = self._compile(key)
+        msgs, cell = plan
         if msgs:
             # Bandwidth only: the request is control-only and the data
             # line returns on the opposite direction, off the critical

@@ -149,17 +149,22 @@ class RegionAudit:
         }
 
 
-#: Transition kinds whose fill crossed the inter-socket link.
-CROSS_SOCKET_KINDS = frozenset(
-    {
-        "upgrade_remote",
-        "dram_remote",
-        "cache_remote",
-        "cache_remote_hitm",
-        "cache_remote_spec",
-        "cache_remote_spec_hitm",
-    }
-)
+def transition_kinds() -> Tuple[frozenset, frozenset]:
+    """Transition kinds (flight labels) from the fabric's rule table.
+
+    Returns the kinds whose rule sends link messages (the fill crossed
+    the inter-socket link) and, among them, the kinds whose rule counts
+    a speculative memory read (reader-homed remote fetches).
+    """
+    # Imported here: repro.coherence imports repro.obs.
+    from repro.coherence.transitions import TRANSITIONS
+
+    rules = TRANSITIONS.values()
+    cross = frozenset(rule.observable[2:] for rule in rules if rule.messages)
+    spec = frozenset(
+        rule.observable[2:] for rule in rules if "spec_mem_read" in rule.counters
+    )
+    return cross, spec
 
 
 class FlightRecorder:
@@ -199,6 +204,7 @@ class FlightRecorder:
         self._active: Dict[int, Dict[str, float]] = {}
         self._started = 0
         self.waterfalls = WaterfallStats(max_samples=keep_waterfalls)
+        self._cross_kinds, self._spec_kinds = transition_kinds()
 
     # ------------------------------------------------------------------
     # Line-event surface (called from the coherence fabric)
@@ -241,7 +247,7 @@ class FlightRecorder:
         if kind == "hit":
             stats.hits += 1
             return
-        if kind in CROSS_SOCKET_KINDS:
+        if kind in self._cross_kinds:
             stats.xfers += 1
             if (
                 stats.last_xfer_socket is not None
@@ -251,7 +257,7 @@ class FlightRecorder:
             stats.last_xfer_socket = socket
             audit = self._audit(stats)
             audit.cross_fetches += 1
-            if "_spec" in kind:
+            if kind in self._spec_kinds:
                 stats.spec_reads += 1
                 audit.reader_homed_specs += 1
                 audit.flagged = True
@@ -404,7 +410,7 @@ class FlightRecorder:
         """
         cross = [
             (ts, kind) for ts, _l, _s, _w, kind, _n in self.events
-            if kind in CROSS_SOCKET_KINDS
+            if kind in self._cross_kinds
         ]
         if not cross:
             return []

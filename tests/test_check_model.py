@@ -3,7 +3,8 @@
 The checker drives the *real* coherence fabric through every short op
 sequence over a few agents and lines and checks each observed
 transition against the declarative MESIF spec in
-``repro.check.model.TRANSITIONS``. These tests pin the clean-run
+``repro.coherence.transitions.TRANSITIONS``, the table the fabric
+compiles its plans from. These tests pin the clean-run
 contract (full spec coverage, zero violations), prove the checker
 catches seeded protocol bugs with shrunk, replayable counterexamples,
 and — the scenario-coverage half — assert that the registered
@@ -22,6 +23,7 @@ from repro.check import (
     raise_on_failure,
     replay_counterexample,
 )
+from repro.coherence import CoherenceFabric
 from repro.errors import ConfigError, ModelCheckError
 from repro.obs.export import MODEL_SCHEMA, export_doc, load_doc
 from repro.obs import Observability
@@ -110,6 +112,7 @@ class TestScopeValidation:
 
 class TestMutations:
     EXPECTED_INVARIANT = {
+        "read-as-rfo": "message-mismatch",
         "skip-hitm-forward": "swmr",
         "skip-remote-invalidate": "swmr",
         "undercharge-remote-cache": "cost-mismatch",
@@ -127,6 +130,26 @@ class TestMutations:
         assert first["invariant"] == self.EXPECTED_INVARIANT[mutation]
         violation = replay_counterexample(report, 0)
         assert violation["invariant"] == first["invariant"]
+
+    def test_table_edits_reach_one_fabric_only(self):
+        # The table mutations hand one fabric an edited copy through
+        # its ``rules``; the class table, which the checker reads, and
+        # every other fabric keep the spec.
+        report = check_model(mutation="skip-remote-invalidate", walks=0)
+        assert report["counterexamples"]
+        assert CoherenceFabric.rules is TRANSITIONS
+        assert TRANSITIONS["write_upgrade_remote"].others == "drop"
+        assert check_model(walks=0)["ok"]
+
+    def test_read_as_rfo_caught_only_by_messages(self):
+        # Counters, costs and states are unchanged by this mutation:
+        # only the per-direction message check sees the RFO.
+        report = check_model(mutation="read-as-rfo", walks=0)
+        invariants = {ce["invariant"] for ce in report["counterexamples"]}
+        assert invariants == {"message-mismatch"}
+        first = report["counterexamples"][0]
+        assert len(first["sequence"]) == 1
+        assert first["detail"]["observed"] != first["detail"]["expected"]
 
     def test_hitm_counterexample_shrinks_to_two_ops(self):
         # Write then cross-socket read is the minimal HITM trigger; the

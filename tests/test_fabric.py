@@ -4,7 +4,7 @@ import pytest
 
 from repro.coherence import CoherenceFabric, CostModel, LineState
 from repro.errors import CoherenceError
-from repro.interconnect import Link
+from repro.interconnect import Link, MessageClass
 from repro.mem import AddressSpace, MemType
 from repro.sim import Simulator
 
@@ -179,6 +179,38 @@ class TestMultiLine:
         region = space.allocate("r", 64, home=0)
         cost = fabric.write(local, region.base, 64)
         assert cost == pytest.approx(72.0 / 2.0)
+
+
+class TestCongestionWaits:
+    @staticmethod
+    def _write_fill_wait(warm_holder: bool) -> float:
+        """Wait charged to a remote write fill on a link another actor
+        has just loaded: the fill's latency minus its pipelined zero-load
+        cost. ``warm_holder`` puts the line in the remote (writer-homed)
+        cache first, which takes no link traffic."""
+        fabric, space, local, _peer, remote = make_fabric(write_pipeline=2.0)
+        region = space.allocate("r", 64, home=1)
+        if warm_holder:
+            fabric.write(remote, region.base, 64)
+        for _ in range(400):
+            fabric.link.occupy(MessageClass.RFO, direction=0, actor="other")
+            fabric.link.occupy(MessageClass.RFO, direction=1, actor="other")
+        latency = fabric.write(local, region.base, 64)
+        base = COST.remote_cache_writer_homed if warm_holder else COST.remote_dram
+        return latency - base / 2.0
+
+    def test_remote_dram_fill_wait_is_pipelined(self):
+        """Known defect, pinned until it is fixed: a remote-DRAM fill
+        folds its link wait into the latency that store pipelining (and,
+        for later lines, MLP) divides, while a remote-cache fill books
+        the same wait apart, undivided, as docs/MODEL.md §2 says every
+        congestion wait should be. Both fills below send the same two
+        messages on the same loaded link, so they wait equally long; the
+        DRAM fill is charged half of that wait (write_pipeline 2)."""
+        cache_wait = self._write_fill_wait(warm_holder=True)
+        dram_wait = self._write_fill_wait(warm_holder=False)
+        assert cache_wait > 10.0
+        assert dram_wait == pytest.approx(cache_wait / 2.0)
 
 
 class TestEvictionAndWriteback:

@@ -165,3 +165,42 @@ def test_migration_into_full_caches_pinned():
     assert counters["s0.writeback"] and counters["s1.writeback"]
     assert counters["s0.prefetch_remote"] and counters["s1.prefetch_remote"]
     assert fingerprint(observed) == FULL_CACHE_PIN
+
+
+#: Fingerprint of test_multi_line_access_by_prefetching_agents_pinned's
+#: run, recorded while multi-line access still walked its lines through
+#: a per-line helper of its own instead of access_burst.
+MULTI_LINE_PIN = "b658e79a9f3132fe"
+
+
+def test_multi_line_access_by_prefetching_agents_pinned():
+    """Unaligned 72-200 byte reads and writes, each spanning two to four
+    lines, by agents whose stride prefetcher is armed (a0, b0) and by
+    agents without one. The caches are small, so lines migrate, evict
+    and get prefetched mid-stream; the per-op latencies, the fabric
+    counters, both link directions' statistics and every agent's hit,
+    miss and eviction counts are pinned."""
+    fabric, agents, addr_of = build(prefetch=True)
+    regions = [fabric.space.region_of(addr_of(i)) for i in (0, 1)]
+    rng = make_rng(19, "multi-line-access")
+    actors = (0, 0, 0, 1, 2, 2, 2, 3)  # mostly the prefetching agents
+    latencies = []
+    for _ in range(1500):
+        agent = agents[actors[rng.randrange(len(actors))]]
+        region = regions[rng.randrange(2)]
+        size = rng.randrange(72, 201)
+        addr = region.base + rng.randrange(region.size - size + 1)
+        fabric.sim.now += rng.choice((0.0, 25.0, 400.0, 2500.0))
+        latencies.append(fabric.access(agent, addr, size, rng.random() < 0.4))
+        fabric.check_invariants()
+    observed = {
+        "latencies": latencies,
+        "counters": fabric.snapshot_counters(),
+        "links": [st.snapshot() for st in fabric.link.stats],
+        "agents": [(a.hits, a.misses, a.evictions) for a in agents],
+    }
+    counters = observed["counters"]
+    assert all(a.evictions for a in agents)
+    assert counters["s0.prefetch_remote"] and counters["s1.prefetch_remote"]
+    assert counters["s0.rfo"] and counters["s1.read"]
+    assert fingerprint(observed) == MULTI_LINE_PIN

@@ -19,7 +19,7 @@ from repro.obs import (
     export_doc,
     load_doc,
 )
-from repro.obs.flight import REGION_CLASSES
+from repro.obs.flight import REGION_CLASSES, transition_kinds
 from repro.obs.waterfall import WaterfallStats, build_waterfall
 from repro.platform import icx
 
@@ -117,6 +117,14 @@ class TestFlightRecorderUnit:
         assert audit.cross_fetches == 3
         assert audit.reader_homed_specs == 1
         assert audit.flagged
+
+    def test_transition_kinds_come_from_the_rule_table(self):
+        cross, spec = transition_kinds()
+        assert cross == {
+            "upgrade_remote", "dram_remote", "cache_remote",
+            "cache_remote_hitm", "cache_remote_spec", "cache_remote_spec_hitm",
+        }
+        assert spec == {"cache_remote_spec", "cache_remote_spec_hitm"}
 
     def test_unmapped_region_classified_other(self):
         rec = FlightRecorder()
