@@ -97,6 +97,7 @@ class ForwardingApp:
             yield interval * burst
 
     def _attach_sink(self):
+        """Take forwarded packets at the NIC; returns the agent holding the sink."""
         result = self.result
 
         def sink(pkt: Packet, when: float) -> None:
@@ -109,7 +110,9 @@ class ForwardingApp:
             if result.forwarded >= self.n_packets:
                 self.done = True
 
-        self.setup.interface.pair(0).agent.on_transmit = sink
+        host = self.setup.interface.pair(0).agent
+        host.on_transmit = sink
+        return host
 
     # ------------------------------------------------------------------
     def middlebox(self):
@@ -151,13 +154,17 @@ class ForwardingApp:
 
     # ------------------------------------------------------------------
     def run(self, max_sim_ns: float = 5e8) -> ForwardingResult:
-        self._attach_sink()
+        host = self._attach_sink()
         system = self.setup.system
         link = system.link
         start_wire = link.total_wire_bytes()
         system.sim.spawn(self.client(), "fwd-client")
         system.sim.spawn(self.middlebox(), "fwd-middlebox")
-        system.sim.run(until=max_sim_ns, stop_when=lambda: self.done)
+        try:
+            system.sim.run(until=max_sim_ns, stop_when=lambda: self.done)
+        finally:
+            # The sink closes over this app, which holds the interface.
+            host.on_transmit = None
         self.done = True
         if self.result.forwarded:
             self.result.wire_bytes_per_pkt = (

@@ -184,7 +184,8 @@ class KvServerApp(Instrumented):
             return lambda pkt, when: agent.inject(pkt, when)
         return lambda pkt, when: self.setup.interface.inject(0, pkt, when)
 
-    def _attach_sink(self) -> None:
+    def _attach_sink(self):
+        """Take responses at the NIC; returns the object now holding the sink."""
         result = self.result
         egress = self._egress_ns
         timeline = self.timeline
@@ -207,9 +208,11 @@ class KvServerApp(Instrumented):
                 self.done = True
 
         if self.setup.kind.is_coherent:
-            self.setup.interface.pair(0).agent.on_transmit = sink
+            host = self.setup.interface.pair(0).agent
         else:
-            self.setup.interface.on_transmit = sink
+            host = self.setup.interface
+        host.on_transmit = sink
+        return host
 
     # ------------------------------------------------------------------
     def server(self):
@@ -291,11 +294,15 @@ class KvServerApp(Instrumented):
     # ------------------------------------------------------------------
     def run(self, max_sim_ns: float = 5e8) -> KvResult:
         """Run client + server to completion; returns the result."""
-        self._attach_sink()
+        host = self._attach_sink()
         system = self.setup.system
         system.sim.spawn(self.client(), "kv-client")
         system.sim.spawn(self.server(), "kv-server")
-        system.sim.run(until=max_sim_ns, stop_when=lambda: self.done)
+        try:
+            system.sim.run(until=max_sim_ns, stop_when=lambda: self.done)
+        finally:
+            # The sink closes over this app, which holds the interface.
+            host.on_transmit = None
         self.done = True
         return self.result
 

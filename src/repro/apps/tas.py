@@ -126,7 +126,8 @@ class TasFastPath(Instrumented):
             return lambda pkt, when: agent.inject(pkt, when)
         return lambda pkt, when: self.setup.interface.inject(0, pkt, when)
 
-    def _attach_sink(self) -> None:
+    def _attach_sink(self):
+        """Take echoes at the NIC; returns the object now holding the sink."""
         result = self.result
         timeline = self.timeline
         sample_latency = None
@@ -147,9 +148,11 @@ class TasFastPath(Instrumented):
                 self.done = True
 
         if self.setup.kind.is_coherent:
-            self.setup.interface.pair(0).agent.on_transmit = sink
+            host = self.setup.interface.pair(0).agent
         else:
-            self.setup.interface.on_transmit = sink
+            host = self.setup.interface
+        host.on_transmit = sink
+        return host
 
     # ------------------------------------------------------------------
     def fast_path(self):
@@ -213,11 +216,15 @@ class TasFastPath(Instrumented):
         return self.fastpath_ops / self.fastpath_busy_ns * 1e3
 
     def run(self, max_sim_ns: float = 5e8) -> RpcResult:
-        self._attach_sink()
+        host = self._attach_sink()
         system = self.setup.system
         system.sim.spawn(self.client(), "tas-client")
         system.sim.spawn(self.fast_path(), "tas-fastpath")
-        system.sim.run(until=max_sim_ns, stop_when=lambda: self.done)
+        try:
+            system.sim.run(until=max_sim_ns, stop_when=lambda: self.done)
+        finally:
+            # The sink closes over this app, which holds the interface.
+            host.on_transmit = None
         self.done = True
         return self.result
 

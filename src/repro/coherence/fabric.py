@@ -187,8 +187,8 @@ class CoherenceFabric(Instrumented):
         self._plans_epoch = self.counters.epoch
         self._line_regions: Dict[int, Region] = {}
         self.cost = cost  # property setter caches the hot cost constants
-        # One fabric owns the coherent link's serialization figures.
-        link.on_scaled = self.invalidate_plans
+        # The link empties the plans when it is rescaled or reset.
+        link.register_plans(self._plans)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -541,6 +541,9 @@ class CoherenceFabric(Instrumented):
             if holders and (len(holders) > 1 or holders[0] is not agent):
                 # The other copies go as on a store upgrade, by its rule.
                 latency = self._invalidate_others(agent, line)[0]
+                if not holders:
+                    # The storer held no copy, so no holder is left.
+                    del self._holders[line]
             else:
                 latency = 0.0
             if first:
@@ -618,9 +621,12 @@ class CoherenceFabric(Instrumented):
         Invariants:
           * at most one agent holds a given line in M or E;
           * if any agent holds M/E, no other agent holds the line at all;
-          * the holders index matches per-agent tag maps.
+          * the holders index matches per-agent tag maps and keeps no
+            empty entry.
         """
         for line, holders in self._holders.items():
+            if not holders:
+                raise CoherenceError(f"holders index keeps an empty entry for line {line:#x}")
             exclusive = [
                 h for h in holders if h.peek(line) in (LineState.MODIFIED, LineState.EXCLUSIVE)
             ]

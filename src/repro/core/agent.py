@@ -40,15 +40,28 @@ class NicQueueAgent(Instrumented):
     #: zero-cost-detached idiom as :attr:`flight`.
     sanitizer = None
 
+    #: Optional :class:`repro.faults.FaultInjector` for stall/reset
+    #: events, handed over by the interface's ``faults`` setter.
+    #: Class-level None: fault-free.
+    faults = None
+
     _obs_hooks = ("flight", "sanitizer")
 
     def __init__(self, interface, queue_index: int) -> None:
-        self.interface = interface
+        # The agent keeps what it uses, not the interface or the queue
+        # pair that own it: neither then forms a cycle with it.
         self.queue_index = queue_index
-        self.pair = interface.pair(queue_index)
-        self.agent: CacheAgent = interface.system.new_nic_core(
-            f"nic-q{queue_index}"
-        )
+        pair = interface.pair(queue_index)
+        self.tx = pair.tx
+        self.rx = pair.rx
+        self.tx_comp = pair.tx_comp
+        self.rx_post = pair.rx_post
+        self.config = interface.config
+        self.pool = interface.pool
+        system = interface.system
+        self.sim = system.sim
+        self.fabric = system.fabric
+        self.agent: CacheAgent = system.new_nic_core(f"nic-q{queue_index}")
         # Loopback by default; applications may set a transmit sink to
         # model real peers (the KV store's clients) and inject arrivals.
         self.on_transmit = None
@@ -65,7 +78,7 @@ class NicQueueAgent(Instrumented):
         self.wedged = False
         self.lost_packets = 0
         # Per-packet processing charge, precomputed (cycles() is pure).
-        self._pkt_ns = interface.system.cycles(NIC_CYCLES_PER_PKT)
+        self._pkt_ns = system.cycles(NIC_CYCLES_PER_PKT)
 
     # ------------------------------------------------------------------
     def _obs_component(self) -> str:
@@ -82,18 +95,16 @@ class NicQueueAgent(Instrumented):
     # ------------------------------------------------------------------
     def run(self):
         """Generator body for the simulator (the NIC polling loop)."""
-        sim = self.interface.system.sim
-        config = self.interface.config
-        interface = self.interface
+        sim = self.sim
         # Hot-loop hoists over construction-time-stable state; faults is
         # re-read each iteration because injectors may attach mid-run.
-        tx_poll = self.pair.tx.poll
-        tx_batch = config.tx_batch
+        tx_poll = self.tx.poll
+        tx_batch = self.config.tx_batch
         agent = self.agent
         assemble = self._assemble
         take_arrived = self._take_arrived
         while True:
-            faults = interface.faults
+            faults = self.faults
             if faults is not None:
                 fault = faults.nic_decide(self.queue_index, sim.now)
                 if fault is not None:
@@ -176,8 +187,8 @@ class NicQueueAgent(Instrumented):
 
     def _transmit(self, packets: List[Tuple[Packet, Buffer]], now: float) -> float:
         """Read payloads, free TX buffers, place packets on the wire."""
-        config = self.interface.config
-        fabric = self.interface.system.fabric
+        config = self.config
+        fabric = self.fabric
         tracer = span = None
         if self.obs_enabled:
             tracer = self.obs.tracer
@@ -224,10 +235,10 @@ class NicQueueAgent(Instrumented):
                     flight.packet_event(pid, "wire", arrival)
             self.tx_packets += 1
         if config.nic_buffer_mgmt:
-            ns += self.interface.pool.free(self.agent, to_free)
+            ns += self.pool.free(self.agent, to_free)
         else:
             comp_items = [WorkItem(buf=b, length=0, pkt=None) for b in to_free]
-            _, comp_ns = self.pair.tx_comp.produce(self.agent, comp_items, base_ns=ns)
+            _, comp_ns = self.tx_comp.produce(self.agent, comp_items, base_ns=ns)
             ns += comp_ns
         if span is not None:
             tracer.end(span, now + ns)
@@ -253,8 +264,8 @@ class NicQueueAgent(Instrumented):
         seeing the burst (small buffers for small packets) — impossible
         for a PCIe NIC whose blanks were posted in advance (§3.4).
         """
-        config = self.interface.config
-        fabric = self.interface.system.fabric
+        config = self.config
+        fabric = self.fabric
         tracer = span = None
         if self.obs_enabled:
             tracer = self.obs.tracer
@@ -263,7 +274,7 @@ class NicQueueAgent(Instrumented):
                     "nic_rx",
                     actor=self.agent.name,
                     category="nic",
-                    start_ns=self.interface.system.sim.now + base_ns,
+                    start_ns=self.sim.now + base_ns,
                     packets=len(packets),
                 )
         ns = 0.0
@@ -291,7 +302,7 @@ class NicQueueAgent(Instrumented):
         if spans:
             ns += fabric.access_burst(self.agent, spans, write=True)
         if items:
-            accepted, produce_ns = self.pair.rx.produce(
+            accepted, produce_ns = self.rx.produce(
                 self.agent, items, base_ns=base_ns + ns
             )
             ns += produce_ns
@@ -307,15 +318,15 @@ class NicQueueAgent(Instrumented):
             # Ring backpressure: requeue anything not accepted.
             for item in items[accepted:]:
                 self._wire.appendleft((0.0, item.pkt))
-                self.interface.pool.free(self.agent, [item.buf])
+                self.pool.free(self.agent, [item.buf])
             self.rx_packets += accepted
         if span is not None:
-            tracer.end(span, self.interface.system.sim.now + base_ns + ns)
+            tracer.end(span, self.sim.now + base_ns + ns)
         return ns
 
     def _rx_chain(self, size: int):
         """Buffers for one received packet; jumbo frames chain segments."""
-        config = self.interface.config
+        config = self.config
         if size <= config.buf_size:
             buf, ns = self._rx_buffer(size)
             if buf is not None:
@@ -331,7 +342,7 @@ class NicQueueAgent(Instrumented):
             ns += seg_ns
             if seg is None:
                 # Cannot finish the chain: return what we took.
-                ns += self.interface.pool.free(self.agent, acquired) if acquired else 0.0
+                ns += self.pool.free(self.agent, acquired) if acquired else 0.0
                 return None, ns
             seg.seg_next = None
             seg.set_payload(min(remaining, config.buf_size))
@@ -346,17 +357,16 @@ class NicQueueAgent(Instrumented):
 
     def _rx_buffer(self, size: int):
         """Allocate (shared mgmt) or dequeue a posted blank (host mgmt)."""
-        config = self.interface.config
+        config = self.config
         if config.nic_buffer_mgmt:
-            bufs, ns = self.interface.pool.alloc(self.agent, [size])
+            bufs, ns = self.pool.alloc(self.agent, [size])
             return (bufs[0] if bufs else None), ns
         ns = 0.0
         if not self._blanks:
-            blanks, poll_ns = self.pair.rx_post.poll(self.agent, config.rx_batch)
+            blanks, poll_ns = self.rx_post.poll(self.agent, config.rx_batch)
             ns += poll_ns
             for item in blanks:
                 self._blanks.append(item.buf)
-            self.pair.rx_posted -= len(blanks)
         if not self._blanks:
             return None, ns
         return self._blanks.popleft(), ns

@@ -296,7 +296,8 @@ class CcnicDriver(RecoverableDriver, Instrumented):
                     lost_packets += 1
                 if item.buf is not None:
                     to_free.append(item.buf)
-        pair.rx_posted = 0
+        if pair.rx_post is not None:
+            pair.rx_post_mark = pair.rx_post.consumed
         if pair.agent is not None:
             to_free.extend(pair.agent.reinit())
         ns = self._free_abandoned(to_free)
@@ -351,7 +352,7 @@ class CcnicDriver(RecoverableDriver, Instrumented):
                     self.agent, items, base_ns=ns
                 )
                 ns += produce_ns
-                self.pair.rx_posted += accepted
+                self.pair.rx_post_mark += accepted
                 if accepted < blank.count:
                     ns += self.free(list(blank.bufs[accepted:]))
         return ns

@@ -22,14 +22,25 @@ from repro.platform.system import System
 
 @dataclass
 class QueuePair:
-    """TX/RX descriptor rings (plus bookkeeping rings) for one thread."""
+    """TX/RX descriptor rings (plus bookkeeping rings) for one thread.
+
+    The pair owns its NIC agent; the agent keeps the rings it serves,
+    not the pair, so the two form no reference cycle.
+    """
 
     tx: CoherentQueue
     rx: CoherentQueue
     tx_comp: Optional[CoherentQueue] = None
     rx_post: Optional[CoherentQueue] = None
-    rx_posted: int = 0
+    #: Blanks the host has posted on ``rx_post`` since its last reset,
+    #: plus the ring's ``consumed`` count at that reset.
+    rx_post_mark: int = 0
     agent: Optional[NicQueueAgent] = field(default=None, repr=False)
+
+    @property
+    def rx_posted(self) -> int:
+        """Posted blank RX buffers the device has not fetched yet."""
+        return self.rx_post_mark - self.rx_post.consumed
 
 
 class CcnicInterface(Instrumented):
@@ -42,8 +53,8 @@ class CcnicInterface(Instrumented):
     """
 
     #: Optional :class:`repro.faults.FaultInjector` consulted by the
-    #: NIC agents for stall/reset events. Class-level None: fault-free.
-    faults = None
+    #: NIC agents for stall/reset events; see :attr:`faults`.
+    _faults = None
 
     def __init__(self, system: System, config: Optional[CcnicConfig] = None, seed: int = 0) -> None:
         self.system = system
@@ -103,6 +114,22 @@ class CcnicInterface(Instrumented):
         self._pairs[index] = pair
         return pair
 
+    @property
+    def faults(self):
+        """The fault injector the NIC agents consult, or None.
+
+        Setting it hands it to every agent, now and at :meth:`start`:
+        agents keep the injector, not the interface.
+        """
+        return self._faults
+
+    @faults.setter
+    def faults(self, injector) -> None:
+        self._faults = injector
+        for pair in self._pairs.values():
+            if pair.agent is not None:
+                pair.agent.faults = injector
+
     def driver(self, index: int, host_agent=None) -> CcnicDriver:
         """Create the host-side driver for queue pair ``index``."""
         if host_agent is None:
@@ -116,6 +143,7 @@ class CcnicInterface(Instrumented):
         self._started = True
         for index, pair in sorted(self._pairs.items()):
             agent = NicQueueAgent(self, index)
+            agent.faults = self._faults
             pair.agent = agent
             self.system.sim.spawn(agent.run(), name=f"ccnic-agent-q{index}")
 

@@ -134,12 +134,15 @@ class CoherentQueue(Instrumented):
             system.cycles(self.CYCLES_PER_DESC * k) for k in range(GROUP + 1)
         )
         # The signalling protocol is fixed at construction, so the poll
-        # strategy binds once instead of re-dispatching per call.
+        # strategy is chosen once instead of re-dispatching per call. It
+        # is kept as the class's function, not a bound method, which
+        # would make the queue reference itself.
         self._grouped = inline_signals and layout is DescLayout.OPT
+        cls = type(self)
         self._poll_impl = (
-            self._poll_grouped if self._grouped
-            else self._poll_per_descriptor if inline_signals
-            else self._poll_register
+            cls._poll_grouped if self._grouped
+            else cls._poll_per_descriptor if inline_signals
+            else cls._poll_register
         )
 
     # ------------------------------------------------------------------
@@ -292,7 +295,7 @@ class CoherentQueue(Instrumented):
         """
         if max_items <= 0:
             raise NicError("max_items must be positive")
-        items, ns = self._poll_impl(agent, max_items)
+        items, ns = self._poll_impl(self, agent, max_items)
         self.consumed += len(items)
         return items, ns
 

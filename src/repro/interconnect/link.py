@@ -20,7 +20,7 @@ bandwidth-share model for multi-core scaling.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import InterconnectError
 from repro.interconnect.messages import MessageClass
@@ -165,9 +165,24 @@ class Link:
         self._rho = [0.0, 0.0]
         self._rho_by: list = [{}, {}]
         self.stats = (LinkStats(), LinkStats())
-        #: Invoked (no args) by :meth:`scaled` so callers holding
-        #: precomputed wire/serialization figures can invalidate them.
-        self.on_scaled: Optional[Callable[[], None]] = None
+        # Plan dicts built from this link's figures and cells; emptied
+        # by scaled() and reset_stats() (see register_plans).
+        self._plan_dicts: list = []
+
+    def register_plans(self, plans: dict) -> None:
+        """Have :meth:`scaled` and :meth:`reset_stats` empty ``plans``.
+
+        A consumer that memoizes this link's wire and serialization
+        figures or its statistics cells (the fabric's transition plans,
+        the router's charge plans) registers the dict holding them. The
+        link keeps the dict, not its owner, so no reference cycle forms
+        as long as the plans themselves do not hold the link.
+        """
+        self._plan_dicts.append(plans)
+
+    def _drop_plans(self) -> None:
+        for plans in self._plan_dicts:
+            plans.clear()
 
     # ------------------------------------------------------------------
     def one_way(
@@ -338,9 +353,10 @@ class Link:
         bandwidth and header configuration; ``busy`` and ``count`` are
         the direction's :attr:`LinkStats.busy` cell and the row shape's
         :meth:`LinkStats.shape_cell`, so counting a message is two list
-        stores (the fabric rebuilds its plans via :attr:`on_scaled` when
-        either goes stale — both :meth:`scaled` and :meth:`reset_stats`
-        fire it). The accounting is bit-identical to calling
+        stores (the fabric registers its plans with
+        :meth:`register_plans`, so both :meth:`scaled` and
+        :meth:`reset_stats` drop them when either goes stale). The
+        accounting is bit-identical to calling
         :meth:`occupy` once per row — same fault draws, window rolls,
         per-actor demand updates and wait arithmetic in the same
         evaluation order — batching away only the per-call validation,
@@ -484,7 +500,7 @@ class Link:
                      payload_bytes: Optional[int] = None) -> tuple:
         """Build a memoized per-hop charge row for :meth:`one_way`.
 
-        Returns the flat 13-field tuple ``(link, direction, wire, ser,
+        Returns the flat 12-field tuple ``(direction, wire, ser,
         latency, ser+latency, busy, count, win_busy, win_by, win_start,
         rho_settled, rho_by)`` — the resolved wire figures
         plus the live statistics cells (:attr:`LinkStats.busy` and the
@@ -493,9 +509,11 @@ class Link:
         the per-call validation, payload resolution, and shape lookup
         (see :meth:`repro.topology.net.Router.charge`). The row embeds
         mutable state that :meth:`scaled` and :meth:`reset_stats`
-        replace, so holders must drop it when :attr:`on_scaled` fires.
-        Fault attachment needs no invalidation: consumers re-read
-        :attr:`faults` per charge and run its hooks inline.
+        replace, so holders keep rows in a dict passed to
+        :meth:`register_plans`; the row does not hold the link, so that
+        dict forms no cycle with it. Fault attachment needs no
+        invalidation: consumers re-read :attr:`faults` per charge and
+        run its hooks inline.
         """
         if direction not in (0, 1):
             raise InterconnectError(f"direction must be 0 or 1, got {direction}")
@@ -504,7 +522,7 @@ class Link:
         ser = wire / self.bandwidth
         stats = self.stats[direction]
         return (
-            self, direction, wire, ser, self.latency_ns,
+            direction, wire, ser, self.latency_ns,
             ser + self.latency_ns, stats.busy, stats.shape_cell(cls, payload, wire),
             self._win_busy, self._win_by, self._win_start,
             self._rho, self._rho_by,
@@ -549,9 +567,8 @@ class Link:
         self._win_start = [now, now]
         self._rho = [0.0, 0.0]
         self._rho_by = [{}, {}]
-        # Cached occupy_pair plans embed the replaced stats cells.
-        if self.on_scaled is not None:
-            self.on_scaled()
+        # Registered plans embed the replaced stats and window cells.
+        self._drop_plans()
 
     def rho(self, direction: int) -> float:
         """Most recently settled utilization estimate for a direction."""
@@ -563,8 +580,7 @@ class Link:
             raise InterconnectError("scale factors must be positive")
         self.latency_ns *= latency_factor
         self.bandwidth *= bandwidth_factor
-        if self.on_scaled is not None:
-            self.on_scaled()
+        self._drop_plans()
 
     def __repr__(self) -> str:
         return (

@@ -201,6 +201,7 @@ def _execute_loopback(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict
         extra["injected"] = float(faults.total_injected())
     doc = _result_doc(spec, wall, system, snapshot, result.latency.samples(), extra)
     _finish_timeline(obs, doc, system)
+    system.sim.close()
     return doc
 
 
@@ -267,6 +268,7 @@ def _execute_kv(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict:
     extra = {"ops": float(result.ops), "mops": result.mops}
     doc = _result_doc(spec, wall, system, snapshot, result.latency.samples(), extra)
     _finish_timeline(obs, doc, system)
+    system.sim.close()
     return doc
 
 
@@ -308,7 +310,10 @@ def execute_spec(
     runs; ``repro.check`` uses it to attach a sanitizer or flight
     recorder (``setup.instrument(Observability(...))``) to a scenario
     run it does not otherwise control. In-process callers only — the
-    hook does not cross the ``run_shard`` pickle boundary.
+    hook does not cross the ``run_shard`` pickle boundary. Once the
+    shard's document is built its simulator is closed
+    (:meth:`~repro.sim.engine.Simulator.close`), so a setup the hook
+    keeps can be inspected but not run further.
 
     ``with_metrics`` wires a fresh :class:`~repro.obs.MetricRegistry`
     into the run and attaches its snapshot under ``"metrics"`` (merged
@@ -338,8 +343,15 @@ def execute_spec(
     # millions of short-lived containers (event records, span lists,
     # work items) whose reference counting already reclaims them, and
     # generational collections in the middle of the hot loop cost
-    # 10-20% of wall time. Bounded run, collected at the end, and pure
-    # host-side — simulated time and fingerprints are unaffected.
+    # 10-20% of wall time. Pure host-side: simulated time and
+    # fingerprints are unaffected. Nothing needs collecting afterwards:
+    # a shard's object graph holds no reference cycle once
+    # Simulator.close() has closed its suspended processes, so reference
+    # counting frees the whole shard as this function returns, with the
+    # GC paused or not (tests/test_footprint.py). Runs with metrics
+    # or a timeline attached are the exception: registry gauges close
+    # over the components they read, and those cycles are left to the
+    # collector.
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()
@@ -351,7 +363,6 @@ def execute_spec(
     finally:
         if was_enabled:
             gc.enable()
-            gc.collect()
     if with_metrics:
         result["metrics"] = obs.metrics.snapshot()
     return result
@@ -519,8 +530,10 @@ def run_sharded(
         )
     docs = [s.to_doc() for s in plan.specs]
     # One GC pause across the whole sequential run (execute_spec skips
-    # its own nested pause when the collector is already off) so the
-    # deferred collection happens once, outside the timed region.
+    # its own nested pause when the collector is already off). Bare
+    # shards free themselves as they return; the gauge cycles of
+    # observer-attached shards are collected once, outside the timed
+    # region.
     was_enabled = use_workers == 1 and gc.isenabled()
     if was_enabled:
         gc.disable()

@@ -431,6 +431,27 @@ class Simulator(Instrumented):
             heapq.heappush(heap, other)
         return chosen
 
+    def close(self) -> None:
+        """End the simulation: close every unfinished process, drop every event.
+
+        A suspended process's generator frame holds what the process
+        works on — usually the model that owns this simulator — and the
+        queue holds the generator, so a finished run whose processes
+        never returned is a reference cycle. Closing the generators
+        (each gets ``GeneratorExit`` at its ``yield``) and emptying the
+        queue ends it, and reference counting frees the model as soon
+        as its last outside reference goes. The clock and
+        ``events_executed`` keep their final values; a later :meth:`run`
+        finds nothing to do.
+        """
+        for proc in self._processes:
+            if not proc.done:
+                proc.stop()
+        self._processes = []
+        self._done_count = 0
+        self._heap.clear()
+        self._cal = None
+
     def _note_done(self) -> None:
         """Account one finished process; compact the table when mostly dead."""
         self._done_count += 1

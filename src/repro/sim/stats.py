@@ -4,21 +4,21 @@ These are deliberately simple: experiments in this package collect a few
 thousand samples each, so histograms keep raw samples and compute exact
 quantiles.
 
-Histogram samples live in a growable numpy ``float64`` array with
-amortized appends; quantiles come from :func:`numpy.partition` over the
-exact order statistics. float64 round-trips Python floats exactly and
-the mean is kept as a running total accumulated in recording order, so
-every statistic equals what ``sorted()`` and :func:`ordered_sum` over
-the same Python floats give, and :meth:`Histogram.samples` keeps the
-recording-order contract the shard merge layer relies on.
+Histogram samples live in a stdlib ``array('d')``: appends are
+amortized, and a C double round-trips a Python float exactly. Order
+statistics come from one ``sorted()`` copy of the samples, kept until
+the next sample arrives, so every percentile, minimum and maximum
+equals what ``sorted()`` over the same Python floats gives. The mean is
+kept as a running total accumulated in recording order (it equals
+:func:`ordered_sum` of the samples), and :meth:`Histogram.samples` keeps
+the recording-order contract the shard merge layer relies on.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Iterable, List, Optional
-
-import numpy as _np
 
 from repro.errors import ConfigError
 
@@ -108,51 +108,29 @@ class Histogram:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._buf = _np.empty(256, dtype=_np.float64)
-        self._n = 0
+        self._buf = array("d")
         self._total = 0.0
-
-    def _grow(self, need: int):
-        """Double the buffer until it holds ``need`` samples."""
-        buf = self._buf
-        cap = buf.shape[0]
-        while cap < need:
-            cap *= 2
-        bigger = _np.empty(cap, dtype=_np.float64)
-        bigger[: self._n] = buf[: self._n]
-        self._buf = bigger
-        return bigger
+        # Sorted copy of the samples; samples are only ever appended, so
+        # it is current exactly while its length equals the sample count.
+        self._sorted: List[float] = []
 
     def record(self, value: float) -> None:
         """Add one sample."""
-        buf = self._buf
-        n = self._n
-        if n == buf.shape[0]:
-            buf = self._grow(n + 1)
-        buf[n] = value
-        self._n = n + 1
+        self._buf.append(value)
         # Accumulated in recording order: equals ordered_sum(samples).
         self._total += value
 
     def extend(self, values: Iterable[float]) -> None:
         """Add many samples."""
         vals = list(values)
-        if not vals:
-            return
-        n = self._n
-        need = n + len(vals)
-        buf = self._buf
-        if need > buf.shape[0]:
-            buf = self._grow(need)
-        buf[n:need] = vals
-        self._n = need
+        self._buf.extend(vals)
         total = self._total
         for v in vals:
             total += v
         self._total = total
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._buf)
 
     def samples(self) -> List[float]:
         """Copy of the raw samples, in recording order.
@@ -162,46 +140,49 @@ class Histogram:
         reproduces the quantiles a single-process run over the same
         partition would report, independent of shard execution order.
         """
-        return self._buf[: self._n].tolist()
+        return self._buf.tolist()
+
+    def _ordered(self) -> List[float]:
+        """The samples in ascending order; re-sorted only after new samples."""
+        ordered = self._sorted
+        if len(ordered) != len(self._buf):
+            ordered = self._sorted = sorted(self._buf)
+        return ordered
 
     @property
     def count(self) -> int:
-        return self._n
+        return len(self._buf)
 
     @property
     def mean(self) -> float:
-        if not self._n:
+        n = len(self._buf)
+        if not n:
             return math.nan
-        return self._total / self._n
+        return self._total / n
 
     @property
     def minimum(self) -> float:
-        return float(self._buf[: self._n].min()) if self._n else math.nan
+        return self._ordered()[0] if self._buf else math.nan
 
     @property
     def maximum(self) -> float:
-        return float(self._buf[: self._n].max()) if self._n else math.nan
+        return self._ordered()[-1] if self._buf else math.nan
 
     def percentile(self, pct: float) -> float:
         """Exact percentile (nearest-rank with interpolation)."""
-        n = self._n
+        n = len(self._buf)
         if not n:
             return math.nan
         if not 0.0 <= pct <= 100.0:
             raise ConfigError(f"percentile out of range: {pct}")
-        arr = self._buf[:n]
-        if n == 1:
-            return float(arr[0])
+        ordered = self._ordered()
         rank = (pct / 100.0) * (n - 1)
         low = int(math.floor(rank))
         high = int(math.ceil(rank))
         if low == high:
-            # kth element of a partition is the exact order statistic —
-            # the same float a full sort would place there.
-            return float(_np.partition(arr, low)[low])
-        part = _np.partition(arr, (low, high))
+            return ordered[low]
         frac = rank - low
-        return float(part[low] * (1.0 - frac) + part[high] * frac)
+        return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
     @property
     def median(self) -> float:

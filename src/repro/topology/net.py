@@ -40,31 +40,20 @@ class TopologyNet:
         self.tables = RouteTables.build(spec)
         #: Edge label ("<a>~<b>") -> runtime Link ("edge:<a>~<b>").
         self.links: Dict[str, Link] = {}
-        #: (src, dst) node pair -> (Link, direction) for one hop.
-        self._hop: Dict[Tuple[str, str], Tuple[Link, int]] = {}
         for edge in spec.edges:
-            link = Link(
+            self.links[edge.name] = Link(
                 sim,
                 name=f"edge:{edge.name}",
                 latency_ns=edge.latency_ns,
                 bandwidth_bytes_per_ns=gbps_to_bytes_per_ns(edge.gbps),
                 header_overhead=edge.header_overhead,
             )
-            self.links[edge.name] = link
-            self._hop[(edge.a, edge.b)] = (link, 0)
-            self._hop[(edge.b, edge.a)] = (link, 1)
-        self.router = Router(self)
+        self.router = Router(sim, spec, self.tables, self.links)
 
     # ------------------------------------------------------------------
     def hop(self, src: str, dst: str) -> Tuple[Link, int]:
         """The (link, direction) carrying one ``src -> dst`` hop."""
-        try:
-            return self._hop[(src, dst)]
-        except KeyError:
-            raise ConfigError(
-                f"topology {self.spec.name!r}: no edge between "
-                f"{src!r} and {dst!r}"
-            )
+        return self.router.hop(src, dst)
 
     def attach_faults(self, faults) -> None:
         """Attach one fault injector to every edge link.
@@ -138,41 +127,65 @@ class Router:
     window accounting straight-line with no per-hop validation, payload
     resolution, or shape lookup. Plans embed state that
     :meth:`Link.scaled` and :meth:`Link.reset_stats` replace, so the
-    Router claims every edge link's ``on_scaled`` slot (edge links have
-    no other consumer — the coherence fabric only owns the intra-host
-    links) and drops all plans when any edge is rescaled or reset,
-    mirroring the epoch invalidation of the fabric's transition plans.
+    Router registers its plan dict with every edge link
+    (:meth:`Link.register_plans`), which empties it when any edge is
+    rescaled or reset, as the coherent link does for the fabric's
+    transition plans. A hop row names its link by index into the
+    Router's edge list, not by reference, and the Router keeps the
+    simulator, spec, route tables and links it reads rather than its
+    :class:`TopologyNet`, so a finished net holds no reference cycle.
     A fault injector attached to an edge runs inside the hop loop, in
     :meth:`Link.one_way`'s order, as it does in
     :meth:`Link.occupy_pair`. The sum of :meth:`Link.one_way` over
     :meth:`path_hops` is the test oracle for :meth:`charge`.
     """
 
-    def __init__(self, net: TopologyNet) -> None:
-        self.net = net
-        # (src, dst) -> tuple of (link, direction) hops; filled lazily,
-        # pure derivation from the route tables so caching is safe.
-        self._paths: Dict[Tuple[str, str], Tuple[Tuple[Link, int], ...]] = {}
-        # (src, dst, cls, payload_bytes) -> tuple of plan_one_way rows.
+    def __init__(
+        self,
+        sim,
+        spec: TopologySpec,
+        tables: RouteTables,
+        links: Dict[str, Link],
+    ) -> None:
+        self.sim = sim
+        self.spec = spec
+        self.tables = tables
+        #: Edge links in spec order; hop rows name them by index.
+        self._links: Tuple[Link, ...] = tuple(links[edge.name] for edge in spec.edges)
+        #: (src, dst) node pair -> (link index, direction) for one hop.
+        self._hop: Dict[Tuple[str, str], Tuple[int, int]] = {}
+        for index, edge in enumerate(spec.edges):
+            self._hop[(edge.a, edge.b)] = (index, 0)
+            self._hop[(edge.b, edge.a)] = (index, 1)
+        # (src, dst, cls, payload_bytes) -> tuple of hop rows: the link
+        # index, then its plan_one_way row.
         self._plans: Dict[tuple, tuple] = {}
-        for link in net.links.values():
-            link.on_scaled = self._invalidate_plans
+        for link in self._links:
+            link.register_plans(self._plans)
 
-    def _invalidate_plans(self) -> None:
-        """Drop every memoized charge plan (an edge was rescaled/reset)."""
-        self._plans.clear()
+    def _hop_index(self, src: str, dst: str) -> Tuple[int, int]:
+        try:
+            return self._hop[(src, dst)]
+        except KeyError:
+            raise ConfigError(
+                f"topology {self.spec.name!r}: no edge between "
+                f"{src!r} and {dst!r}"
+            )
+
+    def hop(self, src: str, dst: str) -> Tuple[Link, int]:
+        """The (link, direction) carrying one ``src -> dst`` hop."""
+        index, direction = self._hop_index(src, dst)
+        return self._links[index], direction
+
+    def _route(self, src: str, dst: str) -> Tuple[Tuple[int, int], ...]:
+        """(link index, direction) of each hop of the ``src -> dst`` route."""
+        nodes = self.tables.path(src, dst)
+        return tuple(self._hop_index(a, b) for a, b in zip(nodes, nodes[1:]))
 
     def path_hops(self, src: str, dst: str) -> Tuple[Tuple[Link, int], ...]:
         """The (link, direction) sequence of the ``src -> dst`` route."""
-        key = (src, dst)
-        hops = self._paths.get(key)
-        if hops is None:
-            nodes = self.net.tables.path(src, dst)
-            hops = tuple(
-                self.net.hop(a, b) for a, b in zip(nodes, nodes[1:])
-            )
-            self._paths[key] = hops
-        return hops
+        links = self._links
+        return tuple((links[index], direction) for index, direction in self._route(src, dst))
 
     def hop_count(self, src: str, dst: str) -> int:
         return len(self.path_hops(src, dst))
@@ -203,24 +216,26 @@ class Router:
         scale is 1.0.
         """
         key = (src, dst, cls, payload_bytes)
+        links = self._links
         plan = self._plans.get(key)
         if plan is None:
             plan = tuple(
-                link.plan_one_way(cls, direction, payload_bytes)
-                for link, direction in self.path_hops(src, dst)
+                (index,) + links[index].plan_one_way(cls, direction, payload_bytes)
+                for index, direction in self._route(src, dst)
             )
             self._plans[key] = plan
-        t = self.net.sim.now
+        t = self.sim.now
         window = Link.WINDOW_NS
         cap = Link.RHO_CAP
         live_floor = window / 4
         total = 0.0
-        for (link, d, wire, ser, lat, ser_lat, busy_cell, count,
+        for (index, d, wire, ser, lat, ser_lat, busy_cell, count,
              win_busy, win_by, win_start, rho_settled, rho_by) in plan:
-            faults = link.faults
+            faults = links[index].faults
             if faults is None:
                 disrupt = 0.0
             else:
+                link = links[index]
                 scale = faults.link_ser_scale(link.name, t)
                 if scale != 1.0:
                     ser = ser * scale

@@ -263,6 +263,16 @@ class TestFlushAndNt:
         fabric.nt_store(local, region.base, 64)
         assert fabric.state_in(remote, region.base) is None
 
+    def test_nt_store_by_a_non_holder_leaves_no_holders_entry(self):
+        fabric, space, local, _peer, remote = make_fabric()
+        region = space.allocate("r", 64, home=1)
+        line = region.base // 64
+        fabric.read(remote, region.base, 64)
+        fabric.nt_store(local, region.base, 64)
+        assert fabric.holders_of(region.base) == []
+        assert line not in fabric._holders
+        fabric.check_invariants()
+
     def test_nt_store_local_home_no_link_traffic(self):
         fabric, space, local, _peer, _remote = make_fabric()
         region = space.allocate("r", 64, home=0)
@@ -288,6 +298,14 @@ class TestInvariants:
         peer.set_state(region.base // 64, LineState.MODIFIED)
         fabric._holders[region.base // 64].append(peer)
         with pytest.raises(CoherenceError):
+            fabric.check_invariants()
+
+    def test_empty_holders_entry_detected(self):
+        fabric, space, local, _peer, _remote = make_fabric()
+        region = space.allocate("r", 64, home=0)
+        fabric.read(local, region.base, 8)
+        fabric._holders[region.base // 64 + 1] = []
+        with pytest.raises(CoherenceError, match="empty entry"):
             fabric.check_invariants()
 
 

@@ -220,11 +220,11 @@ def test_occupy_pair_matches_two_occupy_calls(steps, faulted):
     inlined, per_message, twin = make_link(), make_link(), make_link()
     _make_twin(twin)
     # Rows are memoized the way the fabric memoizes its plans, and
-    # dropped the same way: through on_scaled, which scaled() and
-    # reset_stats() fire.
+    # dropped the same way: in a dict registered with the link, which
+    # scaled() and reset_stats() empty.
     fabric = CoherenceFabric(sim, AddressSpace(), plat.cost, inlined)
     rows = {}
-    inlined.on_scaled = rows.clear
+    inlined.register_plans(rows)
 
     def row(cls, direction, charge):
         key = (cls, direction, charge)

@@ -133,7 +133,11 @@ def test_histogram_matches_sorted_reference(batches, pct):
             for value in values:
                 h.record(value)
         recorded.extend(values)
-    data = sorted(recorded)
+        # Queried after every batch: the sorted copy behind the order
+        # statistics must follow each record() and extend().
+        data = sorted(recorded)
+        assert (h.minimum, h.maximum) == (data[0], data[-1])
+        assert h.percentile(pct) == _sorted_percentile(data, pct)
     # A left-to-right sum: newer Pythons compensate inside sum().
     total = 0.0
     for value in recorded:

@@ -367,7 +367,7 @@ class TestMergeTimelines:
         remerged = merge_timelines(redocs)
         assert merged["histograms"] == remerged["histograms"]
 
-    def test_numpy_backed_histogram_samples_roundtrip(self):
+    def test_histogram_samples_roundtrip_through_extend(self):
         # Histogram.samples() feeds the shard doc; pooling via extend()
         # must reproduce the same order statistics.
         h = Histogram("lat")
