@@ -43,9 +43,10 @@ resolution and counter-name formatting. Plans are invalidated when the
 cost model is swapped, the link is rescaled, or the counter bag is
 reset. Hits never reach a plan: they stay inline in :meth:`access`
 (one line) and :meth:`access_burst` (everything else). An attached
-fault injector keeps the plans: each remote plan draws its snoop fault
-right after charging its link messages (which draw their link faults
-inside :meth:`Link.occupy_pair`). The flight recorder and the
+fault injector keeps the plans: each remote plan reads the fabric's
+compiled snoop segment right after charging its link messages (which
+read the link's segment inside :meth:`Link.occupy_pair`) and draws only
+while a snoop window is open. The flight recorder and the
 sanitizer, attached through an :class:`~repro.obs.Observability`
 bundle, observe the same path, and no hook changes which code runs.
 The model checker (``check --model``), which holds every transition to
@@ -138,6 +139,12 @@ class CoherenceFabric(Instrumented):
     #: Optional :class:`repro.faults.FaultInjector`. Class-level None so
     #: fault-free runs skip the snoop hooks entirely.
     faults = None
+
+    #: The snoop segment last fetched from :attr:`faults`,
+    #: ``(lo, hi, rows, injector)`` (see
+    #: :meth:`repro.faults.FaultInjector.snoop_segment`). Class-level and
+    #: naming no injector, so the first faulted snoop fetches one.
+    _snoop_segment = (0.0, 0.0, (), None)
 
     #: Optional :class:`repro.obs.flight.FlightRecorder`. Class-level
     #: None so detached runs pay one ``None`` test per access.
@@ -679,8 +686,8 @@ class CoherenceFabric(Instrumented):
         nearest cache; a dirty copy always responds (HitM). That
         situation becomes a code naming one transition rule, whose plan
         supplies the latency, link messages, counter cells, installed
-        state and effect on the other holders. Each remote plan draws
-        its snoop fault after the link charge. A HitM read and a write
+        state and effect on the other holders. Each remote plan tests
+        the snoop segment after the link charge. A HitM read and a write
         miss hand the line's holders list to the requester in place
         rather than deleting and rebuilding it.
         """
@@ -721,8 +728,11 @@ class CoherenceFabric(Instrumented):
                 # in _pending_queue. A known defect (docs/MODEL.md §2),
                 # pinned by TestCongestionWaits in tests/test_fabric.py.
                 latency = self.link.occupy_pair(msgs, agent.name, latency)
-                if self.faults is not None:
-                    latency += self._snoop_disruption(agent)
+                faults = self.faults
+                if faults is not None:
+                    lo, hi, rows, owner = self._snoop_segment
+                    if rows or owner is not faults or not lo <= self.sim.now < hi:
+                        latency += self._snoop_disruption(faults, agent)
             # No other copy for the rule's effect to touch.
             if holders is None:
                 self._holders[line] = [agent]
@@ -734,8 +744,11 @@ class CoherenceFabric(Instrumented):
                 self._pending_queue = self.link.occupy_pair(
                     msgs, agent.name, self._pending_queue
                 )
-                if self.faults is not None:
-                    self._pending_queue += self._snoop_disruption(agent)
+                faults = self.faults
+                if faults is not None:
+                    lo, hi, rows, owner = self._snoop_segment
+                    if rows or owner is not faults or not lo <= self.sim.now < hi:
+                        self._pending_queue += self._snoop_disruption(faults, agent)
             if others == "drop_dirty":
                 # HitM: dirty data and ownership migrate to the requester,
                 # which takes over the dirty holder's entry in place (a
@@ -812,8 +825,11 @@ class CoherenceFabric(Instrumented):
             self._pending_queue = self.link.occupy_pair(
                 msgs, agent.name, self._pending_queue
             )
-            if self.faults is not None:
-                self._pending_queue += self._snoop_disruption(agent)
+            faults = self.faults
+            if faults is not None:
+                lo, hi, rows, owner = self._snoop_segment
+                if rows or owner is not faults or not lo <= self.sim.now < hi:
+                    self._pending_queue += self._snoop_disruption(faults, agent)
         return plan
 
     def _install(
@@ -919,24 +935,34 @@ class CoherenceFabric(Instrumented):
             self._install(agent, line, _SHARED, region)
 
     # ------------------------------------------------------------------
-    def _snoop_disruption(self, agent: CacheAgent) -> float:
-        """Extra snoop latency from the fault injector, if any.
+    def _snoop_disruption(self, faults, agent: CacheAgent) -> float:
+        """Draw the snoop faults active now; return the extra snoop latency.
 
-        A delayed response just adds its ``extra_ns``. A NACK makes the
-        requester re-issue the snoop after the turnaround, so the retry
-        message is charged on the link a second time.
+        The three snoop sites call this only when their segment test
+        finds an active event or a stale segment, so a remote fill with
+        no snoop window open costs one range test. Here the fabric's
+        snoop segment is refreshed if ``now`` has left it or another
+        injector is attached, and its active events draw in plan order
+        until one fires. A delayed response just adds its ``extra_ns``.
+        A NACK makes the requester re-issue the snoop after the
+        turnaround, so the retry message is charged on the link a second
+        time.
         """
-        # repro: allow(zero-cost-hooks) every caller guards on self.faults
-        fault = self.faults.snoop_decide(self.sim.now)
-        if fault is None:
-            return 0.0
-        extra = fault.extra_ns
-        if fault.reissue:
-            extra += self.link.occupy(
-                MessageClass.SNOOP, direction=agent.socket, actor=agent.name
-            )
-            self._count(agent.socket, "snoop_retry")
-        return extra
+        t = self.sim.now
+        lo, hi, rows, owner = self._snoop_segment
+        if owner is not faults or not lo <= t < hi:
+            lo, hi, rows, owner = self._snoop_segment = faults.snoop_segment(t)
+        for probability, fault in rows:
+            if faults.draw() < probability:
+                faults._note(t, fault.kind)
+                extra = fault.extra_ns
+                if fault.reissue:
+                    extra += self.link.occupy(
+                        MessageClass.SNOOP, direction=agent.socket, actor=agent.name
+                    )
+                    self._count(agent.socket, "snoop_retry")
+                return extra
+        return 0.0
 
     def _count(self, socket: int, what: str) -> None:
         self.counters.add(f"s{socket}.{what}")

@@ -103,15 +103,25 @@ class NicQueueAgent(Instrumented):
         agent = self.agent
         assemble = self._assemble
         take_arrived = self._take_arrived
+        queue_index = self.queue_index
+        # When this queue's earliest unfired NIC one-shot is due, and the
+        # injector that said so: the injector is asked again only once
+        # that time comes or another injector is attached.
+        due_from = None
+        due = 0.0
         while True:
             faults = self.faults
             if faults is not None:
-                fault = faults.nic_decide(self.queue_index, sim.now)
-                if fault is not None:
-                    if fault.kind == "nic_reset":
-                        self._device_reset()
-                    yield fault.duration_ns
-                    continue
+                if faults is not due_from:
+                    due_from, due = faults, faults.nic_due(queue_index)
+                if sim.now >= due:
+                    fault = faults.nic_decide(queue_index, sim.now)
+                    due = faults.nic_due(queue_index)
+                    if fault is not None:
+                        if fault.kind == "nic_reset":
+                            self._device_reset()
+                        yield fault.duration_ns
+                        continue
                 if self.wedged:
                     # Arrivals fall on the floor until the host watchdog
                     # reinitializes this queue.

@@ -1,25 +1,36 @@
-"""The :class:`FaultInjector`: turns a plan into concrete fault decisions.
+"""The :class:`FaultInjector`: compiles a plan into fault segments.
 
 The injector is the single stochastic authority for faults. It owns one
 seeded RNG stream (``make_rng(seed, "faults")``), so for a fixed
 ``(plan, seed)`` the sequence of injected events is bit-reproducible —
 the property the determinism tests and the CI double-run job assert.
 
-Components never read the plan themselves; they ask the injector at
-their hook points:
+Components never read the plan. The injector compiles it, and the hook
+sites read what it compiled:
 
-* :meth:`link_ser_scale` — multiplicative serialization-time factor for
-  active ``link_degrade`` windows (pure function of time, no RNG).
-* :meth:`link_decide` — per-message draw for drop/duplicate/delay.
-* :meth:`snoop_decide` — per-snoop draw for delayed/NACKed responses.
-* :meth:`nic_decide` — one-shot stall/reset events for a queue engine.
+* :meth:`link_segment` — for one link name, the *window segment* holding
+  ``now``: the span between two plan boundaries (any link event's
+  ``start_ns`` or ``end_ns``) inside which the set of active events
+  cannot change, with the product of the active ``link_degrade``
+  scales and one ``(probability, LinkFault)`` row per active
+  drop/duplicate/delay event, in plan order.
+* :meth:`snoop_segment` — the same for the snoop events (no scale).
+* :meth:`nic_due` — when a queue's earliest unfired NIC one-shot is
+  due; :meth:`nic_decide` fires it.
 
-The three per-message hooks read *compiled window segments*: the
-plan's ``start_ns``/``end_ns`` boundaries cut time into segments inside
-which the set of active events cannot change, so each hook caches the
-segment holding the last ``now`` it saw (per link name for the link
-hooks) with the active, matching events in plan order, and rescans the
-plan only when ``now`` leaves it.
+A site (:class:`~repro.interconnect.link.Link`, the router's hop loop,
+the fabric's snoop sites, both NIC engines) keeps the segment it was
+handed, which names the injector that compiled it, and asks for a new
+one only when ``now`` leaves ``[lo, hi)`` or another injector is
+attached. Inside the segment a message multiplies its serialization
+time by the scale (bumping ``degraded_messages`` when it is not 1.0)
+and draws each row from :attr:`draw` in plan order until one fires;
+only a fired draw calls back (:meth:`_note`) to count and log itself.
+That is exactly what a per-message scan of the plan gives: the same
+draws in the same order, the same counters (``degraded_messages``
+enters the bag when a message is first degraded) and the same
+injection log. The per-message scan lives on in the tests, as the
+oracle the sites are held to.
 
 Every injected fault is tallied in a :class:`~repro.sim.stats.Counter`
 bag adopted by the ``repro.obs`` registry under the ``faults``
@@ -30,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultError
 from repro.faults.plan import (
@@ -82,10 +93,6 @@ class NicFault:
     duration_ns: float = 0.0
 
 
-#: A segment no time falls in: the first call of every hook compiles.
-_NO_SEGMENT = (math.inf, -math.inf, None)
-
-
 def _segment(events: Sequence[FaultEvent], now: float) -> Tuple[float, float, tuple]:
     """The window segment holding ``now``: ``(lo, hi, active)``.
 
@@ -126,12 +133,10 @@ def _snoop_fault(ev: FaultEvent) -> SnoopFault:
 class FaultInjector(Instrumented):
     """Deterministic fault oracle for one simulation run.
 
-    The per-message hooks answer from cached window segments (see the
-    module docstring): a hook rescans the plan only when ``now`` leaves
-    its cached segment, and inside one segment it replays the scan's
-    outcome exactly — degrade scales divide in plan order, draws run in
-    plan order with one RNG call per active matching event until one
-    fires, and the counters and injection log see the same entries.
+    The injector compiles the plan into window segments and the hook
+    sites draw from them (see the module docstring); it runs only when a
+    site's segment goes stale, when a draw fires, and when a NIC
+    one-shot falls due.
 
     Args:
         plan: The fault schedule.
@@ -145,20 +150,17 @@ class FaultInjector(Instrumented):
         self.plan = plan
         self.seed = seed
         self._rng = make_rng(seed, "faults")
+        #: One uniform draw in ``[0, 1)`` from the injector's stream: a
+        #: site draws one per active row, in plan order, until a draw
+        #: falls below the row's probability.
+        self.draw = self._rng.random
         self.counters = Counter()
-        self._link_events = plan.events_of(*LINK_MESSAGE_KINDS)
-        self._degrade_events = plan.events_of("link_degrade")
+        self._link_events = plan.events_of("link_degrade", *LINK_MESSAGE_KINDS)
         self._snoop_events = plan.events_of(*SNOOP_KINDS)
         self._nic_events: Tuple[FaultEvent, ...] = plan.events_of(*NIC_KINDS)
         #: One-shot bookkeeping: (event position in plan, queue index).
         self._fired: Set[Tuple[int, int]] = set()
         self._injection_log: List[Tuple[float, str]] = []
-        # Compiled window segments, (lo, hi, cached answer). Link hooks
-        # keep one per link name; the degrade answer is the scale
-        # product, the draw answers (probability, kind, outcome) rows.
-        self._degrade_segments: Dict[str, tuple] = {}
-        self._link_segments: Dict[str, tuple] = {}
-        self._snoop_segment: tuple = _NO_SEGMENT
 
     # ------------------------------------------------------------------
     def _obs_component(self) -> str:
@@ -169,6 +171,7 @@ class FaultInjector(Instrumented):
 
     # ------------------------------------------------------------------
     def _note(self, now: float, kind: str) -> None:
+        """Count and log one fired fault (the sites' only call back)."""
         self.counters.add(f"injected_{kind}")
         self._injection_log.append((now, kind))
 
@@ -182,69 +185,65 @@ class FaultInjector(Instrumented):
         return len(self._injection_log)
 
     # ------------------------------------------------------------------
-    # Link hooks
+    # Compiled segments
     # ------------------------------------------------------------------
-    def link_ser_scale(self, link_name: str, now: float) -> float:
-        """Serialization-time multiplier from active degrade windows.
+    def link_segment(self, link_name: str, now: float) -> tuple:
+        """The link window segment holding ``now`` for ``link_name``.
 
-        Pure function of (plan, link, time): no RNG draw, so calling it
-        never perturbs the injector's stream. Overlapping windows
-        compound.
+        Returns ``(lo, hi, scale, rows, injector)``. Every link event
+        that targets ``link_name`` (or no link) is active throughout
+        ``[lo, hi)`` exactly when it is active at ``now``. ``scale`` is
+        1.0 divided by each active ``link_degrade`` factor in plan order
+        (overlapping windows compound; no RNG draw). ``rows`` holds one
+        ``(probability, LinkFault)`` per active drop, duplicate or delay
+        event in plan order; the first row whose draw fires decides the
+        message, so at most one link fault is injected per message.
+        ``injector`` is ``self``, so a site can tell when another
+        injector is attached.
         """
-        segment = self._degrade_segments.get(link_name, _NO_SEGMENT)
-        if not segment[0] <= now < segment[1]:
-            lo, hi, active = _segment(
-                [ev for ev in self._degrade_events if ev.matches_link(link_name)],
-                now,
-            )
-            scale = 1.0
-            for ev in active:
+        lo, hi, active = _segment(
+            [ev for ev in self._link_events if ev.matches_link(link_name)], now
+        )
+        scale = 1.0
+        rows = []
+        for ev in active:
+            if ev.kind == "link_degrade":
                 scale /= ev.factor
-            segment = self._degrade_segments[link_name] = (lo, hi, scale)
-        scale = segment[2]
-        if scale != 1.0:
-            self.counters.add("degraded_messages")
-        return scale
+            else:
+                rows.append((ev.probability, _link_fault(ev)))
+        return lo, hi, scale, tuple(rows), self
 
-    def link_decide(self, link_name: str, now: float) -> Optional[LinkFault]:
-        """Per-message draw: drop (retransmit), duplicate, or delay.
+    def snoop_segment(self, now: float) -> tuple:
+        """The snoop window segment holding ``now``.
 
-        The first matching event in plan order wins; at most one link
-        fault is injected per message.
+        Returns ``(lo, hi, rows, injector)``, with one
+        ``(probability, SnoopFault)`` row per active ``snoop_delay`` or
+        ``snoop_nack`` event in plan order; a snoop's first firing row
+        decides it.
         """
-        segment = self._link_segments.get(link_name, _NO_SEGMENT)
-        if not segment[0] <= now < segment[1]:
-            lo, hi, active = _segment(
-                [ev for ev in self._link_events if ev.matches_link(link_name)],
-                now,
-            )
-            rows = tuple((ev.probability, ev.kind, _link_fault(ev)) for ev in active)
-            segment = self._link_segments[link_name] = (lo, hi, rows)
-        for probability, kind, fault in segment[2]:
-            if self._rng.random() < probability:
-                self._note(now, kind)
-                return fault
-        return None
-
-    # ------------------------------------------------------------------
-    # Coherence hook
-    # ------------------------------------------------------------------
-    def snoop_decide(self, now: float) -> Optional[SnoopFault]:
-        """Per-snoop draw: delayed response or NACK + re-issue."""
-        segment = self._snoop_segment
-        if not segment[0] <= now < segment[1]:
-            lo, hi, active = _segment(self._snoop_events, now)
-            rows = tuple((ev.probability, ev.kind, _snoop_fault(ev)) for ev in active)
-            segment = self._snoop_segment = (lo, hi, rows)
-        for probability, kind, fault in segment[2]:
-            if self._rng.random() < probability:
-                self._note(now, kind)
-                return fault
-        return None
+        lo, hi, active = _segment(self._snoop_events, now)
+        rows = tuple((ev.probability, _snoop_fault(ev)) for ev in active)
+        return lo, hi, rows, self
 
     # ------------------------------------------------------------------
     # NIC hook
     # ------------------------------------------------------------------
+    def nic_due(self, queue_index: int) -> float:
+        """When queue ``queue_index``'s earliest unfired one-shot is due.
+
+        :meth:`nic_decide` returns None at every time before it, so an
+        engine asks only once ``now`` reaches it (``inf``: none left).
+        """
+        due = math.inf
+        for position, ev in enumerate(self._nic_events):
+            if (
+                ev.start_ns < due
+                and ev.matches_queue(queue_index)
+                and (position, queue_index) not in self._fired
+            ):
+                due = ev.start_ns
+        return due
+
     def nic_decide(self, queue_index: int, now: float) -> Optional[NicFault]:
         """One-shot stall/reset check for queue ``queue_index``.
 

@@ -139,6 +139,12 @@ class Link:
     #: fault-free runs carry zero extra per-message cost or state.
     faults = None
 
+    #: The fault segment last fetched from :attr:`faults`,
+    #: ``(lo, hi, scale, rows, injector)`` (see
+    #: :meth:`repro.faults.FaultInjector.link_segment`). Class-level and
+    #: naming no injector, so the first faulted message fetches one.
+    _fault_segment = (0.0, 0.0, 1.0, (), None)
+
     def __init__(
         self,
         sim: Simulator,
@@ -213,9 +219,9 @@ class Link:
         wire = payload + self.header_overhead
         ser = wire / self.bandwidth
         disrupt = 0.0
-        if self.faults is not None:
-            ser *= self.faults.link_ser_scale(self.name, self.sim.now)
-            disrupt = self._fault_disruptions(cls, direction, ser, wire, actor)
+        faults = self.faults
+        if faults is not None:
+            ser, disrupt = self._fault_hooks(faults, cls, direction, ser, wire, actor)
         wait = self._enqueue(direction, ser, actor)
         self.stats[direction].note(cls, payload, wire, ser)
         if charge_queueing:
@@ -248,31 +254,58 @@ class Link:
         wire = int((payload + self.header_overhead) * inflate)
         ser = wire / self.bandwidth
         disrupt = 0.0
-        if self.faults is not None:
-            ser *= self.faults.link_ser_scale(self.name, self.sim.now)
-            disrupt = self._fault_disruptions(cls, direction, ser, wire, actor)
+        faults = self.faults
+        if faults is not None:
+            ser, disrupt = self._fault_hooks(faults, cls, direction, ser, wire, actor)
         wait = self._enqueue(direction, ser, actor)
         self.stats[direction].note(cls, payload, wire, ser)
         if charge_queueing:
             return wait + disrupt
         return disrupt
 
-    def _fault_disruptions(
-        self, cls: MessageClass, direction: int, ser: float, wire: int, actor: str
+    def _fault_hooks(
+        self, faults, cls: MessageClass, direction: int, ser: float, wire: int, actor: str
+    ) -> tuple:
+        """``(ser, extra delay)`` of one message under ``faults``.
+
+        Reads the link's fault segment, fetching a new one only when
+        ``now`` has left it or another injector is attached. Inside it a
+        message with no active event costs the range test; a degrade
+        window scales ``ser`` and counts the message in
+        ``degraded_messages``; each active per-message event draws once,
+        in plan order, until one fires (:meth:`_book_fault`).
+        :meth:`repro.topology.net.Router.charge` calls this per faulted
+        hop; :meth:`occupy_pair` runs the same steps inline.
+        """
+        t = self.sim.now
+        lo, hi, scale, rows, owner = self._fault_segment
+        if owner is not faults or not lo <= t < hi:
+            lo, hi, scale, rows, owner = self._fault_segment = faults.link_segment(
+                self.name, t
+            )
+        if scale != 1.0:
+            ser = ser * scale
+            faults.counters.add("degraded_messages")
+        for probability, fault in rows:
+            if faults.draw() < probability:
+                return ser, self._book_fault(faults, fault, cls, direction, ser, wire, actor)
+        return ser, 0.0
+
+    def _book_fault(
+        self, faults, fault, cls: MessageClass, direction: int, ser: float, wire: int,
+        actor: str,
     ) -> float:
-        """Draw one per-message link fault; return the extra delivery delay.
+        """Log a fired link fault, book its wasted copy; return its extra delay.
 
         Coherent links never surface loss to the protocol layer: a
         dropped flit is retransmitted by the link layer, so a "drop"
         manifests as extra latency plus a second (wasted) copy on the
         wire. Duplicates likewise burn bandwidth without delaying the
         original. Both wasted copies are booked through ``_enqueue`` and
-        counted in the stats with zero payload bytes.
+        counted in the stats with zero payload bytes, ahead of the
+        message's own accounting.
         """
-        # repro: allow(zero-cost-hooks) every caller guards on self.faults
-        fault = self.faults.link_decide(self.name, self.sim.now)
-        if fault is None:
-            return 0.0
+        faults._note(self.sim.now, fault.kind)
         if fault.retransmit or fault.duplicate:
             self._enqueue(direction, ser, actor)
             self.stats[direction].note(cls, 0, wire, ser)
@@ -363,11 +396,12 @@ class Link:
         payload resolution and attribute traffic; :meth:`occupy` is the
         oracle the property tests hold it to. Rows with
         ``charge_queueing`` False still consume window demand but add
-        nothing to the returned total. With an injector attached each
-        row runs the fault hooks inline, as :meth:`occupy` does: the
-        degrade scale and the per-message draw (whose wasted copy books
-        ahead of the row), then the row's own accounting, with the
-        draw's extra delay charged beside its wait.
+        nothing to the returned total. With an injector attached both
+        rows read one fault segment, as :meth:`occupy` does (both rows
+        run at the same ``now``): each row scales by the degrade factor,
+        draws the active events in plan order (a fired draw's wasted
+        copy books ahead of the row), then does its own accounting, with
+        the draw's extra delay charged beside its wait.
         """
         (d0, cls0, wire0, ser0, charge0, busy0, count0,
          d1, cls1, wire1, ser1, charge1, busy1, count1) = plan
@@ -384,8 +418,18 @@ class Link:
         disrupt = 0.0
         # --- request row
         if faults is not None:
-            ser0 = ser0 * faults.link_ser_scale(self.name, t)
-            disrupt = self._fault_disruptions(cls0, d0, ser0, wire0, actor)
+            lo, hi, scale, rows, owner = self._fault_segment
+            if owner is not faults or not lo <= t < hi:
+                lo, hi, scale, rows, owner = self._fault_segment = faults.link_segment(
+                    self.name, t
+                )
+            if scale != 1.0:
+                ser0 = ser0 * scale
+                faults.counters.add("degraded_messages")
+            for probability, fault in rows:
+                if faults.draw() < probability:
+                    disrupt = self._book_fault(faults, fault, cls0, d0, ser0, wire0, actor)
+                    break
         elapsed = t - win_start[d0]
         if elapsed >= window:
             rho_settled[d0] = min(cap, win_busy[d0] / elapsed)
@@ -442,8 +486,14 @@ class Link:
             base += wait + disrupt
         # --- response row (opposite direction, so state is independent)
         if faults is not None:
-            ser1 = ser1 * faults.link_ser_scale(self.name, t)
-            disrupt = self._fault_disruptions(cls1, d1, ser1, wire1, actor)
+            if scale != 1.0:
+                ser1 = ser1 * scale
+                faults.counters.add("degraded_messages")
+            disrupt = 0.0
+            for probability, fault in rows:
+                if faults.draw() < probability:
+                    disrupt = self._book_fault(faults, fault, cls1, d1, ser1, wire1, actor)
+                    break
         elapsed = t - win_start[d1]
         if elapsed >= window:
             rho_settled[d1] = min(cap, win_busy[d1] / elapsed)
@@ -513,7 +563,7 @@ class Link:
         :meth:`register_plans`; the row does not hold the link, so that
         dict forms no cycle with it. Fault attachment needs no
         invalidation: consumers re-read :attr:`faults` per charge and
-        run its hooks inline.
+        read the link's fault segment inline.
         """
         if direction not in (0, 1):
             raise InterconnectError(f"direction must be 0 or 1, got {direction}")

@@ -240,15 +240,24 @@ class _DeviceEngine:
     def run(self):
         sim = self.nic.system.sim
         q = self.q
+        index = self.index
+        # When this queue's earliest unfired NIC one-shot is due, and the
+        # injector that said so (see NicQueueAgent.run).
+        due_from = None
+        due = 0.0
         while True:
             faults = self.nic.faults
             if faults is not None:
-                fault = faults.nic_decide(self.index, sim.now)
-                if fault is not None:
-                    if fault.kind == "nic_reset":
-                        self._device_reset()
-                    yield fault.duration_ns
-                    continue
+                if faults is not due_from:
+                    due_from, due = faults, faults.nic_due(index)
+                if sim.now >= due:
+                    fault = faults.nic_decide(index, sim.now)
+                    due = faults.nic_due(index)
+                    if fault is not None:
+                        if fault.kind == "nic_reset":
+                            self._device_reset()
+                        yield fault.duration_ns
+                        continue
                 if q.wedged:
                     # Arrivals fall on the floor until the host watchdog
                     # reinitializes this queue.

@@ -119,6 +119,8 @@ def merge_results(results: Sequence[Dict], scenario: str, lookahead_ns: float) -
     snapshots = [result["snapshot"] for result in ordered]
     merged = _merge_snapshots(snapshots)
 
+    # Each shard's samples arrive as an array('d'); extend appends them
+    # as raw doubles, in shard-index order.
     latency = Histogram("merged_latency")
     for result in ordered:
         latency.extend(result.get("latency_ns", ()))

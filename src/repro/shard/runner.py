@@ -5,8 +5,10 @@ Three layers, each usable on its own:
 * :func:`execute_spec` — run ONE spec (a whole scenario or a single
   shard of one) in this process and return a plain-dict result:
   counts, simulation snapshot, raw latency samples, and optionally a
-  metric-registry snapshot. Everything in the dict is picklable and
-  JSON-safe, so results cross process boundaries untouched.
+  metric-registry snapshot. Everything in the dict is picklable, so
+  results cross process boundaries untouched. The latency samples are
+  an ``array('d')`` (8 bytes per sample, where a list would box each
+  one); everything else is JSON-safe.
 * :func:`run_shard` — the multiprocessing entry point: rebuilds a spec
   from its ``to_doc`` form and runs it. Top-level by design so it
   pickles under both ``fork`` and ``spawn`` start methods.
@@ -199,7 +201,7 @@ def _execute_loopback(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict
         snapshot["watchdog_resets"] = setup.driver.watchdog_resets
         extra["dropped"] = float(result.dropped)
         extra["injected"] = float(faults.total_injected())
-    doc = _result_doc(spec, wall, system, snapshot, result.latency.samples(), extra)
+    doc = _result_doc(spec, wall, system, snapshot, result.latency.sample_array(), extra)
     _finish_timeline(obs, doc, system)
     system.sim.close()
     return doc
@@ -266,7 +268,7 @@ def _execute_kv(spec: ScenarioSpec, quick: bool, obs, attach=None) -> Dict:
         snapshot["topology"] = net.stats_flat()
         snapshot["clients"] = app.clients_seen()
     extra = {"ops": float(result.ops), "mops": result.mops}
-    doc = _result_doc(spec, wall, system, snapshot, result.latency.samples(), extra)
+    doc = _result_doc(spec, wall, system, snapshot, result.latency.sample_array(), extra)
     _finish_timeline(obs, doc, system)
     system.sim.close()
     return doc

@@ -93,26 +93,26 @@ class TopologyNet:
     def publish_metrics(self, registry) -> None:
         """Register per-edge collector gauges under ``topology.*``.
 
-        Collector gauges read the live :class:`LinkStats` lazily at
-        snapshot time, so publishing adds zero cost to the per-message
-        hot path.
+        Collector gauges look up the link's current :class:`LinkStats`
+        at snapshot time, so publishing adds zero cost to the
+        per-message hot path and a :meth:`reset_stats` (which replaces
+        the stats objects) leaves them reading the live counts.
         """
         for edge in self.spec.edges:
             link = self.links[edge.name]
             for direction in (0, 1):
-                stats = link.stats[direction]
                 prefix = f"{edge.name}.{direction}"
                 registry.gauge(
                     "topology", f"{prefix}.messages",
-                    fn=lambda s=stats: float(s.messages),
+                    fn=lambda link=link, d=direction: float(link.stats[d].messages),
                 )
                 registry.gauge(
                     "topology", f"{prefix}.wire_bytes",
-                    fn=lambda s=stats: float(s.wire_bytes),
+                    fn=lambda link=link, d=direction: float(link.stats[d].wire_bytes),
                 )
                 registry.gauge(
                     "topology", f"{prefix}.busy_ns",
-                    fn=lambda s=stats: s.busy_ns,
+                    fn=lambda link=link, d=direction: link.stats[d].busy_ns,
                 )
 
 
@@ -134,9 +134,8 @@ class Router:
     Router's edge list, not by reference, and the Router keeps the
     simulator, spec, route tables and links it reads rather than its
     :class:`TopologyNet`, so a finished net holds no reference cycle.
-    A fault injector attached to an edge runs inside the hop loop, in
-    :meth:`Link.one_way`'s order, as it does in
-    :meth:`Link.occupy_pair`. The sum of :meth:`Link.one_way` over
+    A hop on an edge with a fault injector runs the link's fault hooks
+    in :meth:`Link.one_way`'s order. The sum of :meth:`Link.one_way` over
     :meth:`path_hops` is the test oracle for :meth:`charge`.
     """
 
@@ -208,12 +207,11 @@ class Router:
         plan — same window rolls, same per-actor demand updates, same
         wait arithmetic in the same evaluation order — so the total is
         bit-identical to summing :meth:`Link.one_way` over the hops. On
-        an edge with an injector the hop first scales its serialization
-        by the degrade factor, then makes the per-message draw (whose
+        an edge with an injector the hop runs the link's fault hooks
+        first, as :meth:`Link.one_way` does (the edge's compiled fault
+        segment scales its serialization and draws; a fired draw's
         wasted copy books ahead of the hop), then does its own
-        accounting with the draw's extra delay added beside the wait;
-        the precomputed ``ser + latency`` stands in only while the
-        scale is 1.0.
+        accounting with the draw's extra delay added beside the wait.
         """
         key = (src, dst, cls, payload_bytes)
         links = self._links
@@ -235,12 +233,8 @@ class Router:
             if faults is None:
                 disrupt = 0.0
             else:
-                link = links[index]
-                scale = faults.link_ser_scale(link.name, t)
-                if scale != 1.0:
-                    ser = ser * scale
-                    ser_lat = ser + lat
-                disrupt = link._fault_disruptions(cls, d, ser, wire, actor)
+                ser, disrupt = links[index]._fault_hooks(faults, cls, d, ser, wire, actor)
+                ser_lat = ser + lat
             elapsed = t - win_start[d]
             if elapsed >= window:
                 rho_settled[d] = min(cap, win_busy[d] / elapsed)

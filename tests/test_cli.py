@@ -97,6 +97,26 @@ class TestCommands:
                      "--batch", "4", "--same-socket"]) == 0
         assert "loopback" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("interface", ["ccnic", "e810"])
+    def test_faults_conserves_packets_and_repeats(self, capsys, tmp_path, interface):
+        # The canned plan on a small run. E810 charges its PCIe link
+        # through Link.one_way and Link.occupy, CC-NIC its UPI link
+        # through the fabric's plans.
+        from repro.obs import METRICS_SCHEMA, load_doc
+
+        path = str(tmp_path / "faults.json")
+        runs = []
+        for _ in range(2):
+            assert main(["faults", "--packets", "400", "--interface", interface,
+                         "--metrics-out", path]) == 0
+            with open(path, "rb") as fh:
+                runs.append((capsys.readouterr().out, fh.read()))
+        assert runs[0] == runs[1]
+        metrics = load_doc(path, METRICS_SCHEMA)["metrics"]
+        traffic = metrics["trafficgen"]
+        assert traffic["received"] + traffic["dropped"] == traffic["sent"] == 400
+        assert metrics["faults"]["injected_link_delay"] > 0
+
 
 class TestTelemetryFlags:
     def test_loopback_metrics_and_trace_out(self, capsys, tmp_path):

@@ -2,9 +2,10 @@
 
 import json
 import math
+import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
@@ -18,6 +19,7 @@ from repro.interconnect import Link, MessageClass
 from repro.platform import icx
 from repro.shard.merge import fingerprint
 from repro.sim import Simulator
+from repro.topology import TopologyNet, mesh
 
 
 # ----------------------------------------------------------------------
@@ -135,33 +137,49 @@ def _always(kind, probability=1.0, **kw):
     return FaultPlan(events=(FaultEvent(kind=kind, probability=probability, **kw),))
 
 
+def _faulted_world(plan, seed):
+    """A bare two-socket fabric (h0 and h1 on socket 0, n0 on socket 1;
+    line 0 homed on socket 0, line 1 on socket 1) with one injector on
+    its UPI link and its snoop sites."""
+    world = _World(ModelScope())
+    faults = FaultInjector(plan, seed=seed)
+    world.link.faults = faults
+    world.fabric.faults = faults
+    return world, faults
+
+
 class TestFaultInjector:
     def test_requires_a_plan(self):
         with pytest.raises(FaultError):
             FaultInjector({"events": []})  # dict, not FaultPlan
 
     def test_deterministic_replay(self):
-        plan = FaultPlan.canned()
+        # The canned plan through every site kind: link messages, remote
+        # fills (snoops) and NIC one-shots.
         logs = []
         for _ in range(2):
-            inj = FaultInjector(plan, seed=11)
+            world, inj = _faulted_world(FaultPlan.canned(), seed=11)
             for i in range(400):
-                now = i * 1000.0
-                inj.link_decide("upi", now)
-                inj.snoop_decide(now)
-                inj.nic_decide(0, now)
+                world.sim.now = i * 1000.0
+                world.link.one_way(MessageClass.READ, direction=i % 2)
+                # h0 and n0 take turns writing line 0: every write
+                # fetches it from the other socket's cache.
+                world.apply((0 if i % 2 else 2, True, 0))
+                inj.nic_decide(0, world.sim.now)
             logs.append(inj.injection_log)
         assert logs[0] == logs[1]
-        assert FaultInjector(plan, seed=12) is not None  # different seed builds fine
+        assert {kind for _, kind in logs[0]} == set(FAULT_KINDS) - {"link_degrade"}
 
     def test_seed_changes_the_draw_sequence(self):
         plan = _always("link_drop", probability=0.5)
 
         def draws(seed):
-            inj = FaultInjector(plan, seed=seed)
-            return tuple(
-                inj.link_decide("upi", float(i)) is not None for i in range(64)
-            )
+            sim, link = _link()
+            link.faults = FaultInjector(plan, seed=seed)
+            for i in range(64):
+                sim.now = float(i)
+                link.one_way(MessageClass.READ, direction=0)
+            return tuple(now for now, _ in link.faults.injection_log)
 
         assert draws(1) != draws(2)
 
@@ -169,16 +187,30 @@ class TestFaultInjector:
         plan = _always("link_delay", start_ns=100.0, end_ns=200.0,
                        extra_ns=50.0, target="upi")
         inj = FaultInjector(plan)
-        assert inj.link_decide("upi", 50.0) is None
-        assert inj.link_decide("pcie-e810", 150.0) is None
-        fault = inj.link_decide("upi", 150.0)
+        assert inj.link_segment("upi", 50.0) == (-math.inf, 100.0, 1.0, (), inj)
+        assert inj.link_segment("pcie-e810", 150.0) == (-math.inf, math.inf, 1.0, (), inj)
+        lo, hi, scale, rows, _ = inj.link_segment("upi", 150.0)
+        assert (lo, hi, scale) == (100.0, 200.0, 1.0)
+        ((probability, fault),) = rows
+        assert probability == 1.0
         assert fault.kind == "link_delay" and fault.extra_ns == 50.0
-        assert inj.total_injected() == 1
+        assert inj.total_injected() == 0  # compiling draws nothing
+        # The site draws: only the "upi" link at 150 ns is delayed.
+        sim = Simulator()
+        for name, now, extra in (("upi", 50.0, 0.0), ("pcie-e810", 150.0, 0.0),
+                                 ("upi", 150.0, 50.0)):
+            sim.now = now
+            link = Link(sim, name, latency_ns=50.0, bandwidth_bytes_per_ns=76.0)
+            link.faults = inj
+            assert link.one_way(MessageClass.READ, direction=0) == 51.0 + extra
+        assert inj.injection_log == ((150.0, "link_delay"),)
 
     def test_link_drop_and_duplicate_flags(self):
-        drop = FaultInjector(_always("link_drop", extra_ns=400.0)).link_decide("l", 0.0)
+        ((_, drop),) = FaultInjector(
+            _always("link_drop", extra_ns=400.0)
+        ).link_segment("l", 0.0)[3]
         assert drop.retransmit and not drop.duplicate and drop.extra_ns == 400.0
-        dup = FaultInjector(_always("link_duplicate")).link_decide("l", 0.0)
+        ((_, dup),) = FaultInjector(_always("link_duplicate")).link_segment("l", 0.0)[3]
         assert dup.duplicate and not dup.retransmit and dup.extra_ns == 0.0
 
     def test_ser_scale_compounds_and_is_pure(self):
@@ -187,83 +219,112 @@ class TestFaultInjector:
             FaultEvent(kind="link_degrade", factor=0.5, end_ns=100.0),
         ))
         inj = FaultInjector(plan)
-        assert inj.link_ser_scale("upi", 50.0) == pytest.approx(4.0)
-        assert inj.link_ser_scale("upi", 200.0) == 1.0
-        # Pure: no RNG consumed, so a later draw is unaffected by calls.
-        assert inj.total_injected() == 0
+        state = inj._rng.getstate()
+        assert inj.link_segment("upi", 50.0)[2] == pytest.approx(4.0)
+        assert inj.link_segment("upi", 200.0)[2] == 1.0
+        # Pure: compiling consumes no RNG and counts nothing.
+        assert inj._rng.getstate() == state
+        assert inj.total_injected() == 0 and not inj.counters.snapshot()
 
     def test_snoop_decide(self):
-        nack = FaultInjector(_always("snoop_nack", extra_ns=90.0)).snoop_decide(0.0)
+        ((_, nack),) = FaultInjector(
+            _always("snoop_nack", extra_ns=90.0)
+        ).snoop_segment(0.0)[2]
         assert nack.reissue and nack.extra_ns == 90.0
-        delay = FaultInjector(_always("snoop_delay", extra_ns=10.0)).snoop_decide(0.0)
+        ((_, delay),) = FaultInjector(
+            _always("snoop_delay", extra_ns=10.0)
+        ).snoop_segment(0.0)[2]
         assert not delay.reissue and delay.extra_ns == 10.0
 
     def test_nic_events_fire_once_per_queue(self):
         plan = _always("nic_reset", start_ns=100.0, duration_ns=1000.0)
         inj = FaultInjector(plan)
+        assert inj.nic_due(0) == 100.0
         assert inj.nic_decide(0, 50.0) is None  # not due yet
         fault = inj.nic_decide(0, 150.0)
         assert fault.kind == "nic_reset" and fault.duration_ns == 1000.0
+        assert inj.nic_due(0) == math.inf
         assert inj.nic_decide(0, 200.0) is None  # one-shot
-        assert inj.nic_decide(1, 200.0) is not None  # independent per queue
+        assert inj.nic_due(1) == 100.0  # independent per queue
+        assert inj.nic_decide(1, 200.0) is not None
 
 
 # ----------------------------------------------------------------------
-# Compiled fault windows against the per-message plan scan
+# Compiled fault segments against the per-message plan scan
 # ----------------------------------------------------------------------
+def _scan_link(plan, link_name, now):
+    """``(scale, rows)`` a plan scan finds for one message at ``now``."""
+    scale = 1.0
+    rows = []
+    for ev in plan.events:
+        if not ev.kind.startswith("link_") or not ev.active(now):
+            continue
+        if not ev.matches_link(link_name):
+            continue
+        if ev.kind == "link_degrade":
+            scale /= ev.factor
+        elif ev.kind == "link_drop":
+            rows.append((ev.probability, LinkFault("link_drop", extra_ns=ev.extra_ns,
+                                                   retransmit=True)))
+        elif ev.kind == "link_duplicate":
+            rows.append((ev.probability, LinkFault("link_duplicate", duplicate=True)))
+        else:
+            rows.append((ev.probability, LinkFault("link_delay", extra_ns=ev.extra_ns)))
+    return scale, tuple(rows)
+
+
+def _scan_snoop(plan, now):
+    """The ``(probability, SnoopFault)`` rows a plan scan finds at ``now``."""
+    rows = []
+    for ev in plan.events:
+        if ev.kind == "snoop_nack" and ev.active(now):
+            rows.append((ev.probability, SnoopFault("snoop_nack", extra_ns=ev.extra_ns,
+                                                    reissue=True)))
+        elif ev.kind == "snoop_delay" and ev.active(now):
+            rows.append((ev.probability, SnoopFault("snoop_delay", extra_ns=ev.extra_ns)))
+    return tuple(rows)
+
+
 class _ScanInjector(FaultInjector):
-    """Answers every call by scanning the whole plan: the reference the
-    compiled window segments must match."""
+    """The per-message answers the compiled segments replaced: every call
+    scans the whole plan, then draws its active events in plan order
+    until one fires. The oracle the hook sites are held to."""
 
     def link_ser_scale(self, link_name, now):
-        scale = 1.0
-        for ev in self._degrade_events:
-            if ev.active(now) and ev.matches_link(link_name):
-                scale /= ev.factor
+        scale, _ = _scan_link(self.plan, link_name, now)
         if scale != 1.0:
             self.counters.add("degraded_messages")
         return scale
 
     def link_decide(self, link_name, now):
-        for ev in self._link_events:
-            if not ev.active(now) or not ev.matches_link(link_name):
-                continue
-            if self._rng.random() >= ev.probability:
-                continue
-            self._note(now, ev.kind)
-            if ev.kind == "link_drop":
-                return LinkFault("link_drop", extra_ns=ev.extra_ns, retransmit=True)
-            if ev.kind == "link_duplicate":
-                return LinkFault("link_duplicate", duplicate=True)
-            return LinkFault("link_delay", extra_ns=ev.extra_ns)
-        return None
+        _, rows = _scan_link(self.plan, link_name, now)
+        return self._first_firing(rows, now)
 
     def snoop_decide(self, now):
-        for ev in self._snoop_events:
-            if not ev.active(now):
-                continue
-            if self._rng.random() >= ev.probability:
-                continue
-            self._note(now, ev.kind)
-            if ev.kind == "snoop_nack":
-                return SnoopFault("snoop_nack", extra_ns=ev.extra_ns, reissue=True)
-            return SnoopFault("snoop_delay", extra_ns=ev.extra_ns)
+        return self._first_firing(_scan_snoop(self.plan, now), now)
+
+    def _first_firing(self, rows, now):
+        for probability, fault in rows:
+            if self._rng.random() < probability:
+                self._note(now, fault.kind)
+                return fault
         return None
 
 
-# Window edges on a coarse grid, so windows overlap, share edges and
-# queries land exactly on them.
-_EDGE = st.sampled_from([0.0, 100.0, 200.0, 300.0, 500.0, 800.0])
+# Window edges on a coarse grid of ``unit`` ns, so windows overlap,
+# share edges and queries land exactly on them.
+_EDGE_UNITS = st.sampled_from([0, 1, 2, 3, 5, 8])
 
 
 @st.composite
-def _window_event(draw):
+def _window_event(draw, unit=100.0, spans=(math.inf, 0, 1, 3),
+                  targets=(None, None, "upi", "pcie")):
     kind = draw(st.sampled_from([
         "link_drop", "link_duplicate", "link_delay", "link_degrade",
         "snoop_delay", "snoop_nack",
     ]))
-    start = draw(_EDGE)
-    end = draw(st.sampled_from([math.inf, start, start + 100.0, start + 300.0]))
+    start = unit * draw(_EDGE_UNITS)
+    end = start + unit * draw(st.sampled_from(spans))
     fields = {"kind": kind, "start_ns": start, "end_ns": end}
     if kind == "link_degrade":
         fields["factor"] = draw(st.sampled_from([0.25, 0.5, 0.8]))
@@ -271,20 +332,26 @@ def _window_event(draw):
         fields["probability"] = draw(st.sampled_from([0.1, 0.5, 1.0]))
         fields["extra_ns"] = draw(st.sampled_from([0.0, 50.0, 400.0]))
     if kind.startswith("link_"):
-        fields["target"] = draw(st.sampled_from([None, None, "upi", "pcie"]))
+        fields["target"] = draw(st.sampled_from(targets))
     return FaultEvent(**fields)
 
 
 # Mostly non-decreasing query times, with repeats and a rare jump back.
 _QUERY = st.tuples(
-    st.sampled_from(["scale", "link", "snoop"]),
+    st.sampled_from(["link", "snoop"]),
     st.sampled_from(["upi", "pcie", "edge:h0~tor"]),
     st.sampled_from([0.0, 0.0, 20.0, 50.0, 100.0, 100.0, 250.0, -400.0]),
 )
 
 
-def _injector_state(inj):
-    return (inj._rng.getstate(), inj.counters.snapshot(), inj.injection_log)
+def _times_inside(lo, hi, now):
+    """``now`` and the segment's finite edges, as times inside it."""
+    times = [now]
+    if math.isfinite(lo):
+        times.append(lo)
+    if math.isfinite(hi):
+        times.append(math.nextafter(hi, -math.inf))
+    return times
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,24 +361,304 @@ def _injector_state(inj):
     seed=st.integers(min_value=0, max_value=3),
 )
 def test_compiled_windows_match_plan_scan(events, queries, seed):
+    """A compiled segment holds ``now`` and, at every time inside it,
+    the scale and rows a plan scan finds there; compiling draws nothing."""
     plan = FaultPlan(events=tuple(events))
-    compiled, oracle = FaultInjector(plan, seed=seed), _ScanInjector(plan, seed=seed)
+    compiled = FaultInjector(plan, seed=seed)
+    state = compiled._rng.getstate()
     now = 0.0
     for hook, link_name, step in queries:
         now = max(0.0, now + step)
-        if hook == "scale":
-            got = compiled.link_ser_scale(link_name, now)
-            want = oracle.link_ser_scale(link_name, now)
-        elif hook == "link":
-            got = compiled.link_decide(link_name, now)
-            want = oracle.link_decide(link_name, now)
+        if hook == "link":
+            lo, hi, scale, rows, owner = compiled.link_segment(link_name, now)
+            for t in _times_inside(lo, hi, now):
+                assert _scan_link(plan, link_name, t) == (scale, rows)
         else:
-            got = compiled.snoop_decide(now)
-            want = oracle.snoop_decide(now)
-        assert got == want
-        assert _injector_state(compiled) == _injector_state(oracle)
-    # The degraded-message tally exists only once a message degraded.
-    assert list(compiled.counters.snapshot()) == list(oracle.counters.snapshot())
+            lo, hi, rows, owner = compiled.snoop_segment(now)
+            for t in _times_inside(lo, hi, now):
+                assert _scan_snoop(plan, t) == rows
+        assert lo <= now < hi and owner is compiled
+    assert compiled._rng.getstate() == state
+    assert compiled.injection_log == () and not compiled.counters.snapshot()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    starts=st.lists(st.sampled_from([0.0, 50.0, 100.0, 250.0]), min_size=1, max_size=5),
+    kinds=st.lists(st.sampled_from([("nic_stall", None), ("nic_reset", None),
+                                    ("nic_stall", 1), ("nic_reset", 0)]),
+                   min_size=5, max_size=5),
+    steps=st.lists(st.sampled_from([0.0, 10.0, 60.0, 150.0]), min_size=1, max_size=30),
+)
+def test_nic_due_gates_exactly_what_polling_fires(starts, kinds, steps):
+    """An engine that asks only once ``nic_due`` comes fires the same
+    one-shots at the same polls as one that asks at every poll."""
+    plan = FaultPlan(events=tuple(
+        FaultEvent(kind=kind, start_ns=start, duration_ns=10.0, queue=queue)
+        for start, (kind, queue) in zip(starts, kinds)
+    ))
+    polled, gated = FaultInjector(plan), FaultInjector(plan)
+    due = {queue: gated.nic_due(queue) for queue in (0, 1)}
+    now = 0.0
+    for step in steps:
+        now += step
+        for queue in (0, 1):
+            want = polled.nic_decide(queue, now)
+            got = None
+            if now >= due[queue]:
+                got = gated.nic_decide(queue, now)
+                due[queue] = gated.nic_due(queue)
+            assert got == want
+    assert gated.injection_log == polled.injection_log
+
+
+# ----------------------------------------------------------------------
+# Hook sites against the per-message answers
+# ----------------------------------------------------------------------
+def _per_message_fault_hooks(link, faults, cls, direction, ser, wire, actor):
+    """A link message's hooks as they ran per message: ask for the
+    degrade scale, then for one draw; book a fired draw's wasted copy."""
+    now = link.sim.now
+    ser = ser * faults.link_ser_scale(link.name, now)
+    fault = faults.link_decide(link.name, now)
+    if fault is None:
+        return ser, 0.0
+    if fault.retransmit or fault.duplicate:
+        link._enqueue(direction, ser, actor)
+        link.stats[direction].note(cls, 0, wire, ser)
+    if fault.retransmit:
+        return ser, fault.extra_ns + ser
+    return ser, fault.extra_ns
+
+
+def _per_message_pair(link, plan, actor, base=0.0):
+    """:meth:`Link.occupy_pair` as two per-message :meth:`Link.occupy` calls."""
+    d0, cls0, _, _, charge0, _, _, d1, cls1, _, _, charge1, _, _ = plan
+    wait = link.occupy(cls0, d0, charge_queueing=charge0, actor=actor)
+    if charge0:
+        base += wait
+    wait = link.occupy(cls1, d1, charge_queueing=charge1, actor=actor)
+    if charge1:
+        base += wait
+    return base
+
+
+def _per_message_snoop(fabric, faults, agent):
+    """A remote fill's snoop hook as it ran per message: one draw."""
+    fault = faults.snoop_decide(fabric.sim.now)
+    if fault is None:
+        return 0.0
+    extra = fault.extra_ns
+    if fault.reissue:
+        extra += fabric.link.occupy(
+            MessageClass.SNOOP, direction=agent.socket, actor=agent.name
+        )
+        fabric._count(agent.socket, "snoop_retry")
+    return extra
+
+
+_SITE_NET = mesh(2, 2)
+_SITE_EDGE = f"edge:{_SITE_NET.edges[0].name}"
+_SITE_ENDPOINTS = [node.name for node in _SITE_NET.nodes if node.kind != "switch"]
+
+
+class _Sites:
+    """Every kind of hook site on one simulator: a bare fabric with its
+    UPI link (``occupy_pair``, remote fills), a second link ("pcie") and
+    a 2x2 mesh whose edge links the router charges, all reading one
+    injector. The per-message copy runs the hooks the segments replaced:
+    its links answer each message through ``link_ser_scale`` and
+    ``link_decide``, its ``occupy_pair`` is two ``occupy`` calls, its
+    router sums ``one_way`` over the route, and its fabric asks
+    ``snoop_decide`` on every remote fill (its snoop segment stays
+    stale), all of a :class:`_ScanInjector`."""
+
+    def __init__(self, per_message):
+        self.per_message = per_message
+        self.world = _World(ModelScope())
+        sim = self.world.sim
+        self.pcie = Link(sim, "pcie", latency_ns=450.0,
+                         bandwidth_bytes_per_ns=15.75, header_overhead=24)
+        self.net = TopologyNet(sim, _SITE_NET)
+        self.links = [self.world.link, self.pcie, *self.net.links.values()]
+        self.injectors = []
+        if per_message:
+            for link in self.links:
+                link._fault_hooks = types.MethodType(_per_message_fault_hooks, link)
+            upi = self.world.link
+            upi.occupy_pair = types.MethodType(_per_message_pair, upi)
+            fabric = self.world.fabric
+            fabric._snoop_disruption = types.MethodType(_per_message_snoop, fabric)
+
+    def attach(self, plan, seed):
+        faults = (_ScanInjector if self.per_message else FaultInjector)(plan, seed=seed)
+        for link in self.links:
+            link.faults = faults
+        self.world.fabric.faults = faults
+        self.injectors.append(faults)
+
+    def step(self, advance, op):
+        self.world.sim.now += advance
+        kind, args = op[0], op[1:]
+        if kind == "pair":
+            req, resp, direction, charge0, charge1, base, actor = args
+            fabric = self.world.fabric
+            plan = (fabric._msg_row(req, direction, charge0)
+                    + fabric._msg_row(resp, 1 - direction, charge1))
+            return self.world.link.occupy_pair(plan, actor, base)
+        if kind == "occupy":
+            index, cls, direction, charge, actor = args
+            return self.links[index].occupy(
+                cls, direction, charge_queueing=charge, actor=actor
+            )
+        if kind == "one_way":
+            index, cls, direction, payload, actor = args
+            return self.links[index].one_way(
+                cls, direction, payload_bytes=payload, actor=actor
+            )
+        if kind == "route":
+            src, dst, cls, payload, actor = args
+            if not self.per_message:
+                return self.net.router.charge(src, dst, cls, payload_bytes=payload,
+                                              actor=actor)
+            total = 0.0
+            for link, direction in self.net.router.path_hops(src, dst):
+                total += link.one_way(cls, direction, payload_bytes=payload, actor=actor)
+            return total
+        if kind == "fill":
+            return self.world.apply(args)
+        plan, seed = args  # "swap": another injector takes over every site
+        self.attach(plan, seed)
+        return None
+
+    def state(self):
+        return (
+            [(link._win_busy, link._win_by, link._win_start, link._rho, link._rho_by)
+             for link in self.links],
+            [[st.snapshot() for st in link.stats] for link in self.links],
+            list(self.world.fabric.counters.snapshot().items()),
+            [(inj._rng.getstate(), list(inj.counters.snapshot().items()),
+              inj.injection_log) for inj in self.injectors],
+        )
+
+
+# Windows on a 1 us grid that mostly stay open through a run (runs
+# span a few to tens of us).
+_SITE_PLAN = st.lists(
+    _window_event(unit=1000.0, spans=(math.inf, math.inf, 3, 8),
+                  targets=(None, None, None, "upi", "pcie", _SITE_EDGE)),
+    min_size=2, max_size=8,
+).map(lambda events: FaultPlan(events=tuple(events)))
+_SITE_ACTOR = st.sampled_from(["a", "b", "c"])
+_SITE_CLASS = st.sampled_from([
+    MessageClass.SNOOP, MessageClass.READ, MessageClass.RFO,
+    MessageClass.ACK, MessageClass.DMA_WRITE,
+])
+_SITE_OP = st.one_of(
+    st.tuples(st.just("pair"), _SITE_CLASS, _SITE_CLASS, st.sampled_from([0, 1]),
+              st.booleans(), st.booleans(), st.sampled_from([0.0, 37.5]), _SITE_ACTOR),
+    st.tuples(st.just("occupy"), st.sampled_from([0, 1, 2]), _SITE_CLASS,
+              st.sampled_from([0, 1]), st.booleans(), _SITE_ACTOR),
+    st.tuples(st.just("one_way"), st.sampled_from([0, 1, 2]), _SITE_CLASS,
+              st.sampled_from([0, 1]), st.sampled_from([None, 256]), _SITE_ACTOR),
+    st.tuples(st.just("route"), st.sampled_from(_SITE_ENDPOINTS),
+              st.sampled_from(_SITE_ENDPOINTS), _SITE_CLASS,
+              st.sampled_from([None, 64, 1500]), _SITE_ACTOR),
+    # (agent, write, line): h0/h1 on socket 0, n0 on socket 1.
+    st.tuples(st.just("fill"), st.sampled_from([0, 1, 2]), st.booleans(),
+              st.sampled_from([0, 1])),
+    st.tuples(st.just("fill"), st.sampled_from([0, 1, 2]), st.booleans(),
+              st.sampled_from([0, 1])),
+)
+_SITE_STEP = st.tuples(
+    st.sampled_from([0.0, 0.0, 15.0, 120.0, 400.0, 1999.0, 2600.0]),
+    # One step in ten hands every site another injector.
+    st.one_of(*[_SITE_OP] * 9,
+              st.tuples(st.just("swap"), _SITE_PLAN, st.integers(0, 3))),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(plan=_SITE_PLAN, seed=st.integers(0, 3),
+       steps=st.lists(_SITE_STEP, min_size=4, max_size=40))
+def test_hook_sites_match_per_message_answers(plan, seed, steps):
+    """Every site that reads compiled segments — ``occupy_pair``,
+    ``occupy``, ``one_way``, the router's hops and the fabric's snoop
+    sites on remote fills — returns what the per-message hooks return,
+    and leaves the same window state, link statistics, fabric counters,
+    RNG state, injector counters (in the order they first appear) and
+    injection log, through random plans and mid-run injector swaps."""
+    compiled, per_message = _Sites(per_message=False), _Sites(per_message=True)
+    for sites in (compiled, per_message):
+        sites.attach(plan, seed)
+    for advance, op in steps:
+        got = compiled.step(advance, op)
+        want = per_message.step(advance, op)
+        assert got == want, op
+        assert compiled.state() == per_message.state(), op
+    for inj in compiled.injectors:
+        for kind in {kind for _, kind in inj.injection_log}:
+            event(f"fired {kind}")
+        if inj.counters.get("degraded_messages"):
+            event("degraded a message")
+    event(f"injectors: {len(compiled.injectors)}")
+
+
+#: A plan whose windows open only after every run here ends, and one
+#: that degrades and delays every link message and every snoop.
+_QUIET = FaultPlan(events=(
+    FaultEvent(kind="link_delay", start_ns=1e9, extra_ns=1.0),
+    FaultEvent(kind="snoop_delay", start_ns=1e9, extra_ns=1.0),
+))
+_LOUD = FaultPlan(events=(
+    FaultEvent(kind="link_degrade", factor=0.5),
+    FaultEvent(kind="link_delay", extra_ns=7.0),
+    FaultEvent(kind="snoop_delay", extra_ns=5.0),
+))
+_READ = MessageClass.READ
+#: Under the quiet plan every site fetches its segment: the UPI link
+#: (``occupy_pair``), "pcie", the route's edges, and n0's remote-DRAM
+#: read of line 0 the fabric's snoop segment.
+_SWAP_PREFIX = (
+    ("pair", MessageClass.SNOOP, _READ, 0, True, True, 0.0, "a"),
+    ("one_way", 1, _READ, 0, None, "a"),
+    ("route", "h0_0", "tor0", _READ, 64, "a"),
+    ("fill", 2, False, 0),
+)
+#: Site -> (extra set-up ops under the quiet plan, the first op after
+#: the swap, which reaches that site first).
+_SWAP_CASES = {
+    "occupy_pair": ((), ("pair", MessageClass.SNOOP, _READ, 0, True, True, 0.0, "a")),
+    "occupy": ((), ("occupy", 0, _READ, 1, True, "a")),
+    "one_way": ((), ("one_way", 1, _READ, 0, None, "a")),
+    "router hop": ((), ("route", "h0_0", "tor0", _READ, 64, "a")),
+    # h1 reads line 1, homed on n0's socket, which no cache holds.
+    "remote DRAM fill": ((), ("fill", 1, False, 1)),
+    # h0 reads line 0 from n0's cache.
+    "remote cache fill": ((), ("fill", 0, False, 0)),
+    # Once h0 shares line 0, n0's write upgrades across the link.
+    "remote upgrade": ((("fill", 0, False, 0),), ("fill", 2, True, 0)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SWAP_CASES))
+def test_site_follows_an_injector_swap(site):
+    """A site whose segment is still current fetches a new one when
+    another injector is attached, as the per-message hooks ask it."""
+    setup, target = _SWAP_CASES[site]
+    compiled, per_message = _Sites(per_message=False), _Sites(per_message=True)
+    for sites in (compiled, per_message):
+        sites.attach(_QUIET, seed=0)
+        for op in _SWAP_PREFIX + setup:
+            sites.step(10.0, op)
+        sites.step(10.0, ("swap", _LOUD, 1))
+    assert compiled.step(10.0, target) == per_message.step(10.0, target)
+    assert compiled.state() == per_message.state()
+    quiet, loud = compiled.injectors
+    assert quiet.injection_log == ()
+    fired = {kind for _, kind in loud.injection_log}
+    assert fired == ({"link_delay", "snoop_delay"} if target[0] == "fill" else {"link_delay"})
+    assert loud.counters.get("degraded_messages") > 0
 
 
 # ----------------------------------------------------------------------
@@ -703,10 +1050,7 @@ class TestFaultedRunPins:
         # (agent, write, line): h0 and n0 sit on opposite sockets and
         # line 1 is homed on n0's socket.
         ops = ((0, False, 1), (2, False, 1), (0, True, 1))
-        world = _World(ModelScope())
-        faults = FaultInjector(plan, seed=5)
-        world.link.faults = faults
-        world.fabric.faults = faults
+        world, faults = _faulted_world(plan, seed=5)
         latencies = []
         for op in ops:
             latencies.append(world.apply(op))

@@ -1,7 +1,9 @@
 """Tests for the sharded-run layer: specs, partition, merge, determinism."""
 
 import json
+import pickle
 import random
+from array import array
 
 import pytest
 
@@ -162,7 +164,7 @@ def _fake_result(index, received, latency, events=10, now=100.0):
             "link": [{"messages": 5, "payload": 64, "wire": 80, "busy": 7.0,
                       "by_class": {"data": 3.0}, "wire_by_class": {"data": 60.0}}],
         },
-        "latency_ns": latency,
+        "latency_ns": array("d", latency),
         "extra": {"packets": float(received)},
         "metrics": None,
     }
@@ -199,6 +201,15 @@ class TestMerge:
         assert merged["latency_count"] == 2
         assert doc["n_shards"] == 2
         assert doc["lookahead_ns"] == 50.0
+
+    def test_sample_arrays_merge_like_sample_lists(self):
+        samples = [[3.5, 1.25, 9.0], [0.5], [7.75, 2.0]]
+        as_arrays = [_fake_result(i, 10, s) for i, s in enumerate(samples)]
+        as_lists = [dict(r, latency_ns=list(s)) for r, s in zip(as_arrays, samples)]
+        doc = merge_results(as_arrays, "t", 50.0)
+        assert doc == merge_results(as_lists, "t", 50.0)
+        assert doc["merged"]["latency_count"] == 6
+        assert doc["merged"]["median_ns"] == 2.75
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ConfigError):
@@ -259,10 +270,18 @@ class TestShardedDeterminism:
         assert run.extra["packets"] == 4000.0
         assert run.doc["merged"]["received"] == 4000
 
-    def test_shard_result_is_json_safe(self):
+    def test_shard_result_crosses_process_boundaries(self):
+        # The raw latency samples are an array('d'), 8 bytes each; a
+        # worker's result pickles back bit-for-bit, and every other field
+        # is JSON-safe.
         spec = scenario("loopback_64b").shard_specs()[0]
         result = run_shard(0, spec.to_doc(), quick=True)
-        json.dumps(result)  # crosses process/serialization boundaries intact
+        samples = result["latency_ns"]
+        assert isinstance(samples, array) and samples.typecode == "d" and samples
+        back = pickle.loads(pickle.dumps(result))
+        assert back["latency_ns"].tobytes() == samples.tobytes()
+        assert back == result
+        json.dumps({key: value for key, value in result.items() if key != "latency_ns"})
 
     def test_execute_spec_matches_run_shard(self):
         spec = scenario("kv_zipf").shard_specs()[2]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.interconnect import MessageClass
+from repro.obs import MetricRegistry
 from repro.shard import run_sharded, scenario, scenario_names
 from repro.sim import Simulator
 from repro.topology import (
@@ -169,6 +170,30 @@ class TestTopologyNet:
         net = TopologyNet(sim, mesh(2, 2))
         with pytest.raises(ConfigError):
             net.hop("h0_0", "h1_1")  # not adjacent
+
+    def test_published_gauges_read_the_stats_a_reset_installs(self):
+        # reset_stats() replaces every link's LinkStats; the gauges must
+        # follow the link to the new objects, not keep the old ones.
+        sim = Simulator()
+        net = TopologyNet(sim, mesh(2, 2))
+        registry = MetricRegistry()
+        net.publish_metrics(registry)
+        route = ("h0_0", "h1_1", MessageClass.DMA_WRITE)
+        net.router.charge(*route, payload_bytes=256)
+        net.reset_stats()
+        net.router.charge(*route, payload_bytes=256)
+        net.router.charge(*route, payload_bytes=256)
+        gauges = registry.snapshot()["topology"]
+        flat = net.stats_flat()
+        published = 0
+        for key, value in flat.items():
+            edge, direction, field = key.split(":")
+            name = {"messages": "messages", "wire": "wire_bytes", "busy": "busy_ns"}[field]
+            assert gauges[f"{edge}.{direction}.{name}"] == float(value), key
+            published += 1
+        assert published == len(gauges)
+        # The route's edges carry the two charges made after the reset.
+        assert max(v for k, v in flat.items() if k.endswith(":messages")) == 2
 
 
 # ----------------------------------------------------------------------
