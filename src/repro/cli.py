@@ -314,8 +314,9 @@ def _fault_summary_rows(setup, result, faults) -> list:
         ("dropped packets", result.dropped),
         ("faults injected", faults.total_injected()),
     ]
+    # The injector's counter bag holds floats; every entry is a count.
     for kind, value in sorted(faults.counters.snapshot().items()):
-        rows.append((kind, value))
+        rows.append((kind, int(value)))
     driver = setup.driver
     rows += [
         ("tx retries", driver.tx_retries),

@@ -415,6 +415,29 @@ class CoherenceFabric(Instrumented):
             return total
         return self.access_burst(agent, [(addr, size)], write)
 
+    def skip_read_hits(
+        self, agent: CacheAgent, addr: int, start: float, step: float, count: int
+    ) -> None:
+        """Account ``count`` skipped repeats of a read hit on ``addr``'s line.
+
+        The repeats fall at ``start + step``, ``+ step``, ... (one float
+        add each, as the engine steps its clock). The line must be
+        ``agent``'s most recently used and, for its prefetcher, the last
+        it touched in that region, as after a read that repeated a hit:
+        a further repeat then changes only the hit count and, with a
+        flight recorder attached, records one ``hit`` event.
+        """
+        agent.hits += count
+        flight = self.flight
+        if flight is not None:
+            line = addr // CACHE_LINE_SIZE
+            region = self._region(addr)
+            latency = self._l2_hit
+            t = start
+            for _ in range(count):
+                t += step
+                flight.line_event(t, line, region, agent.socket, False, "hit", latency)
+
     def access_burst(
         self,
         agent: CacheAgent,

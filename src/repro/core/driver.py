@@ -257,6 +257,69 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         return result
 
     # ------------------------------------------------------------------
+    # Idle-poll elision
+    # ------------------------------------------------------------------
+    @property
+    def skips_idle_polls(self) -> bool:
+        """Whether an app may skip this driver's steady-state empty polls.
+
+        Needs housekeeping that does nothing (NIC-side buffer
+        management) and the grouped RX ring, whose producer writes each
+        line once per lap: an empty poll that repeats the previous one's
+        cost on the same line was then a hit on the host's own copy.
+        """
+        return self.interface.config.nic_buffer_mgmt and self.pair.rx.grouped
+
+    def idle_wake(self) -> float:
+        """When a repeat of the last empty poll could do more than it did.
+
+        Valid after an empty poll, housekeeping and watchdog pass that
+        repeated the previous one: the earlier of when the RX head slot
+        can turn visible on its own and when the watchdog would fire.
+        """
+        wake = self.pair.rx.idle_wake()
+        if self._watchdog is not None:
+            tx = self.pair.tx
+            wake = min(wake, self._watchdog.quiet_until(tx.tail - tx.head))
+        return wake
+
+    def skip_idle_polls(
+        self, poll_ns: float, start: float, step: float, count: int, last: float
+    ) -> None:
+        """Account ``count`` skipped repeats of the last empty poll pass.
+
+        The repeats fall at ``start + step``, ``+ step``, ... up to
+        ``last``, each strictly before :meth:`idle_wake`; each would
+        have cost ``poll_ns`` and changed only what is replayed here:
+        the RX time, the fabric's hit count (and flight events), one
+        ``rx_burst`` span when tracing, and the watchdog's clock.
+        """
+        rx_ns = self.rx_ns
+        for _ in range(count):
+            rx_ns += poll_ns
+        self.rx_ns = rx_ns
+        rx = self.pair.rx
+        line = rx.line_addr(rx.head)
+        fabric = self.interface.system.fabric
+        fabric.skip_read_hits(self.agent, line, start, step, count)
+        if self.obs_enabled and self.obs.tracer.enabled:
+            tracer = self.obs.tracer
+            accesses = tracer.fabric is fabric
+            t = start
+            for _ in range(count):
+                t += step
+                span = tracer.begin(
+                    "rx_burst", actor=self.agent.name, category="driver", start_ns=t
+                )
+                if accesses:
+                    tracer.record_access(fabric, self.agent, line, 64, False, poll_ns, t)
+                span.args["received"] = 0
+                tracer.end(span, t + poll_ns)
+        if self._watchdog is not None:
+            tx = self.pair.tx
+            self._watchdog.skip(last, tx.tail - tx.head)
+
+    # ------------------------------------------------------------------
     # Recovery (inert until configure_recovery is called)
     # ------------------------------------------------------------------
     def watchdog(self) -> float:

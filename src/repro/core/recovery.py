@@ -23,6 +23,7 @@ sweep them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -66,6 +67,24 @@ class RecoveryPolicy:
         return min(self.backoff_cap_ns, self.backoff_base_ns * (2.0 ** (attempt - 1)))
 
 
+def first_instant(since: float, span: float) -> float:
+    """The earliest time ``t`` at which ``t - since >= span`` holds.
+
+    The recovery clocks test elapsed time by that float subtraction, and
+    ``since + span`` can round to either side of where it first holds;
+    stepping by ulps finds the exact boundary, so a poller that skips
+    its idle steps stops before the first one at which a deadline fires.
+    """
+    t = since + span
+    while t - since < span:
+        t = math.nextafter(t, math.inf)
+    while True:
+        earlier = math.nextafter(t, -math.inf)
+        if earlier - since < span:
+            return t
+        t = earlier
+
+
 class RingWatchdog:
     """Detects a stalled descriptor ring by watching consumption progress.
 
@@ -94,6 +113,27 @@ class RingWatchdog:
         """Restart the stall clock (called after a recovery action)."""
         self._last_consumed = -1
         self._stalled_since = now
+
+    def quiet_until(self, depth: int) -> float:
+        """When :meth:`stalled` would first fire on an unchanged ring.
+
+        Valid right after a call that returned False, fed the same
+        ``depth`` and consumed count from then on: an empty ring only
+        restarts the stall clock (``inf``), a non-empty one fires once
+        ``watchdog_ns`` has passed since the clock last started.
+        """
+        if depth <= 0:
+            return math.inf
+        return first_instant(self._stalled_since, self.policy.watchdog_ns)
+
+    def skip(self, last: float, depth: int) -> None:
+        """Replay :meth:`stalled` calls on an unchanged ring up to ``last``.
+
+        Before :meth:`quiet_until`, such a call changes only the stall
+        clock of an empty ring, restarting it at each call's time.
+        """
+        if depth <= 0:
+            self._stalled_since = last
 
 
 class RecoverableDriver:

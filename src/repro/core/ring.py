@@ -29,6 +29,7 @@ and signaling modes reproduce the paper's Fig 14:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -298,6 +299,22 @@ class CoherentQueue(Instrumented):
         items, ns = self._poll_impl(self, agent, max_items)
         self.consumed += len(items)
         return items, ns
+
+    def idle_wake(self) -> float:
+        """When an empty grouped poll could next find a descriptor unaided.
+
+        ``inf`` while the head slot is unproduced: only the producer's
+        store, a step of another process, changes that. The slot's
+        ``visible_at`` once it is produced but the store has not retired
+        (a group's first slot is never a blank). An empty poll's signal
+        read of its own copy of the line changes nothing but hit
+        counters, so until this instant (and the producer's next step)
+        every repeat of it is the same poll.
+        """
+        entry = self._slots[self.head % self.n_slots]
+        if entry is None:
+            return math.inf
+        return entry.visible_at
 
     def _poll_register(self, agent: CacheAgent, max_items: int) -> Tuple[List[WorkItem], float]:
         fabric = self.system.fabric

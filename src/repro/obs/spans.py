@@ -64,6 +64,9 @@ class SpanTracer:
 
     enabled = True
 
+    #: The fabric whose accesses :meth:`attach_fabric` records, or None.
+    fabric = None
+
     def __init__(self, capacity: int = 200_000) -> None:
         if capacity <= 0:
             raise ConfigError("capacity must be positive")
@@ -205,26 +208,38 @@ class SpanTracer:
 
         def traced(agent, addr, size, write):
             latency = original(agent, addr, size, write)
-            region = fabric.space.try_region_of(addr)
-            self.instant(
-                "write" if write else "read",
-                actor=agent.name,
-                ts=fabric.sim.now,
-                region=region.name if region is not None else "?",
-                size=size,
-                latency_ns=latency,
-            )
+            self.record_access(fabric, agent, addr, size, write, latency, fabric.sim.now)
             return latency
 
         if invalidate is not None:
             invalidate()
         fabric.access = traced
+        previous, self.fabric = self.fabric, fabric
         try:
             yield self
         finally:
             fabric.access = original
+            self.fabric = previous
             if invalidate is not None:
                 invalidate()
+
+    def record_access(
+        self, fabric, agent, addr: int, size: int, write: bool, latency: float, ts: float
+    ) -> None:
+        """The instant :meth:`attach_fabric` records for one access.
+
+        Also called for the accesses of polls a poller skipped (see
+        :meth:`repro.core.driver.CcnicDriver.skip_idle_polls`).
+        """
+        region = fabric.space.try_region_of(addr)
+        self.instant(
+            "write" if write else "read",
+            actor=agent.name,
+            ts=ts,
+            region=region.name if region is not None else "?",
+            size=size,
+            latency_ns=latency,
+        )
 
     # -- export ----------------------------------------------------------
 

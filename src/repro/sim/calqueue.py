@@ -103,6 +103,22 @@ class CalendarQueue:
         self._day = int(rec[0] / width)
         return rec
 
+    def peek(self) -> list:
+        """The globally earliest record of a non-empty queue, left in place.
+
+        The same scan as :meth:`pop`, but the cursor stays put: a later
+        push may still land on a day before the peeked record's.
+        """
+        nb = self._nb
+        width = self._width
+        buckets = self._buckets
+        for offset in range(nb):
+            d = self._day + offset
+            bucket = buckets[d % nb]
+            if bucket and int(bucket[0][0] / width) <= d:
+                return bucket[0]
+        return min(bucket[0] for bucket in buckets if bucket)
+
     def _rebuild(self) -> None:
         """Re-bucket everything with a larger table and fresh width."""
         records = [rec for bucket in self._buckets for rec in bucket]

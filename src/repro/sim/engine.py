@@ -33,12 +33,28 @@ failing event is therefore included in the count, ``now`` holds its
 timestamp, and ``stop_when`` is not consulted for it — the exception
 propagates out of :meth:`Simulator.run` with the simulator in that
 consistent state.
+
+A process whose next steps would repeat its current one exactly may
+skip them instead of being dispatched for each: it asks
+:meth:`Simulator.horizon` how far it may go, accounts what the skipped
+steps would have left behind, and yields a :class:`Resume` naming the
+first step it did not skip and how many it skipped. The engine counts
+the skipped steps as executed events (in ``events_executed`` and
+against ``max_events``) and advances the scheduling sequence as their
+reschedules would have, so ``now``, the event count, the dispatch order
+and every run fingerprint are those of the step-by-step run. Only two
+things differ: events/sec counts model steps, not host dispatches, and
+a skipped step is not offered to ``stop_when`` — every caller in
+``repro`` passes a pure read of a done flag, which a skipped step
+cannot change.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator, Iterable, Optional
+import math
+import sys
+from typing import Callable, Generator, Iterable, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.instrument import Instrumented
@@ -56,6 +72,31 @@ _CALL = 1
 
 class Delay(float):
     """Explicit wrapper for a yielded delay; plain floats work too."""
+
+
+class Resume:
+    """Yielded instead of a delay by a process that skipped steps.
+
+    ``steps`` of the process's own steps were skipped, each strictly
+    earlier than the ``when`` :meth:`Simulator.horizon` returned and
+    within its step budget, and the process resumes at the absolute
+    time ``when`` — computed by the process the way the engine would
+    have, one ``when + delay`` per skipped step.
+    """
+
+    __slots__ = ("when", "steps")
+
+    def __init__(self, when: float, steps: int) -> None:
+        self.when = when
+        self.steps = steps
+
+    def __lt__(self, other) -> bool:
+        # The engine's delay check (``delay < 0``) routes a Resume off
+        # the plain-delay path without a type test on every step.
+        return True
+
+    def __repr__(self) -> str:
+        return f"Resume(when={self.when!r}, steps={self.steps})"
 
 
 class Process:
@@ -152,6 +193,10 @@ class Simulator(Instrumented):
         self._done_count = 0
         self._pid_counter = 0
         self.events_executed = 0
+        # The running run()'s bounds, for horizon(): its ``until`` and
+        # the event count at which its ``max_events`` budget ends.
+        self._until: Optional[float] = None
+        self._stop_at: Optional[int] = None
 
     def _obs_component(self) -> str:
         return "sim"
@@ -223,6 +268,36 @@ class Simulator(Instrumented):
             # Emptied in place: a running loop holds this list too.
             heap.clear()
 
+    def horizon(self) -> Tuple[float, int]:
+        """How far the running process may skip its own steps.
+
+        Returns ``(when, steps)``. ``when`` is the earliest instant at
+        which anything but the running process can act: the head of the
+        event queue, the attached timeline's next window roll, or the
+        running :meth:`run`'s ``until``. ``steps`` is how many events the
+        run's ``max_events`` budget still allows before the one that
+        ends it (``sys.maxsize`` without a budget). A step strictly
+        earlier than ``when`` has no queued event tied with it, so
+        skipping it (see :class:`Resume`) cannot reorder the schedule.
+        """
+        cal = self._cal
+        if cal is not None:
+            when = cal.peek()[0] if len(cal) else math.inf
+        elif self._heap:
+            when = self._heap[0][0]
+        else:
+            when = math.inf
+        tl = self.timeline
+        if tl is not None and tl.next_ns < when:
+            when = tl.next_ns
+        until = self._until
+        if until is not None and until < when:
+            when = until
+        stop_at = self._stop_at
+        if stop_at is None:
+            return when, sys.maxsize
+        return when, max(0, stop_at - self.events_executed - 1)
+
     def _requeue(self, rec: list) -> None:
         """Return a popped-but-unexecuted record to the pending set."""
         cal = self._cal
@@ -245,7 +320,9 @@ class Simulator(Instrumented):
         Args:
             until: Stop once the clock would pass this absolute time.
             max_events: Stop after this many events (safety valve).
-            stop_when: Checked after every event; True stops the run.
+            stop_when: Checked after every dispatched event (not after
+                the steps a process skipped, see :class:`Resume`); True
+                stops the run.
 
         Returns:
             The virtual time at which the run stopped.
@@ -300,6 +377,8 @@ class Simulator(Instrumented):
         """
         executed = 0
         events = self.events_executed
+        self._until = until
+        self._stop_at = None if max_events is None else events + max_events
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -353,14 +432,28 @@ class Simulator(Instrumented):
                                     invalid = delay is None or delay < 0
                                 except TypeError:
                                     invalid = True
-                                if invalid:
+                                if not invalid:
+                                    nxt = when + delay
+                                elif (
+                                    delay.__class__ is Resume
+                                    and delay.when >= when
+                                    and delay.steps >= 0
+                                ):
+                                    # The skipped steps count as executed
+                                    # and advance the sequence as their
+                                    # reschedules would have.
+                                    nxt = delay.when
+                                    events += delay.steps
+                                    self.events_executed = events
+                                    executed += delay.steps
+                                    self._seq += delay.steps
+                                else:
                                     proc.done = True
                                     self._note_done()
                                     raise SimulationError(
                                         f"process {proc.name!r} yielded invalid "
                                         f"delay {delay!r}"
                                     )
-                                nxt = when + delay
                                 self._seq += 1
                                 cur[0] = nxt
                                 cur[1] = self._seq
@@ -405,6 +498,7 @@ class Simulator(Instrumented):
             return self.now
         finally:
             self._held = None
+            self._until = self._stop_at = None
             if rec is not None:
                 self._requeue(rec)
 

@@ -14,6 +14,13 @@ Two load modes:
   cannot keep up, ring backpressure throttles the generator and the
   achieved rate saturates below the offered rate, tracing out the
   paper's throughput-latency curves.
+
+Between two NIC steps most iterations are empty polls, each a hit on
+the app's own copy of the RX signal line (§3.2). Once an empty iteration
+repeats the previous one, the app skips the following ones that fall
+before anything else can act and yields a
+:class:`~repro.sim.engine.Resume` (see :meth:`LoopbackApp._skip_idle`);
+every result and counter is the step-by-step run's.
 """
 
 from __future__ import annotations
@@ -21,9 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.recovery import RecoveryPolicy
+import math
+
+from repro.core.recovery import RecoveryPolicy, first_instant
 from repro.errors import RingTimeoutError, WorkloadError
 from repro.obs.instrument import Instrumented
+from repro.sim.engine import Resume
 from repro.sim.rng import make_rng
 from repro.sim.stats import Histogram, ordered_sum
 from repro.workloads.packets import Packet
@@ -233,6 +243,12 @@ class LoopbackApp(Instrumented):
             # The open-window list is identity-stable across window
             # closes, so hoisting its append out of the loop is safe.
             sample_latency = timeline.hist("latency_ns").append
+        # Idle-poll elision: the last idle iteration's poll cost, RX
+        # head and recovery counts, or None after a busy iteration.
+        # PCIe drivers have no such flag and keep per-step polling.
+        skips = getattr(driver, "skips_idle_polls", False)
+        rx_ring = driver.pair.rx if skips else None
+        idle_key = None
 
         # Every offered packet eventually resolves to received or
         # dropped, so the loop terminates even when faults lose packets.
@@ -249,6 +265,7 @@ class LoopbackApp(Instrumented):
                 can_send = outstanding < inflight
             if can_send and interval is not None:
                 can_send = sim.now >= next_send
+            idle = not (can_send or pending)
             if can_send:
                 burst = min(tx_batch, n_packets - offered)
                 if inflight is not None:
@@ -303,6 +320,7 @@ class LoopbackApp(Instrumented):
             ns += rx.ns
             entries = rx.entries
             if entries:
+                idle = False
                 bufs_to_free = []
                 ns += drv_read_payloads([buf for _pkt, buf in entries])
                 now = sim.now
@@ -336,8 +354,68 @@ class LoopbackApp(Instrumented):
             if recovery is not None:
                 ns += driver.watchdog()
                 ns += self._write_off_losses(sim.now)
-            yield max(ns, 1.0)
+            step = max(ns, 1.0)
+            if idle and skips:
+                key = (rx.ns, rx_ring.head, result.dropped, driver.watchdog_resets)
+                if key == idle_key:
+                    send_at = math.inf
+                    if interval is not None and offered < n_packets and (
+                        inflight is None or outstanding < inflight
+                    ):
+                        send_at = next_send
+                    resume = self._skip_idle(sim, step, rx.ns, send_at)
+                    if resume is not None:
+                        yield resume
+                        continue
+                idle_key = key
+            else:
+                idle_key = None
+            yield step
         self.done = True
+
+    def _skip_idle(self, sim, step: float, poll_ns: float, send_at: float):
+        """Skip the iterations that would repeat this idle one exactly.
+
+        Called at the end of an idle iteration (nothing sent, pending or
+        received, no recovery action) that repeated the previous one's
+        poll cost on the same RX head line, which makes its poll a hit
+        on the app's own copy of the line. Until something else acts
+        the next iterations are the same: each would step the clock by
+        ``step``. They are skipped while strictly earlier than the
+        horizon: the engine's (next queued event, timeline roll,
+        ``until``), the RX head slot turning visible, the open-loop
+        ``send_at``, and the instants at which the driver's watchdog or
+        this app's in-flight write-off would act. Returns the
+        :class:`Resume` to yield, or None when no iteration can be
+        skipped.
+        """
+        start = last = sim.now
+        t = start + step
+        limit, budget = sim.horizon()
+        if not (t < limit and budget):
+            return None  # another process acts before the next iteration
+        limit = min(limit, send_at, self.driver.idle_wake())
+        result = self.result
+        recovery = self.recovery
+        outstanding = 0
+        if recovery is not None:
+            outstanding = result.sent - result.received - self._lost_inflight
+            if outstanding > 0:
+                limit = min(
+                    limit,
+                    first_instant(self._rx_stall_since, recovery.inflight_timeout_ns),
+                )
+        count = 0
+        while t < limit and count < budget:
+            count += 1
+            last = t
+            t += step
+        if not count:
+            return None
+        self.driver.skip_idle_polls(poll_ns, start, step, count, last)
+        if recovery is not None and outstanding <= 0:
+            self._rx_stall_since = last  # _write_off_losses restarts it each pass
+        return Resume(t, count)
 
     def _write_off_losses(self, now: float) -> float:
         """Account packets lost to resets; expire a dead in-flight window.

@@ -97,6 +97,22 @@ class TestCommands:
                      "--batch", "4", "--same-socket"]) == 0
         assert "loopback" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, title", [
+        pytest.param(["rpc", "--ops", "300"], "TCP echo RPC (TAS-like) on icx", id="rpc"),
+        pytest.param(["forwarding", "--packets", "400"],
+                     "Middlebox forwarding over CC-NIC (1500B, icx)", id="forwarding"),
+        pytest.param(["microbench"], "Fig 7 access latency (icx)", id="microbench"),
+    ])
+    def test_study_command_runs_and_repeats(self, capsys, argv, title):
+        # Each drives an app loop (TAS echo, forwarding, pingpong)
+        # through the engine; a rerun must print the same table.
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert title in outs[0].splitlines()
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("interface", ["ccnic", "e810"])
     def test_faults_conserves_packets_and_repeats(self, capsys, tmp_path, interface):
         # The canned plan on a small run. E810 charges its PCIe link
@@ -116,6 +132,14 @@ class TestCommands:
         traffic = metrics["trafficgen"]
         assert traffic["received"] + traffic["dropped"] == traffic["sent"] == 400
         assert metrics["faults"]["injected_link_delay"] > 0
+        # Fault counts print as integers, like the other count rows.
+        counts = [
+            line.split() for line in runs[0][0].splitlines()
+            if line.startswith(("injected_", "degraded_messages"))
+        ]
+        assert counts
+        for row in counts:
+            assert "." not in row[-1], row
 
 
 class TestTelemetryFlags:
