@@ -7,7 +7,8 @@ layer that records (coherence fabric, cache agents, host driver, NIC
 queue agents, application), runs a closed-loop loopback measurement,
 and returns the setup, the loopback result, and the recorder. The
 ``format_*`` helpers render the recorder's report as the text tables
-behind ``python -m repro profile``.
+behind ``python -m repro profile``; its ``--trace-out`` is built from
+the same recorder's call and line-event rings.
 
 The recorder observes the fabric's plan path, the same code an
 unprofiled run executes, so a profiled run is bit-identical in
@@ -63,7 +64,9 @@ def run_profile(
 
     The recorder built from the keyword arguments joins ``obs`` (in
     place of any flight recorder it carries); the bundle's other
-    members — metrics, tracer, sanitizer, timeline — attach alongside.
+    members — metrics, sanitizer, timeline — attach alongside. The
+    recorder's rings also hold the run's call records, so
+    ``export_chrome_trace(run.recorder, path)`` writes its trace.
     ``scenario`` stamps the flight report with a run name and the spec
     fingerprint of its config block.
     """

@@ -36,7 +36,6 @@ Commands mirror the measurement tooling used throughout the evaluation:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -52,7 +51,6 @@ from repro.obs import (
     FlightRecorder,
     MetricRegistry,
     Observability,
-    SpanTracer,
     export_chrome_trace,
     export_doc,
     export_metrics_csv,
@@ -119,10 +117,11 @@ def _make_obs(
 ) -> Optional[Observability]:
     """Build the command's one observability bundle, or None when disabled.
 
-    Metrics, tracer, flight recorder, sanitizer and timeline all ride
-    this bundle (``--metrics-out``, ``--trace-out``, ``--flight-out``,
-    ``--sanitize``/``--sanitize-out``, ``--timeline-out``); it is the
-    ``obs=`` every run function takes.
+    Metrics, flight recorder, sanitizer and timeline all ride this
+    bundle (``--metrics-out``, ``--flight-out``, ``--sanitize``/
+    ``--sanitize-out``, ``--timeline-out``); ``--trace-out`` is built
+    from the flight recorder's rings, so it attaches one too. The
+    bundle is the ``obs=`` every run function takes.
     """
     flight_out = getattr(args, "flight_out", None)
     sanitize = getattr(args, "sanitize", None)
@@ -133,9 +132,7 @@ def _make_obs(
     members = {}
     if force_metrics or args.metrics_out is not None:
         members["metrics"] = MetricRegistry()
-    if args.trace_out is not None:
-        members["tracer"] = SpanTracer()
-    if flight_out is not None:
+    if flight_out is not None or args.trace_out is not None:
         members["flight"] = FlightRecorder()
     if sanitize is not None or sanitize_out is not None:
         from repro.check import Sanitizer
@@ -156,13 +153,16 @@ def _write_reports(
     metrics: Optional[dict] = None,
     timeline: Optional[dict] = None,
     flight: Optional[dict] = None,
+    traced: tuple = (),
 ) -> int:
     """Write every report the run's flags ask for and print the sanitizer's.
 
     In-process runs pass their bundle and each report is read from it;
     ``--shards`` runs pass no bundle but the merged ``metrics`` snapshot
     and ``timeline`` document, and ``profile`` passes its finished
-    ``flight`` report. ``config`` and ``scenario``, with the spec
+    ``flight`` report. ``traced`` holds the flight recorders of a
+    study's other comparison points, each traced as its own Chrome
+    process after the bundle's. ``config`` and ``scenario``, with the spec
     fingerprint of ``config``, are the run identity that stamps the
     flight and sanitizer reports. Returns 1 when the sanitizer found
     violations, else 0.
@@ -183,9 +183,9 @@ def _write_reports(
             export_doc(metrics_doc(metrics), args.metrics_out)
         count = sum(len(section) for section in metrics.values())
         print(f"wrote {count} {merged}metrics to {args.metrics_out}")
-    if args.trace_out and obs.tracer.enabled:
+    if args.trace_out and obs.flight is not None:
         events = export_chrome_trace(
-            obs.tracer, args.trace_out, flight=obs.flight, timeline=obs.timeline
+            [obs.flight, *traced], args.trace_out, timeline=obs.timeline
         )
         print(f"wrote {events} trace events to {args.trace_out}")
     flight_out = getattr(args, "flight_out", None)
@@ -343,31 +343,25 @@ def _loopback_point(args: argparse.Namespace, obs, faults=None, recovery=None,
                     **build_kwargs):
     """Build ``--interface`` on ``--platform`` and run one loopback point.
 
-    The fabric's coherence instants are traced while ``--trace-out`` is
-    on, and the timeline's trailing window closes at the run's end.
-    Returns ``(setup, result)``.
+    The timeline's trailing window closes at the run's end. Returns
+    ``(setup, result)``.
     """
     setup = build_interface(
         PLATFORMS[args.platform](), _kind(args.interface), obs=obs,
         faults=faults, **build_kwargs,
     )
     rate = getattr(args, "rate", None)
-    tracing = (
-        obs.tracer.attach_fabric(setup.system.fabric)
-        if obs is not None and obs.tracer.enabled else contextlib.nullcontext()
+    result = run_point(
+        setup,
+        pkt_size=args.size,
+        n_packets=args.packets,
+        inflight=None if rate else args.inflight,
+        offered_mpps=rate,
+        tx_batch=args.batch,
+        rx_batch=args.batch,
+        obs=obs,
+        recovery=recovery,
     )
-    with tracing:
-        result = run_point(
-            setup,
-            pkt_size=args.size,
-            n_packets=args.packets,
-            inflight=None if rate else args.inflight,
-            offered_mpps=rate,
-            tx_batch=args.batch,
-            rx_batch=args.batch,
-            obs=obs,
-            recovery=recovery,
-        )
     if obs is not None and obs.timeline is not None:
         obs.timeline.finish(setup.system.sim.now)
     return setup, result
@@ -447,14 +441,20 @@ def _thread_study(args: argparse.Namespace, study, threads_header: str,
     else:
         kinds = (_kind(args.interface),)
     rows = []
+    traced = []
     for kind in kinds:
         point_obs = obs
         if obs is not None and not kind.is_coherent and len(kinds) > 1:
             # Observers cover one system only (the coherent point):
             # mixing line addresses or windowed series from two systems
             # would corrupt the thrash table, the happens-before state
-            # and the per-series rings. Metrics and the tracer cover both.
-            point_obs = obs.replace(flight=None, sanitizer=None, timeline=None)
+            # and the per-series rings. Metrics cover both, and a traced
+            # run gives this point a recorder of its own.
+            recorder = None
+            if args.trace_out is not None:
+                recorder = FlightRecorder()
+                traced.append(recorder)
+            point_obs = obs.replace(flight=recorder, sanitizer=None, timeline=None)
         # Fresh injector per comparison point: one-shot NIC events and
         # the RNG stream must not be shared between the two systems.
         faults, _recovery = _make_faults(args)
@@ -467,7 +467,7 @@ def _thread_study(args: argparse.Namespace, study, threads_header: str,
         rows,
         title=title,
     ))
-    return _write_reports(args, obs, config, scenario)
+    return _write_reports(args, obs, config, scenario, traced=tuple(traced))
 
 
 # ----------------------------------------------------------------------

@@ -371,8 +371,7 @@ class CoherenceFabric(Instrumented):
                     if flight is not None:
                         region = self._region(addr)
                         flight.line_event(
-                            self._now(), first, region, agent.socket, write,
-                            "hit", latency,
+                            self._now(), first, region, agent, write, "hit", latency
                         )
                 else:
                     region = self._region(addr)
@@ -436,7 +435,7 @@ class CoherenceFabric(Instrumented):
             t = start
             for _ in range(count):
                 t += step
-                flight.line_event(t, line, region, agent.socket, False, "hit", latency)
+                flight.line_event(t, line, region, agent, False, "hit", latency)
 
     def access_burst(
         self,
@@ -503,8 +502,7 @@ class CoherenceFabric(Instrumented):
                         if region is None:
                             region = self._region(addr)
                         flight.line_event(
-                            self._now(), line, region, agent.socket, write,
-                            "hit", latency,
+                            self._now(), line, region, agent, write, "hit", latency
                         )
                 else:
                     self._pending_queue = 0.0
@@ -696,7 +694,7 @@ class CoherenceFabric(Instrumented):
         flight = self.flight
         if flight is not None:
             flight.line_event(
-                self._now(), line, region, agent.socket, True, kind, latency
+                self._now(), line, region, agent, True, kind, latency
             )
         return latency
 
@@ -809,7 +807,7 @@ class CoherenceFabric(Instrumented):
                 self._install(agent, line, state, region)
         if flight is not None:
             flight.line_event(
-                self._now(), line, region, socket, write, kind, latency
+                self._now(), line, region, agent, write, kind, latency
             )
         return latency
 

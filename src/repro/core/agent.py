@@ -32,8 +32,10 @@ IDLE_GAP_NS = 12.0
 class NicQueueAgent(Instrumented):
     """Device-side processing loop for one queue pair."""
 
-    #: Optional :class:`repro.obs.flight.FlightRecorder`; class-level
-    #: None so detached iterations pay one attribute test per batch.
+    #: Optional :class:`repro.obs.flight.FlightRecorder`, which takes
+    #: one call record per TX or RX batch and the sampled packets'
+    #: checkpoints; class-level None so detached iterations pay one
+    #: attribute test per batch.
     flight = None
 
     #: Optional :class:`repro.check.sanitizer.Sanitizer`; same
@@ -199,17 +201,9 @@ class NicQueueAgent(Instrumented):
         """Read payloads, free TX buffers, place packets on the wire."""
         config = self.config
         fabric = self.fabric
-        tracer = span = None
-        if self.obs_enabled:
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                span = tracer.begin(
-                    "nic_tx",
-                    actor=self.agent.name,
-                    category="nic",
-                    start_ns=now,
-                    packets=len(packets),
-                )
+        flight = self.flight
+        if flight is not None:
+            first = flight.events_seen
         ns = 0.0
         to_free: List[Buffer] = []
         spans = []
@@ -223,7 +217,6 @@ class NicQueueAgent(Instrumented):
                     spans.append((seg.addr, seg.data_len))
                 seg = seg.seg_next
         ns += fabric.access_burst(self.agent, spans, write=False)
-        flight = self.flight
         payload_ns = now + ns
         pkt_ns = self._pkt_ns
         for pkt, buf in packets:
@@ -250,8 +243,10 @@ class NicQueueAgent(Instrumented):
             comp_items = [WorkItem(buf=b, length=0, pkt=None) for b in to_free]
             _, comp_ns = self.tx_comp.produce(self.agent, comp_items, base_ns=ns)
             ns += comp_ns
-        if span is not None:
-            tracer.end(span, now + ns)
+        if flight is not None:
+            flight.call(
+                self.agent.name, "nic_tx", now, now + ns, first, packets=len(packets)
+            )
         return ns
 
     # ------------------------------------------------------------------
@@ -276,17 +271,9 @@ class NicQueueAgent(Instrumented):
         """
         config = self.config
         fabric = self.fabric
-        tracer = span = None
-        if self.obs_enabled:
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                span = tracer.begin(
-                    "nic_rx",
-                    actor=self.agent.name,
-                    category="nic",
-                    start_ns=self.sim.now + base_ns,
-                    packets=len(packets),
-                )
+        flight = self.flight
+        if flight is not None:
+            first = flight.events_seen
         ns = 0.0
         items: List[WorkItem] = []
         spans: List[Tuple[int, int]] = []
@@ -316,7 +303,6 @@ class NicQueueAgent(Instrumented):
                 self.agent, items, base_ns=base_ns + ns
             )
             ns += produce_ns
-            flight = self.flight
             if flight is not None:
                 # Requeued items are re-received later and get recorded
                 # on eventual acceptance, keeping the chain monotone.
@@ -330,8 +316,12 @@ class NicQueueAgent(Instrumented):
                 self._wire.appendleft((0.0, item.pkt))
                 self.pool.free(self.agent, [item.buf])
             self.rx_packets += accepted
-        if span is not None:
-            tracer.end(span, self.sim.now + base_ns + ns)
+        if flight is not None:
+            start = self.sim.now + base_ns
+            flight.call(
+                self.agent.name, "nic_rx", start, start + ns, first,
+                packets=len(packets),
+            )
         return ns
 
     def _rx_chain(self, size: int):

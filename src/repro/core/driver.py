@@ -32,8 +32,9 @@ CONTINUATION = "cont"
 class CcnicDriver(RecoverableDriver, Instrumented):
     """Host-side API for one queue pair of a :class:`CcnicInterface`."""
 
-    #: Optional :class:`repro.obs.flight.FlightRecorder`; class-level
-    #: None so detached bursts pay one attribute test per burst.
+    #: Optional :class:`repro.obs.flight.FlightRecorder`, which takes
+    #: one call record per burst and the sampled packets' checkpoints;
+    #: class-level None so detached bursts pay one attribute test.
     flight = None
 
     #: Optional :class:`repro.check.sanitizer.Sanitizer`; same
@@ -162,17 +163,9 @@ class CcnicDriver(RecoverableDriver, Instrumented):
             :class:`TxResult`; packets beyond ring capacity are not
             submitted and their descriptors are untouched.
         """
-        tracer = span = None
-        if self.obs_enabled:
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                span = tracer.begin(
-                    "tx_burst",
-                    actor=self.agent.name,
-                    category="driver",
-                    start_ns=self.interface.system.sim.now + base_ns,
-                    packets=len(entries),
-                )
+        flight = self.flight
+        if flight is not None:
+            first = flight.events_seen
         items: List[WorkItem] = []
         bounds: List[int] = []  # item count after each whole packet
         for buf, pkt in entries:
@@ -194,12 +187,12 @@ class CcnicDriver(RecoverableDriver, Instrumented):
                 accepted_packets += 1
         self.tx_packets += accepted_packets
         self.tx_ns += ns
-        flight = self.flight
-        if flight is not None and accepted_items:
+        if flight is not None:
             # Ride the trace id on each accepted packet's head descriptor
             # so the NIC agent can attribute its fetch. Stamping after
             # produce() is safe: consumers gate on visible_at, which is
             # strictly in this step's future.
+            start = self.interface.system.sim.now + base_ns
             prev = 0
             for (_buf, pkt), bound in zip(entries, bounds):
                 if bound > accepted_items:
@@ -207,37 +200,28 @@ class CcnicDriver(RecoverableDriver, Instrumented):
                 head = items[prev]
                 prev = bound
                 pid = getattr(pkt, "pkt_id", None)
-                if pid is None or not flight.want(pid):
+                if pid is None:
                     continue
-                submit_ns = getattr(pkt, "tx_ns", 0.0) or (
-                    self.interface.system.sim.now + base_ns
-                )
+                submit_ns = getattr(pkt, "tx_ns", 0.0) or start
                 if flight.packet_begin(pid, submit_ns):
                     head.trace = pid
                     flight.packet_event(pid, "desc_write", head.visible_at)
-        if span is not None:
-            span.args["accepted"] = accepted_packets
-            tracer.end(span, self.interface.system.sim.now + base_ns + ns)
+            flight.call(
+                self.agent.name, "tx_burst", start, start + ns, first,
+                packets=len(entries), accepted=accepted_packets,
+            )
         return TxResult(accepted_packets, ns)
 
     def rx_burst(self, max_packets: int) -> RxResult:
         """Poll the RX ring for up to ``max_packets`` received packets."""
-        tracer = span = None
-        if self.obs_enabled:
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                span = tracer.begin(
-                    "rx_burst",
-                    actor=self.agent.name,
-                    category="driver",
-                    start_ns=self.interface.system.sim.now,
-                )
+        flight = self.flight
+        if flight is not None:
+            first = flight.events_seen
         items, ns = self.pair.rx.poll(self.agent, max_packets)
         self.rx_ns += ns
         if items:
             out = [(item.pkt, item.buf) for item in items if item.pkt is not CONTINUATION]
             self.rx_packets += len(out)
-            flight = self.flight
             if flight is not None:
                 reap_ns = self.interface.system.sim.now + ns
                 for item in items:
@@ -251,9 +235,12 @@ class CcnicDriver(RecoverableDriver, Instrumented):
             result = self._empty_rx
             if result.ns != ns:
                 result = self._empty_rx = RxResult((), ns)
-        if span is not None:
-            span.args["received"] = result.count
-            tracer.end(span, self.interface.system.sim.now + ns)
+        if flight is not None:
+            now = self.interface.system.sim.now
+            flight.call(
+                self.agent.name, "rx_burst", now, now + ns, first,
+                received=result.count,
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -291,8 +278,9 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         The repeats fall at ``start + step``, ``+ step``, ... up to
         ``last``, each strictly before :meth:`idle_wake`; each would
         have cost ``poll_ns`` and changed only what is replayed here:
-        the RX time, the fabric's hit count (and flight events), one
-        ``rx_burst`` span when tracing, and the watchdog's clock.
+        the RX time, the fabric's hit count and, with a flight recorder
+        attached, each poll's hit event inside its ``rx_burst`` call
+        record, and the watchdog's clock.
         """
         rx_ns = self.rx_ns
         for _ in range(count):
@@ -301,20 +289,18 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         rx = self.pair.rx
         line = rx.line_addr(rx.head)
         fabric = self.interface.system.fabric
-        fabric.skip_read_hits(self.agent, line, start, step, count)
-        if self.obs_enabled and self.obs.tracer.enabled:
-            tracer = self.obs.tracer
-            accesses = tracer.fabric is fabric
+        flight = self.flight
+        if flight is None:
+            fabric.skip_read_hits(self.agent, line, start, step, count)
+        else:
             t = start
             for _ in range(count):
+                first = flight.events_seen
+                fabric.skip_read_hits(self.agent, line, t, step, 1)
                 t += step
-                span = tracer.begin(
-                    "rx_burst", actor=self.agent.name, category="driver", start_ns=t
+                flight.call(
+                    self.agent.name, "rx_burst", t, t + poll_ns, first, received=0
                 )
-                if accesses:
-                    tracer.record_access(fabric, self.agent, line, 64, False, poll_ns, t)
-                span.args["received"] = 0
-                tracer.end(span, t + poll_ns)
         if self._watchdog is not None:
             tx = self.pair.tx
             self._watchdog.skip(last, tx.tail - tx.head)

@@ -431,6 +431,13 @@ class PcieNicDriver(RecoverableDriver, Instrumented):
     spend on the order of 100 cycles per descriptor each way).
     """
 
+    #: Optional :class:`repro.obs.flight.FlightRecorder`, which takes
+    #: one call record per burst; class-level None so detached bursts
+    #: pay one attribute test.
+    flight = None
+
+    _obs_hooks = ("flight",)
+
     CYCLES_PER_DESC = 60
     CYCLES_PER_PKT = 8
     CYCLES_PER_BLANK = 30
@@ -588,16 +595,9 @@ class PcieNicDriver(RecoverableDriver, Instrumented):
         accepted = list(entries)[: max(0, space)]
         if not accepted:
             return TxResult(0, system.cycles(self.CYCLES_PER_DESC))
-        tracer = self.obs.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
-                "tx_burst",
-                actor=self.agent.name,
-                category="driver",
-                start_ns=sim.now + base_ns,
-                packets=len(entries),
-            )
+        flight = self.flight
+        if flight is not None:
+            first = flight.events_seen
         ns = 0.0
         inline_ok = self.interface.spec.inline_descriptors
         inline_count = 0
@@ -638,9 +638,12 @@ class PcieNicDriver(RecoverableDriver, Instrumented):
             q.doorbells.append((arrival, q.host_tail))
         self.tx_packets += len(accepted)
         self.tx_ns += ns
-        if span is not None:
-            span.args["accepted"] = len(accepted)
-            tracer.end(span, sim.now + base_ns + ns)
+        if flight is not None:
+            start = sim.now + base_ns
+            flight.call(
+                self.agent.name, "tx_burst", start, start + ns, first,
+                packets=len(entries), accepted=len(accepted),
+            )
         return TxResult(len(accepted), ns)
 
     def rx_burst(self, max_packets: int) -> RxResult:
@@ -648,16 +651,9 @@ class PcieNicDriver(RecoverableDriver, Instrumented):
         sim = system.sim
         q = self.q
         fabric = system.fabric
-        tracer = self.obs.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
-                "rx_burst",
-                actor=self.agent.name,
-                category="driver",
-                start_ns=sim.now,
-                max_packets=max_packets,
-            )
+        flight = self.flight
+        if flight is not None:
+            first = flight.events_seen
         out: List[Tuple[Packet, Buffer]] = []
         # Poll the completion line (DDIO-resident after a DMA write).
         ns = fabric.read(self.agent, q.rx_ring.base, 16)
@@ -672,9 +668,11 @@ class PcieNicDriver(RecoverableDriver, Instrumented):
             q.posted_blanks -= sum(1 for _seg in comp.buf.segments())
         self.rx_packets += len(out)
         self.rx_ns += ns
-        if span is not None:
-            span.args["received"] = len(out)
-            tracer.end(span, sim.now + ns)
+        if flight is not None:
+            flight.call(
+                self.agent.name, "rx_burst", sim.now, sim.now + ns, first,
+                max_packets=max_packets, received=len(out),
+            )
         return RxResult(out, ns)
 
     # ------------------------------------------------------------------

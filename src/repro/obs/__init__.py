@@ -1,51 +1,48 @@
-"""Unified observability: metrics, span tracing, observers, exporters.
+"""Unified observability: metrics, observers, exporters.
 
 ``repro.obs`` is the measurement substrate every instrumentable
 component registers into. One :class:`Observability` bundle carries
-all of it — a metric registry, a span tracer, and the observers (flight
-recorder, protocol sanitizer, timeline sampler) — and ``obs=`` is the
-only attach path: every run function takes it, and the
-:class:`Instrumented` cascade sets each component's hooks from it.
-Observers never change which code path runs. The pieces:
+all of it — a metric registry and the observers (flight recorder,
+protocol sanitizer, timeline sampler) — and ``obs=`` is the only attach
+path: every run function takes it, and the :class:`Instrumented`
+cascade sets each component's hooks from it. Observers never change
+which code path runs. The pieces:
 
-* :class:`MetricRegistry` — counters, gauges and histograms labeled by
-  component (``fabric``, ``pool``, ``driver.q0``, ...). Components
-  expose metrics through the :class:`Instrumented` mixin; existing
+* :class:`MetricRegistry` — gauges, counter bags and histograms labeled
+  by component (``fabric``, ``pool``, ``driver.q0``, ...). Components
+  expose metrics through the :class:`Instrumented` mixin as collector
+  gauges over attributes they keep anyway, and *adopt* their
   :class:`~repro.sim.stats.Counter` bags (the fabric's transaction
-  counters, the pool's stats) are *adopted* so the hot paths keep their
-  cheap dict increments and the registry reads them lazily at snapshot
-  time.
-* :class:`SpanTracer` — begin/end spans over **virtual** time with
-  parent linkage (a ``tx_burst`` span parents the per-descriptor
-  coherence-transaction instants recorded inside it); zero-cost when
-  disabled.
+  counters, the pool's stats) and histograms, so the hot paths keep
+  their cheap increments and the registry reads them at snapshot time.
 * :class:`FlightRecorder` — cache-line lifecycle recording (ping-pong
-  counts, region-classified thrash tables, homing audit) plus sampled
-  per-packet critical-path waterfalls; one ``None`` test per hook site
-  when detached, and attached it watches the coherence fabric's plan
-  path, so recorded runs stay fingerprint-identical.
+  counts, region-classified thrash tables, homing audit), one call
+  record per driver and NIC burst, and sampled per-packet
+  critical-path waterfalls; one ``None`` test per hook site when
+  detached, and attached it watches the coherence fabric's plan path,
+  so recorded runs stay fingerprint-identical. Its bounded rings build
+  the Chrome trace: a track per cache agent, the calls, and the line
+  events each call issued, parented under it.
 * :class:`TimelineSampler` — windowed series over virtual time, with
   watchdog findings.
 * Exporters — one stamped-JSON writer/loader pair for every report
   (:func:`export_doc` / :func:`load_doc`), a CSV form of metric
-  snapshots, and span timelines in Chrome trace format (load via
-  ``chrome://tracing`` or https://ui.perfetto.dev), with flight counter
-  tracks merged in.
+  snapshots, and the flight recorder's trace in Chrome trace format
+  (load via ``chrome://tracing`` or https://ui.perfetto.dev), with
+  timeline counter tracks merged in.
 
 Typical wiring (the CLI's ``--metrics-out`` / ``--trace-out`` /
 ``--flight-out`` flags do exactly this)::
 
     from repro.obs import FlightRecorder, MetricRegistry, Observability
-    from repro.obs import SpanTracer, export_chrome_trace, export_doc, metrics_doc
+    from repro.obs import export_chrome_trace, export_doc, metrics_doc
 
-    obs = Observability(
-        metrics=MetricRegistry(), tracer=SpanTracer(), flight=FlightRecorder()
-    )
+    obs = Observability(metrics=MetricRegistry(), flight=FlightRecorder())
     setup = build_interface(icx(), InterfaceKind.CCNIC, obs=obs)
     run_point(setup, 64, 5000, obs=obs)
     export_doc(metrics_doc(obs.metrics.snapshot()), "metrics.json")
     export_doc(obs.flight.report(), "flight.json")
-    export_chrome_trace(obs.tracer, "trace.json", flight=obs.flight)
+    export_chrome_trace(obs.flight, "trace.json")
 
 :func:`load_doc` reads any of those reports back, given the stamp it
 expects (``load_doc("flight.json", FLIGHT_SCHEMA)``).
@@ -55,23 +52,13 @@ By default every component carries the shared no-op
 the per-call cost is a single attribute load plus a branch.
 """
 
-from repro.obs.instrument import (
-    NULL_METRIC,
-    OBS_OFF,
-    Instrumented,
-    NullMetric,
-    NullRegistry,
-    NullTracer,
-    Observability,
-)
+from repro.obs.instrument import OBS_OFF, Instrumented, NullRegistry, Observability
 from repro.obs.registry import (
-    CounterMetric,
     GaugeMetric,
     HistogramMetric,
     MetricRegistry,
     merge_snapshots,
 )
-from repro.obs.spans import Span, SpanTracer
 from repro.obs.flight import FlightRecorder, classify_region
 from repro.obs.waterfall import STAGES, PacketWaterfall, WaterfallStats
 from repro.obs.export import (
@@ -98,7 +85,6 @@ from repro.obs.timeline import (
 from repro.obs.wire import instrument_all
 
 __all__ = [
-    "CounterMetric",
     "DEFAULT_WATCHDOGS",
     "FLIGHT_SCHEMA",
     "FlightRecorder",
@@ -109,16 +95,11 @@ __all__ = [
     "LinkSaturationRule",
     "METRICS_SCHEMA",
     "MetricRegistry",
-    "NULL_METRIC",
-    "NullMetric",
     "NullRegistry",
-    "NullTracer",
     "OBS_OFF",
     "Observability",
     "PacketWaterfall",
     "STAGES",
-    "Span",
-    "SpanTracer",
     "StalledProgressRule",
     "TIMELINE_SCHEMA",
     "TimelineSampler",

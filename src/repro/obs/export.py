@@ -14,6 +14,7 @@ cleanly and load into pandas/spreadsheets.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from typing import Any, Dict, List, Tuple
 
@@ -106,29 +107,35 @@ def load_metrics_csv(path: str) -> Snapshot:
     return out
 
 
-def export_chrome_trace(tracer, path: str, flight=None, timeline=None) -> int:
-    """Write the tracer's span timeline as a Chrome trace JSON file.
+def export_chrome_trace(flight, path: str, timeline=None) -> int:
+    """Write a flight recorder's calls and line events as a Chrome trace.
 
-    Load in ``chrome://tracing`` or https://ui.perfetto.dev. When a
-    :class:`~repro.obs.flight.FlightRecorder` is given, its per-class
-    cross-socket-transfer counter tracks are merged into the same
-    timeline as Perfetto counter (``"C"``) events; a
-    :class:`~repro.obs.timeline.TimelineSampler` (or an already-built
-    timeline document) contributes one counter track per windowed
-    series. Returns the number of trace events written (including
-    metadata rows).
+    Load in ``chrome://tracing`` or https://ui.perfetto.dev. ``flight``
+    is a :class:`~repro.obs.flight.FlightRecorder`, or a list of them,
+    one per system of a comparison study; recorder ``k`` becomes Chrome
+    process ``k`` (see :meth:`~repro.obs.flight.FlightRecorder.chrome_events`).
+    A :class:`~repro.obs.timeline.TimelineSampler` of the first system
+    (or an already-built timeline document) contributes one counter
+    track per windowed series. Events are written as they are built.
+    Returns the number of trace events written (including metadata
+    rows).
     """
-    doc = tracer.to_chrome()
-    if flight is not None:
-        doc["traceEvents"].extend(flight.counter_tracks())
+    recorders = flight if isinstance(flight, list) else [flight]
+    streams = [recorder.chrome_events(pid) for pid, recorder in enumerate(recorders)]
     if timeline is not None:
         if hasattr(timeline, "counter_tracks"):
-            doc["traceEvents"].extend(timeline.counter_tracks())
+            streams.append(timeline.counter_tracks())
         else:
             from repro.obs.timeline import timeline_counter_tracks
 
-            doc["traceEvents"].extend(timeline_counter_tracks(timeline))
+            streams.append(timeline_counter_tracks(timeline))
+    count = 0
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-    return len(doc["traceEvents"])
+        fh.write('{"traceEvents": [')
+        for event in itertools.chain.from_iterable(streams):
+            if count:
+                fh.write(", ")
+            fh.write(json.dumps(event))
+            count += 1
+        fh.write('], "displayTimeUnit": "ns"}\n')
+    return count

@@ -1,8 +1,8 @@
-"""Cache-line flight recorder: line lifecycles + packet critical paths.
+"""Cache-line flight recorder: line lifecycles, calls and packet paths.
 
 The :class:`FlightRecorder` answers the questions CC-NIC's design is
 built around — *which cache lines bounce between sockets, and where does
-a packet's latency go?* It has two independent recording surfaces:
+a packet's latency go?* It has three recording surfaces:
 
 * **Line events** from the coherence fabric: every
   access records its transition kind, requester socket, and latency
@@ -10,6 +10,11 @@ a packet's latency go?* It has two independent recording surfaces:
   (ping-pong counts, cross-socket transfer totals), a region-classified
   thrash table, and a homing audit flagging reader-homed speculative
   memory reads that writer-homing is supposed to eliminate.
+* **Call records** from the drivers and NIC queue agents: each
+  ``tx_burst``/``rx_burst``/``nic_tx``/``nic_rx`` call notes its actor,
+  virtual-time interval, arguments and the line-event ring's position
+  when it began, so the line events it issued keep it as their parent.
+  :meth:`FlightRecorder.to_chrome` turns both rings into a Chrome trace.
 * **Packet events** from the driver/agent data path: sampled packets
   accumulate ``{stage: timestamp}`` checkpoints that become
   :class:`~repro.obs.waterfall.PacketWaterfall` breakdowns.
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.export import FLIGHT_SCHEMA
@@ -168,14 +173,15 @@ def transition_kinds() -> Tuple[frozenset, frozenset]:
 
 
 class FlightRecorder:
-    """Bounded-memory recorder for line lifecycles and packet paths.
+    """Bounded-memory recorder for line lifecycles, calls and packet paths.
 
     Args:
-        line_capacity: Ring size for raw line events; older events are
-            evicted (``events_dropped`` counts evictions) while the
-            per-line aggregates keep counting.
-        sample_every: Record every Nth packet (by ``pkt_id``); 1 samples
-            everything.
+        line_capacity: Ring size for raw line events and for call
+            records; older entries are evicted (``events_dropped``
+            counts line-event evictions) while the per-line aggregates
+            keep counting.
+        sample_every: Record every Nth submitted packet, numbered in
+            submission order from 0; 1 samples everything.
         max_packets: Cap on concurrently + cumulatively tracked packets,
             bounding the per-packet event maps.
         keep_waterfalls: Full per-packet samples retained in the report.
@@ -183,7 +189,7 @@ class FlightRecorder:
 
     def __init__(
         self,
-        line_capacity: int = 65536,
+        line_capacity: int = 200_000,
         sample_every: int = 1,
         max_packets: int = 4096,
         keep_waterfalls: int = 32,
@@ -194,14 +200,21 @@ class FlightRecorder:
             raise ConfigError(f"sample_every must be positive, got {sample_every}")
         self.sample_every = sample_every
         self.max_packets = max_packets
-        # Raw line-event ring: (ts, line, socket, write, kind, latency).
+        # Raw line-event ring: (ts, line, socket, write, kind, latency),
+        # and in step with it the name of each event's cache agent.
         self.events: deque = deque(maxlen=line_capacity)
+        self._event_agents: deque = deque(maxlen=line_capacity)
         self.events_seen = 0
         self.events_dropped = 0
+        # Call ring: (actor, name, start_ns, end_ns, first, last, args),
+        # where line events first..last-1 are the ones the call issued.
+        self.calls: deque = deque(maxlen=line_capacity)
+        self.calls_seen = 0
         self.lines: Dict[int, LineStats] = {}
         self.audits: Dict[str, RegionAudit] = {}
-        # Packet tracking.
-        self._active: Dict[int, Dict[str, float]] = {}
+        # Packet tracking: pkt_id -> (run-local number, {stage: ts}).
+        self._active: Dict[int, Tuple[int, Dict[str, float]]] = {}
+        self._submitted = 0
         self._started = 0
         self.waterfalls = WaterfallStats(max_samples=keep_waterfalls)
         self._cross_kinds, self._spec_kinds = transition_kinds()
@@ -214,22 +227,25 @@ class FlightRecorder:
         ts: float,
         line: int,
         region,
-        socket: int,
+        agent,
         write: bool,
         kind: str,
         latency_ns: float,
     ) -> None:
-        """Record one coherence transition for ``line``.
+        """Record one coherence transition of ``agent`` for ``line``.
 
         ``region`` is the owning :class:`~repro.mem.region.Region` (or
-        None for unmapped addresses); ``kind`` names the transition the
-        fabric resolved (``hit``, ``dram_local``, ``cache_remote_hitm``,
-        ...).
+        None for unmapped addresses); ``agent`` is the requesting
+        :class:`~repro.coherence.cache.CacheAgent`; ``kind`` names the
+        transition the fabric resolved (``hit``, ``dram_local``,
+        ``cache_remote_hitm``, ...).
         """
+        socket = agent.socket
         self.events_seen += 1
         if len(self.events) == self.events.maxlen:
             self.events_dropped += 1
         self.events.append((ts, line, socket, write, kind, latency_ns))
+        self._event_agents.append(agent.name)
         stats = self.lines.get(line)
         if stats is None:
             if region is not None:
@@ -280,22 +296,46 @@ class FlightRecorder:
         return audit
 
     # ------------------------------------------------------------------
+    # Call surface (called from the drivers and NIC queue agents)
+    # ------------------------------------------------------------------
+    def call(
+        self, actor: str, name: str, start_ns: float, end_ns: float, first: int,
+        **args: Any,
+    ) -> None:
+        """Record that ``actor`` ran call ``name`` over [start_ns, end_ns].
+
+        ``first`` is :attr:`events_seen` when the call began: the line
+        events recorded since then are the ones the call issued, which
+        the trace parents under it. ``args`` are the call's trace args
+        (``packets``, ``accepted``, ``received``, ...).
+        """
+        self.calls_seen += 1
+        self.calls.append(
+            (actor, name, start_ns, end_ns, first, self.events_seen, args)
+        )
+
+    # ------------------------------------------------------------------
     # Packet surface (called from driver/agent/app checkpoints)
     # ------------------------------------------------------------------
-    def want(self, pkt_id: int) -> bool:
-        """Sampling decision for ``pkt_id`` (deterministic, id-based)."""
-        return pkt_id % self.sample_every == 0
-
     def packet_begin(self, pkt_id: int, ts: float) -> bool:
-        """Start tracking a packet at its ``tx_submit`` checkpoint.
+        """Number a submitted packet and track it from ``tx_submit``.
 
-        Returns False (and records nothing) once ``max_packets`` packets
-        have ever been started, bounding memory on long runs.
+        Packets are numbered in submission order from 0, and the number
+        is the id the report carries, so two same-seed runs in one
+        process report the same samples. Every ``sample_every``-th
+        number is tracked. Returns False (and records nothing) for a
+        packet already tracked, an unsampled number, or once
+        ``max_packets`` packets have ever been started, bounding memory
+        on long runs.
         """
-        if self._started >= self.max_packets or pkt_id in self._active:
+        if pkt_id in self._active:
+            return False
+        number = self._submitted
+        self._submitted += 1
+        if number % self.sample_every or self._started >= self.max_packets:
             return False
         self._started += 1
-        self._active[pkt_id] = {"tx_submit": ts}
+        self._active[pkt_id] = (number, {"tx_submit": ts})
         return True
 
     def tracked(self, pkt_id: int) -> bool:
@@ -304,17 +344,18 @@ class FlightRecorder:
 
     def packet_event(self, pkt_id: int, stage: str, ts: float) -> None:
         """Record a stage checkpoint; last write wins for repeated stages."""
-        events = self._active.get(pkt_id)
-        if events is not None:
-            events[stage] = ts
+        entry = self._active.get(pkt_id)
+        if entry is not None:
+            entry[1][stage] = ts
 
     def packet_finish(self, pkt_id: int, ts: float) -> None:
         """Close a packet's trace at host ``rx_read`` and aggregate it."""
-        events = self._active.pop(pkt_id, None)
-        if events is None:
+        entry = self._active.pop(pkt_id, None)
+        if entry is None:
             return
+        number, events = entry
         events["rx_read"] = ts
-        self.waterfalls.add(build_waterfall(pkt_id, events))
+        self.waterfalls.add(build_waterfall(number, events))
 
     # ------------------------------------------------------------------
     # Reporting
@@ -401,12 +442,13 @@ class FlightRecorder:
             doc["spec_fingerprint"] = spec_fingerprint
         return doc
 
-    def counter_tracks(self, buckets: int = 64) -> List[Dict[str, Any]]:
-        """Chrome/Perfetto counter events: cross-socket xfers per class.
+    def counter_tracks(self, buckets: int = 64, pid: int = 0) -> List[Dict[str, Any]]:
+        """Chrome/Perfetto counter events: cross-socket xfers per kind.
 
         Buckets the retained line-event ring into ``buckets`` time bins
-        and emits one ``"ph": "C"`` sample per bin so the thrash rate
-        shows up as counter tracks alongside the span trace.
+        and emits one ``"ph": "C"`` sample per bin, under Chrome process
+        ``pid``, so the thrash rate shows up as a counter track beside
+        the calls.
         """
         cross = [
             (ts, kind) for ts, _l, _s, _w, kind, _n in self.events
@@ -435,9 +477,74 @@ class FlightRecorder:
                     "name": "cross_socket_xfers",
                     "ph": "C",
                     "ts": ts_us,
-                    "pid": 0,
+                    "pid": pid,
                     "tid": 0,
                     "args": {kind: bag.get(kind, 0) for kind in sorted(classes_seen)},
                 }
             )
         return events
+
+    def chrome_events(self, pid: int = 0) -> Iterator[Dict[str, Any]]:
+        """The retained calls and line events as Chrome trace events.
+
+        Every cache agent gets a thread track (a ``thread_name``
+        metadata row) under Chrome process ``pid``. Each retained call
+        becomes a complete (``"X"``) event whose top-level ``id`` is its
+        call number; each retained line event becomes an instant
+        (``"i"``) named by its transition kind, with its region, and,
+        when a retained call on the same track issued it, that call's
+        number as ``parent``. The cross-socket counter track follows.
+        Virtual ns map to trace µs. Events are built as they are
+        consumed, so a writer holds one at a time.
+        """
+        actors = sorted(set(self._event_agents).union(call[0] for call in self.calls))
+        tids = {actor: tid for tid, actor in enumerate(actors, 1)}
+        for actor, tid in tids.items():
+            yield {
+                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                "args": {"name": actor},
+            }
+
+        def call_event(call, number: int) -> Dict[str, Any]:
+            actor, name, start_ns, end_ns, _first, _last, args = call
+            return {
+                "name": name, "cat": "call", "ph": "X", "pid": pid,
+                "tid": tids[actor], "id": number, "ts": start_ns / 1000.0,
+                "dur": (end_ns - start_ns) / 1000.0, "args": args,
+            }
+
+        calls = iter(self.calls)
+        number = self.calls_seen - len(self.calls)
+        pending = next(calls, None)
+        # (number, actor, end position) of the latest call begun so far.
+        parent = None
+        position = self.events_seen - len(self.events)
+        lines = self.lines
+        for event, actor in zip(self.events, self._event_agents):
+            while pending is not None and pending[4] <= position:
+                yield call_event(pending, number)
+                parent = (number, pending[0], pending[5])
+                number += 1
+                pending = next(calls, None)
+            ts, line, _socket, write, kind, latency_ns = event
+            args: Dict[str, Any] = {
+                "region": lines[line].region,
+                "op": "write" if write else "read",
+                "latency_ns": latency_ns,
+            }
+            if parent is not None and position < parent[2] and parent[1] == actor:
+                args["parent"] = parent[0]
+            yield {
+                "name": kind, "cat": "line", "ph": "i", "s": "t", "pid": pid,
+                "tid": tids[actor], "ts": ts / 1000.0, "args": args,
+            }
+            position += 1
+        while pending is not None:
+            yield call_event(pending, number)
+            number += 1
+            pending = next(calls, None)
+        yield from self.counter_tracks(pid=pid)
+
+    def to_chrome(self, pid: int = 0) -> Dict[str, Any]:
+        """:meth:`chrome_events` as one Chrome trace dict."""
+        return {"traceEvents": list(self.chrome_events(pid)), "displayTimeUnit": "ns"}

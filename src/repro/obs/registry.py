@@ -2,29 +2,27 @@
 
 The registry is component-labeled: each instrumented object owns a
 namespace (``fabric``, ``pool``, ``driver.q0``, ...) under which its
-metrics live. Three kinds of metric exist:
+metrics live. Components offer three kinds, all read lazily when a
+snapshot is taken, so the hot paths keep their bare attribute and dict
+increments:
 
-* :class:`CounterMetric` — monotonically increasing.
-* :class:`GaugeMetric` — last-set value, or a *collector* gauge backed
-  by a zero-argument callable read lazily at snapshot time. Collector
-  gauges are the preferred way to expose values a component already
-  maintains as plain attributes (``driver.tx_packets``): the hot path
-  stays a bare attribute increment.
-* :class:`HistogramMetric` — wraps :class:`repro.sim.stats.Histogram`;
-  snapshots flatten its summary into ``name.count``, ``name.mean``, ...
-
-Existing :class:`repro.sim.stats.Counter` bags can also be *adopted*
-(:meth:`MetricRegistry.adopt_counters`): the component keeps calling
-``counter.add`` exactly as before and the registry copies the bag out
-at snapshot time. This is how the coherence fabric's transaction
-counters appear in telemetry without touching the fabric hot path —
-the registry's ``fabric`` section is always value-equal to
-``fabric.snapshot_counters()``.
+* :class:`GaugeMetric` — a *collector* gauge backed by a zero-argument
+  callable, for values a component already maintains as plain
+  attributes (``driver.tx_packets``).
+* :class:`HistogramMetric` — an adopted
+  :class:`repro.sim.stats.Histogram`; snapshots flatten its summary
+  into ``name.count``, ``name.mean``, ...
+* Adopted :class:`repro.sim.stats.Counter` bags
+  (:meth:`MetricRegistry.adopt_counters`): the component keeps calling
+  ``counter.add`` exactly as before and the registry copies the bag out.
+  This is how the coherence fabric's transaction counters appear in
+  telemetry — the registry's ``fabric`` section is always value-equal
+  to ``fabric.snapshot_counters()``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.stats import Counter, Histogram, ordered_sum
@@ -90,97 +88,33 @@ def merge_snapshots(
     return out
 
 
-class CounterMetric:
-    """A single monotonically increasing value.
-
-    The value lives in a one-element list :attr:`cell` so hot paths can
-    hoist the metric lookup and increment with ``cell[0] += x`` — one
-    list indexing instead of a bound-method call per event. The cell
-    object survives :meth:`reset` (it is zeroed in place), so cached
-    references never go stale.
-    """
-
-    __slots__ = ("component", "name", "cell")
-
-    def __init__(self, component: str, name: str) -> None:
-        self.component = component
-        self.name = name
-        self.cell = [0.0]
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Increment by ``amount`` (must be non-negative)."""
-        if amount < 0:
-            raise ConfigError(f"counter increments must be >= 0, got {amount}")
-        self.cell[0] += amount
-
-    @property
-    def value(self) -> float:
-        return self.cell[0]
-
-    def reset(self) -> None:
-        self.cell[0] = 0.0
-
-    def __repr__(self) -> str:
-        return f"CounterMetric({self.component}.{self.name}={self.cell[0]:g})"
-
-
 class GaugeMetric:
-    """A last-set value, optionally backed by a collector callable."""
+    """A collector gauge: a zero-argument callable read at snapshot time."""
 
-    __slots__ = ("component", "name", "fn", "_value")
+    __slots__ = ("component", "name", "fn")
 
-    def __init__(
-        self,
-        component: str,
-        name: str,
-        fn: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, component: str, name: str, fn: Callable[[], float]) -> None:
         self.component = component
         self.name = name
         self.fn = fn
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level (ignored by collector gauges)."""
-        self._value = value
 
     @property
     def value(self) -> float:
-        if self.fn is not None:
-            return float(self.fn())
-        return self._value
-
-    def reset(self) -> None:
-        self._value = 0.0
+        return float(self.fn())
 
     def __repr__(self) -> str:
-        kind = "collector" if self.fn is not None else "set"
-        return f"GaugeMetric({self.component}.{self.name}, {kind})"
+        return f"GaugeMetric({self.component}.{self.name})"
 
 
 class HistogramMetric:
-    """Sample distribution; snapshots flatten the summary statistics."""
+    """An adopted sample distribution; snapshots flatten its summary."""
 
     __slots__ = ("component", "name", "hist")
 
-    def __init__(
-        self,
-        component: str,
-        name: str,
-        hist: Optional[Histogram] = None,
-    ) -> None:
+    def __init__(self, component: str, name: str, hist: Histogram) -> None:
         self.component = component
         self.name = name
-        self.hist = hist if hist is not None else Histogram(name)
-
-    def record(self, value: float) -> None:
-        """Add one sample."""
-        self.hist.record(value)
-
-    @property
-    def value(self) -> float:
-        """Sample count (histograms have no single scalar value)."""
-        return float(self.hist.count)
+        self.hist = hist
 
     def items(self) -> List[Tuple[str, float]]:
         """Flattened ``(suffix, value)`` summary rows; empty if no samples."""
@@ -188,15 +122,12 @@ class HistogramMetric:
             return []
         return [(key, val) for key, val in self.hist.summary().items()]
 
-    def reset(self) -> None:
-        self.hist = Histogram(self.name)
-
     def __repr__(self) -> str:
         return f"HistogramMetric({self.component}.{self.name}, n={self.hist.count})"
 
 
 class MetricRegistry:
-    """Component-labeled registry of counters, gauges and histograms."""
+    """Component-labeled registry of gauges, counter bags and histograms."""
 
     enabled = True
 
@@ -219,48 +150,18 @@ class MetricRegistry:
             return component
         return f"{component}#{n}"
 
-    def components(self) -> List[str]:
-        """Sorted component labels with at least one metric."""
-        names = {component for component, _ in self._metrics}
-        names.update(component for component, _ in self._adopted)
-        return sorted(names)
+    # -- registration ----------------------------------------------------
 
-    # -- metric factories -----------------------------------------------
-
-    def counter(self, component: str, name: str) -> CounterMetric:
-        """Get-or-create a counter under ``component``."""
-        return self._get_or_create(component, name, CounterMetric)
-
-    def counter_cell(self, component: str, name: str) -> list:
-        """Mutable ``[value]`` cell of the counter, for hot-path use.
-
-        The cell stays valid across :meth:`reset` — see
-        :class:`CounterMetric`.
-        """
-        return self.counter(component, name).cell
-
-    def gauge(
-        self,
-        component: str,
-        name: str,
-        fn: Optional[Callable[[], float]] = None,
-    ) -> GaugeMetric:
-        """Get-or-create a gauge; pass ``fn`` for a collector gauge."""
+    def gauge(self, component: str, name: str, fn: Callable[[], float]) -> None:
+        """Register a collector gauge; re-registering replaces its ``fn``."""
         key = (component, name)
         existing = self._metrics.get(key)
-        if existing is not None:
-            if not isinstance(existing, GaugeMetric):
-                raise ConfigError(f"metric {component}.{name} is {type(existing).__name__}")
-            if fn is not None:
-                existing.fn = fn
-            return existing
-        metric = GaugeMetric(component, name, fn)
-        self._metrics[key] = metric
-        return metric
-
-    def histogram(self, component: str, name: str) -> HistogramMetric:
-        """Get-or-create a histogram under ``component``."""
-        return self._get_or_create(component, name, HistogramMetric)
+        if existing is None:
+            self._metrics[key] = GaugeMetric(component, name, fn)
+        elif isinstance(existing, GaugeMetric):
+            existing.fn = fn
+        else:
+            raise ConfigError(f"metric {component}.{name} is {type(existing).__name__}")
 
     def adopt_counters(self, component: str, counters: Counter) -> None:
         """Mirror an existing :class:`Counter` bag under ``component``.
@@ -274,29 +175,9 @@ class MetricRegistry:
                 return
         self._adopted.append((component, counters))
 
-    def adopt_histogram(
-        self, component: str, name: str, histogram: Histogram
-    ) -> HistogramMetric:
-        """Wrap an externally owned :class:`Histogram` as a metric."""
-        key = (component, name)
-        existing = self._metrics.get(key)
-        if isinstance(existing, HistogramMetric):
-            existing.hist = histogram
-            return existing
-        metric = HistogramMetric(component, name, histogram)
-        self._metrics[key] = metric
-        return metric
-
-    def _get_or_create(self, component: str, name: str, cls):
-        key = (component, name)
-        existing = self._metrics.get(key)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise ConfigError(f"metric {component}.{name} is {type(existing).__name__}")
-            return existing
-        metric = cls(component, name)
-        self._metrics[key] = metric
-        return metric
+    def adopt_histogram(self, component: str, name: str, histogram: Histogram) -> None:
+        """Mirror an externally owned :class:`Histogram` under ``component``."""
+        self._metrics[(component, name)] = HistogramMetric(component, name, histogram)
 
     # -- output ----------------------------------------------------------
 
@@ -326,25 +207,6 @@ class MetricRegistry:
             if bag:
                 out.setdefault(component, {}).update(bag)
         return out
-
-    @staticmethod
-    def merge(
-        snapshots: Iterable[Mapping[str, Mapping[str, float]]],
-    ) -> Dict[str, Dict[str, float]]:
-        """Merge :meth:`snapshot` dicts from several registries.
-
-        See :func:`merge_snapshots` for the per-key reduction rules.
-        This is how a partitioned run's per-shard registries combine
-        into the one snapshot the exporters write.
-        """
-        return merge_snapshots(snapshots)
-
-    def reset(self) -> None:
-        """Zero owned metrics and adopted counter bags."""
-        for metric in self._metrics.values():
-            metric.reset()
-        for _, counters in self._adopted:
-            counters.reset()
 
     def __repr__(self) -> str:
         return (

@@ -109,7 +109,7 @@ def _attach_topology(spec: ScenarioSpec, setup, faults, obs):
     if faults is not None:
         net.attach_faults(faults)
     if obs is not None:
-        if obs.enabled:
+        if obs.metrics.enabled:
             net.publish_metrics(obs.metrics)
         if obs.timeline is not None:
             from repro.obs.timeline import register_net_series

@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.check.explore import _scoped_spec
 from repro.check.sanitizer import Sanitizer
-from repro.core import CcnicConfig, buffers
+from repro.core import CcnicConfig
 from repro.obs import Observability
 from repro.obs.flight import FlightRecorder
 from repro.obs.timeline import TimelineSampler
@@ -23,7 +23,6 @@ from repro.platform import System, icx
 from repro.shard.merge import fingerprint, merge_results
 from repro.shard.runner import execute_spec, lookahead_ns
 from repro.shard.spec import scenario
-from repro.workloads import packets
 
 OPS = 24
 HOOKS = ("flight", "sanitizer", "timeline")
@@ -114,13 +113,8 @@ class TestAttachOrderFingerprints:
         assert _run([order[:1], order])[0] == bare_fingerprint
 
 
-def _observed_reports(kind, config, monkeypatch):
+def _observed_reports(kind, config):
     """Flight and sanitizer reports of a 400-packet observed loopback."""
-    # Packet and buffer ids are process-global; each run starts fresh so
-    # the reports' packet samples and buffer ids do not depend on what
-    # ran before.
-    monkeypatch.setattr(packets, "_packet_ids", itertools.count())
-    monkeypatch.setattr(buffers, "_buffer_ids", itertools.count())
     obs = Observability(flight=FlightRecorder(), sanitizer=Sanitizer())
     setup = build_interface(icx(), kind, config=config, obs=obs)
     result = run_point(setup, 64, 400, inflight=32, obs=obs)
@@ -165,9 +159,9 @@ class TestObservedReportPins:
         ids=["ccnic", "ccnic-reader-homed", "unopt"],
     )
     def test_flight_and_sanitizer_reports_pinned(
-        self, kind, config, pinned, monkeypatch
+        self, kind, config, pinned
     ):
-        reports, obs, fabric = _observed_reports(kind, config, monkeypatch)
+        reports, obs, fabric = _observed_reports(kind, config)
         assert fabric._plans
         assert obs.flight.events_seen > 0
         if config is not None:

@@ -6,7 +6,6 @@ output — shard documents, printed tables, metrics, flight, trace and
 timeline files — must match the normal run byte for byte.
 """
 
-import itertools
 import json
 import math
 import random
@@ -18,7 +17,7 @@ import pytest
 import repro.topology  # noqa: F401  (registers the rack scenarios)
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.cli import main
-from repro.core import CcnicConfig, CcnicInterface, buffers
+from repro.core import CcnicConfig, CcnicInterface
 from repro.core.recovery import RecoveryPolicy, RingWatchdog, first_instant
 from repro.faults import FaultInjector, FaultPlan
 from repro.platform import System, icx
@@ -27,7 +26,7 @@ from repro.shard.spec import scenario
 from repro.sim import Simulator
 from repro.sim.calqueue import CalendarQueue
 from repro.sim.engine import Resume
-from repro.workloads import packets, trafficgen
+from repro.workloads import trafficgen
 
 
 def _step_by_step(self):
@@ -35,16 +34,10 @@ def _step_by_step(self):
 
 
 def _both(monkeypatch, run):
-    """``run()`` normally, then with no step skippable.
-
-    Packet and buffer ids are process-global (and the flight recorder
-    samples by packet id), so each run starts them afresh.
-    """
+    """``run()`` normally, then with no step skippable."""
     outputs = []
     for skip in (True, False):
         with monkeypatch.context() as patch:
-            patch.setattr(packets, "_packet_ids", itertools.count())
-            patch.setattr(buffers, "_buffer_ids", itertools.count())
             if not skip:
                 patch.setattr(Simulator, "horizon", _step_by_step)
             outputs.append(run())

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import (
-    NULL_METRIC,
     OBS_OFF,
+    FlightRecorder,
     Instrumented,
     MetricRegistry,
     NullRegistry,
-    NullTracer,
     Observability,
-    SpanTracer,
     METRICS_SCHEMA,
     export_chrome_trace,
     export_doc,
@@ -34,10 +32,13 @@ from repro.sim.stats import Counter, Histogram
 class TestMetricRegistry:
     def test_counter_gauge_histogram_snapshot(self):
         reg = MetricRegistry()
-        reg.counter("comp", "hits").inc()
-        reg.counter("comp", "hits").inc(2)
-        reg.gauge("comp", "level").set(7.5)
-        hist = reg.histogram("comp", "lat")
+        bag = Counter()
+        reg.adopt_counters("comp", bag)
+        bag.add("hits")
+        bag.add("hits", 2)
+        reg.gauge("comp", "level", fn=lambda: 7.5)
+        hist = Histogram("lat")
+        reg.adopt_histogram("comp", "lat", hist)
         hist.record(10.0)
         hist.record(30.0)
         snap = reg.snapshot()
@@ -49,8 +50,10 @@ class TestMetricRegistry:
 
     def test_counter_rejects_negative(self):
         reg = MetricRegistry()
+        bag = Counter()
+        reg.adopt_counters("c", bag)
         with pytest.raises(ValueError):
-            reg.counter("c", "n").inc(-1)
+            bag.add("n", -1)
 
     def test_collector_gauge_reads_lazily(self):
         reg = MetricRegistry()
@@ -62,13 +65,16 @@ class TestMetricRegistry:
 
     def test_get_or_create_returns_same_metric(self):
         reg = MetricRegistry()
-        assert reg.counter("c", "n") is reg.counter("c", "n")
+        reg.gauge("c", "n", fn=lambda: 1.0)
+        reg.gauge("c", "n", fn=lambda: 2.0)  # re-registering replaces fn
+        assert reg.snapshot() == {"c": {"n": 2.0}}
+        reg.adopt_histogram("c", "lat", Histogram("lat"))
         with pytest.raises(ValueError):
-            reg.gauge("c", "n")  # same name, different type
+            reg.gauge("c", "lat", fn=lambda: 0.0)  # same name, different type
 
     def test_empty_histogram_omitted_from_snapshot(self):
         reg = MetricRegistry()
-        reg.histogram("c", "lat")
+        reg.adopt_histogram("c", "lat", Histogram("lat"))
         assert reg.snapshot().get("c", {}) == {}
 
     def test_adopt_counters_mirrors_bag(self):
@@ -88,126 +94,22 @@ class TestMetricRegistry:
         hist.record(4.0)
         assert reg.snapshot()["app"]["lat.count"] == 1.0
 
-    def test_reset_zeroes_owned_and_adopted(self):
-        reg = MetricRegistry()
-        reg.counter("c", "n").inc(3)
-        bag = Counter()
-        bag.add("x", 2)
-        reg.adopt_counters("c", bag)
-        reg.reset()
-        snap = reg.snapshot()
-        assert snap["c"]["n"] == 0.0
-        assert bag.get("x") == 0.0
-
     def test_unique_component_dedupes(self):
         reg = MetricRegistry()
         assert reg.unique_component("fabric") == "fabric"
         assert reg.unique_component("fabric") == "fabric#2"
         assert reg.unique_component("fabric") == "fabric#3"
 
-    def test_components_listing(self):
-        reg = MetricRegistry()
-        reg.counter("b", "n")
-        reg.adopt_counters("a", Counter())
-        assert reg.components() == ["a", "b"]
-
-
-class TestSpanTracer:
-    def test_span_nesting_and_parent_linkage(self):
-        tr = SpanTracer()
-        outer = tr.begin("tx_burst", actor="host", start_ns=100.0)
-        inner = tr.instant("read", actor="host", ts=110.0, size=64)
-        tr.end(outer, 150.0)
-        after = tr.begin("rx_burst", actor="host", start_ns=200.0)
-        tr.end(after, 210.0)
-        assert inner.parent == outer.sid
-        assert after.parent is None
-        assert outer.duration_ns == 50.0
-        assert tr.children_of(outer) == [inner]
-        assert tr.roots() == [outer, after]
-
-    def test_context_manager_scoping(self):
-        tr = SpanTracer()
-        with tr.span("op", start_ns=10.0, end_ns=30.0) as span:
-            tr.instant("tick", ts=15.0)
-        assert span.end_ns == 30.0
-        assert tr.spans()[1].parent == span.sid
-
-    def test_end_clamps_to_start(self):
-        tr = SpanTracer()
-        span = tr.begin("op", start_ns=100.0)
-        tr.end(span, 50.0)
-        assert span.end_ns == 100.0
-
-    def test_capacity_bound(self):
-        tr = SpanTracer(capacity=4)
-        for i in range(6):
-            span = tr.begin("s", start_ns=float(i))
-            tr.end(span, float(i))
-        assert len(tr) == 4
-        assert tr.dropped == 2
-        with pytest.raises(ValueError):
-            SpanTracer(capacity=0)
-
-    def test_to_chrome_shape(self):
-        tr = SpanTracer()
-        span = tr.begin("tx_burst", actor="host", category="driver",
-                        start_ns=1000.0, packets=3)
-        tr.instant("read", actor="host", ts=1200.0)
-        tr.end(span, 2000.0)
-        doc = tr.to_chrome()
-        assert doc["displayTimeUnit"] == "ns"
-        events = doc["traceEvents"]
-        meta = [e for e in events if e["ph"] == "M"]
-        complete = [e for e in events if e["ph"] == "X"]
-        instants = [e for e in events if e["ph"] == "i"]
-        assert meta and complete and instants
-        assert complete[0]["ts"] == 1.0 and complete[0]["dur"] == 1.0  # µs
-        assert complete[0]["args"]["packets"] == 3
-        assert instants[0]["args"]["parent"] == span.sid
-        assert "_instant" not in instants[0]["args"]
-
-
-class TestSpanTracerOverflow:
-    def test_oldest_evicted_and_drop_count(self):
-        tr = SpanTracer(capacity=3)
-        for i in range(5):
-            tr.instant("e", ts=float(i))
-        assert len(tr) == 3
-        assert tr.dropped == 2
-        assert [s.start_ns for s in tr.spans()] == [2.0, 3.0, 4.0]
-
-    def test_dropped_stays_zero_under_capacity(self):
-        tr = SpanTracer(capacity=3)
-        tr.instant("e", ts=0.0)
-        tr.instant("e", ts=1.0)
-        assert tr.dropped == 0
-
-    def test_to_chrome_well_formed_after_overflow(self):
-        tr = SpanTracer(capacity=2)
-        outer = tr.begin("op", start_ns=0.0)
-        for i in range(4):
-            # Instants nested in ``outer``, which itself gets evicted.
-            tr.instant("tick", ts=float(10 + i))
-        tr.end(outer, 100.0)
-        doc = tr.to_chrome()
-        json.dumps(doc)  # must serialize even with evicted parents
-        events = doc["traceEvents"]
-        assert len([e for e in events if e["ph"] in ("i", "X")]) == 2
-        assert all("ts" in e for e in events if e["ph"] != "M")
-        assert tr.dropped == 3
-
 
 class TestDisabledMode:
     def test_obs_off_is_fully_inert(self):
-        assert not OBS_OFF.enabled
         assert isinstance(OBS_OFF.metrics, NullRegistry)
-        assert isinstance(OBS_OFF.tracer, NullTracer)
-        assert OBS_OFF.metrics.counter("c", "n") is NULL_METRIC
-        assert OBS_OFF.metrics.gauge("c", "g") is NULL_METRIC
+        assert not OBS_OFF.metrics.enabled
+        OBS_OFF.metrics.gauge("c", "g", fn=lambda: 1.0)
+        OBS_OFF.metrics.adopt_counters("c", Counter())
+        OBS_OFF.metrics.adopt_histogram("c", "h", Histogram("h"))
         assert OBS_OFF.metrics.snapshot() == {}
-        assert OBS_OFF.tracer.begin("x") is None
-        assert OBS_OFF.tracer.spans() == ()
+        assert OBS_OFF.flight is OBS_OFF.sanitizer is OBS_OFF.timeline is None
 
     def test_uninstrumented_component_shares_obs_off(self):
         class Thing(Instrumented):
@@ -218,16 +120,10 @@ class TestDisabledMode:
         assert a.obs is OBS_OFF and b.obs is OBS_OFF
         assert "obs" not in a.__dict__
 
-    def test_null_metric_noops(self):
-        NULL_METRIC.inc()
-        NULL_METRIC.set(3.0)
-        NULL_METRIC.record(1.0)
-        assert NULL_METRIC.value == 0.0
-
     def test_instrument_registers_and_cascades(self):
         class Child(Instrumented):
             def _register_metrics(self, registry):
-                registry.counter(self.obs_name, "n").inc()
+                registry.gauge(self.obs_name, "n", fn=lambda: 1.0)
 
         class Parent(Instrumented):
             def __init__(self):
@@ -259,8 +155,10 @@ class TestDisabledMode:
 class TestExporters:
     def _populated(self):
         reg = MetricRegistry()
-        reg.counter("fabric", "s1.read").inc(12)
-        reg.gauge("sim", "now_ns").set(99.0)
+        bag = Counter()
+        bag.add("s1.read", 12)
+        reg.adopt_counters("fabric", bag)
+        reg.gauge("sim", "now_ns", fn=lambda: 99.0)
         return reg
 
     def test_json_round_trip(self, tmp_path):
@@ -314,15 +212,16 @@ class TestExporters:
         assert ("fabric", "s1.read", 12.0) in rows
 
     def test_chrome_trace_file_is_valid_json(self, tmp_path):
-        tr = SpanTracer()
-        span = tr.begin("op", actor="a", start_ns=10.0)
-        tr.end(span, 20.0)
+        rec = FlightRecorder()
+        rec.call("a", "op", 10.0, 20.0, rec.events_seen, packets=1)
         path = str(tmp_path / "t.json")
-        count = export_chrome_trace(tr, path)
+        count = export_chrome_trace(rec, path)
         with open(path) as fh:
             doc = json.load(fh)
         assert len(doc["traceEvents"]) == count
         assert {e["ph"] for e in doc["traceEvents"]} == {"M", "X"}
+        call = doc["traceEvents"][1]
+        assert (call["ts"], call["dur"], call["args"]) == (0.01, 0.01, {"packets": 1})
 
 
 def _registries():
@@ -342,12 +241,16 @@ def _registries():
             comp = reg.unique_component(
                 draw(st.sampled_from(["fabric", "driver.q0", "pool"]))
             )
+            bag = Counter()
+            reg.adopt_counters(comp, bag)
             for i in range(draw(st.integers(0, 2))):
-                reg.counter(comp, f"c{i}.events").inc(draw(value))
+                bag.add(f"c{i}.events", draw(value))
             for i in range(draw(st.integers(0, 2))):
-                reg.gauge(comp, f"g{i}.level").set(draw(value))
+                level = draw(value)
+                reg.gauge(comp, f"g{i}.level", fn=lambda level=level: level)
             for i in range(draw(st.integers(0, 2))):
-                hist = reg.histogram(comp, f"h{i}.lat.ns")
+                hist = Histogram(f"h{i}.lat.ns")
+                reg.adopt_histogram(comp, f"h{i}.lat.ns", hist)
                 for sample in draw(st.lists(value, max_size=4)):
                     hist.record(sample)
         return reg
@@ -379,8 +282,10 @@ class TestExportRoundTripProperties:
         first = reg.unique_component("fabric")
         second = reg.unique_component("fabric")
         assert second == "fabric#2"
-        reg.histogram(first, "lat.ns")  # never recorded into
-        reg.histogram(second, "lat.ns").record(5.0)
+        reg.adopt_histogram(first, "lat.ns", Histogram("lat.ns"))  # never recorded into
+        hist = Histogram("lat.ns")
+        reg.adopt_histogram(second, "lat.ns", hist)
+        hist.record(5.0)
         snap = reg.snapshot()
         assert "fabric" not in snap
         assert snap["fabric#2"]["lat.ns.count"] == 1.0
@@ -396,10 +301,9 @@ class TestEndToEnd:
         from repro.analysis.loopback import InterfaceKind, build_interface, run_point
         from repro.platform import icx
 
-        obs = Observability(metrics=MetricRegistry(), tracer=SpanTracer())
+        obs = Observability(metrics=MetricRegistry(), flight=FlightRecorder())
         setup = build_interface(icx(), InterfaceKind.CCNIC, obs=obs)
-        with obs.tracer.attach_fabric(setup.system.fabric):
-            result = run_point(setup, 64, 400, inflight=32, obs=obs)
+        result = run_point(setup, 64, 400, inflight=32, obs=obs)
         assert result.received == 400
         snap = obs.metrics.snapshot()
         # Acceptance criterion: the registry's fabric section is exactly
@@ -409,16 +313,13 @@ class TestEndToEnd:
                           "nic_agent.q0", "trafficgen"):
             assert component in snap, component
         assert snap["trafficgen"]["received"] == 400.0
-        # Spans recorded with descriptor-level instants nested inside.
-        spans = obs.tracer.spans()
-        by_sid = {s.sid: s for s in spans}
-        tx = [s for s in spans if s.name == "tx_burst"]
-        assert tx, "expected tx_burst spans"
-        nested = [s for s in spans
-                  if s.is_instant and s.parent is not None
-                  and by_sid[s.parent].name in ("tx_burst", "rx_burst",
-                                                "nic_tx", "nic_rx")]
-        assert nested, "expected coherence instants under burst spans"
+        # Call records, with the line events each call issued inside it.
+        events = obs.flight.to_chrome()["traceEvents"]
+        calls = {e["id"]: e for e in events if e["ph"] == "X"}
+        assert any(e["name"] == "tx_burst" for e in calls.values())
+        nested = [e for e in events if e["ph"] == "i" and "parent" in e["args"]]
+        assert {calls[e["args"]["parent"]]["name"] for e in nested} == {
+            "tx_burst", "rx_burst", "nic_tx", "nic_rx"}
 
     def test_disabled_mode_records_nothing(self):
         from repro.analysis.loopback import InterfaceKind, build_interface, run_point

@@ -513,14 +513,13 @@ class TestExports:
         assert "scenario" not in bare and "spec_fingerprint" not in bare
 
     def test_chrome_trace_merges_timeline_tracks(self, tmp_path):
-        from repro.obs import SpanTracer, export_chrome_trace
+        from repro.obs import FlightRecorder, export_chrome_trace
 
         sampler = TimelineSampler(interval_ns=100.0)
         sampler.gauge("g", lambda: 1.0)
         sampler.finish(50.0)
-        tracer = SpanTracer()
         path = str(tmp_path / "trace.json")
-        export_chrome_trace(tracer, path, timeline=sampler)
+        export_chrome_trace(FlightRecorder(), path, timeline=sampler)
         with open(path) as fh:
             doc = json.load(fh)
         events = doc["traceEvents"] if isinstance(doc, dict) else doc
