@@ -415,16 +415,24 @@ class CoherenceFabric(Instrumented):
         return self.access_burst(agent, [(addr, size)], write)
 
     def skip_read_hits(
-        self, agent: CacheAgent, addr: int, start: float, step: float, count: int
+        self,
+        agent: CacheAgent,
+        addr: int,
+        start: float,
+        cycle: Tuple[float, ...],
+        count: int,
     ) -> None:
         """Account ``count`` skipped repeats of a read hit on ``addr``'s line.
 
-        The repeats fall at ``start + step``, ``+ step``, ... (one float
-        add each, as the engine steps its clock). The line must be
-        ``agent``'s most recently used and, for its prefetcher, the last
-        it touched in that region, as after a read that repeated a hit:
-        a further repeat then changes only the hit count and, with a
-        flight recorder attached, records one ``hit`` event.
+        The repeats fall one ``cycle`` apart: from ``start`` the clock
+        takes each delay of ``cycle`` in turn (one float add each, as
+        the engine steps its clock), and a repeat falls where a cycle
+        ends. A poller stepping once per poll passes ``(step,)``; one
+        that polls and then waits passes ``(poll_ns, gap_ns)``. The line
+        must be ``agent``'s most recently used and, for its prefetcher,
+        the last it touched in that region, as after a read that
+        repeated a hit: a further repeat then changes only the hit count
+        and, with a flight recorder attached, records one ``hit`` event.
         """
         agent.hits += count
         flight = self.flight
@@ -434,7 +442,8 @@ class CoherenceFabric(Instrumented):
             latency = self._l2_hit
             t = start
             for _ in range(count):
-                t += step
+                for delay in cycle:
+                    t += delay
                 flight.line_event(t, line, region, agent, False, "hit", latency)
 
     def access_burst(

@@ -8,10 +8,19 @@ descriptors. With shared buffer management it frees TX buffers straight
 into its recycling stack (so subsequent RX writes land in NIC-warm
 lines); without it, it forwards completions to the host and consumes
 pre-posted blank buffers, exactly like a PCIe NIC.
+
+Between packets the loop is empty TX polls, each a hit on the agent's
+own copy of the ring's signal line until the host's store invalidates
+it (§3.2). Once an idle iteration repeats the previous one, the agent
+skips the following ones that fall before anything else can act and
+yields a :class:`~repro.sim.engine.Resume` (see
+:meth:`NicQueueAgent._skip_idle`); every result and counter is the
+step-by-step run's.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, List, Tuple
 
@@ -19,6 +28,7 @@ from repro.coherence.cache import CacheAgent
 from repro.core.buffers import Buffer
 from repro.core.ring import WorkItem
 from repro.obs.instrument import Instrumented
+from repro.sim.engine import Resume
 from repro.workloads.packets import Packet
 
 #: Cycles of NIC-side packet processing per packet (header parse, DMA
@@ -100,7 +110,8 @@ class NicQueueAgent(Instrumented):
         sim = self.sim
         # Hot-loop hoists over construction-time-stable state; faults is
         # re-read each iteration because injectors may attach mid-run.
-        tx_poll = self.tx.poll
+        tx = self.tx
+        tx_poll = tx.poll
         tx_batch = self.config.tx_batch
         agent = self.agent
         assemble = self._assemble
@@ -111,6 +122,9 @@ class NicQueueAgent(Instrumented):
         # that time comes or another injector is attached.
         due_from = None
         due = 0.0
+        # Idle-poll elision: the last idle iteration's poll cost and TX
+        # positions, or None after any other iteration.
+        idle_key = None
         while True:
             faults = self.faults
             if faults is not None:
@@ -122,12 +136,14 @@ class NicQueueAgent(Instrumented):
                     if fault is not None:
                         if fault.kind == "nic_reset":
                             self._device_reset()
+                        idle_key = None
                         yield fault.duration_ns
                         continue
                 if self.wedged:
                     # Arrivals fall on the floor until the host watchdog
                     # reinitializes this queue.
                     self.lost_packets += len(self._take_arrived(sim.now))
+                    idle_key = None
                     yield IDLE_GAP_NS
                     continue
             busy = False
@@ -157,10 +173,70 @@ class NicQueueAgent(Instrumented):
                 ns += self._receive(arrived, base_ns=ns)
             if busy:
                 self.busy_ns += ns
+                idle_key = None
+            elif items:
+                idle_key = None  # continuation descriptors only
+            else:
+                key = (poll_ns, tx.head, tx.tail)
+                # A free poll (zero hit latency) takes no step of its own.
+                if key == idle_key and poll_ns:
+                    resume = self._skip_idle(
+                        poll_ns, due if faults is not None else math.inf
+                    )
+                    if resume is not None:
+                        yield resume
+                        continue
+                idle_key = key
             if ns:
                 yield ns
             if not busy:
                 yield IDLE_GAP_NS
+
+    def _skip_idle(self, poll_ns: float, due: float):
+        """Skip the steps that would repeat this idle iteration exactly.
+
+        Called right after an idle poll (no descriptor, no arrival, no
+        fault) that repeated the previous idle iteration's cost on the
+        same TX head and tail. No produce came between the two, so this
+        poll was a hit on the NIC's own copy of the polled line, and
+        until something else acts every iteration repeats it: a poll
+        step of ``poll_ns``, then a step of :data:`IDLE_GAP_NS`. This
+        iteration's gap step and the whole iterations after it are
+        skipped while every skipped step is strictly earlier than the
+        engine's horizon (next queued event, timeline roll, ``until``)
+        and within its step budget, each skipped poll starts strictly
+        before the TX head slot can turn visible (``idle_wake``) and
+        before ``due`` (this queue's next NIC one-shot), and ends
+        strictly before the wire's head arrival. Returns the
+        :class:`Resume` to yield, or None when not even the gap step
+        can be skipped.
+        """
+        sim = self.sim
+        start = sim.now
+        limit, budget = sim.horizon()
+        t = start + poll_ns  # this iteration's gap step
+        if not (t < limit and budget):
+            return None
+        wire = self._wire
+        if wire and wire[0][0] < limit:
+            limit = wire[0][0]
+        wake = self.tx.idle_wake()
+        if due < wake:
+            wake = due
+        steps = 1
+        t += IDLE_GAP_NS
+        while t < wake and steps + 2 <= budget:
+            end = t + poll_ns
+            if not end < limit:
+                break
+            steps += 2
+            t = end + IDLE_GAP_NS
+        if steps > 1:
+            self.fabric.skip_read_hits(
+                self.agent, self.tx.poll_addr(), start, (poll_ns, IDLE_GAP_NS),
+                steps // 2,
+            )
+        return Resume(t, steps)
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -227,15 +303,20 @@ class NicQueueAgent(Instrumented):
                     to_free.append(seg)
                 seg = seg.seg_next
             arrival = now + ns + config.wire_delay_ns
-            if self.on_transmit is not None:
-                self.on_transmit(pkt, arrival)
+            sink = self.on_transmit
+            if sink is not None:
+                sink(pkt, arrival)
             else:
                 self._wire.append((arrival, pkt))
             if flight is not None:
                 pid = getattr(pkt, "pkt_id", None)
                 if pid is not None and flight.tracked(pid):
-                    flight.packet_event(pid, "payload_fetch", payload_ns)
-                    flight.packet_event(pid, "wire", arrival)
+                    if sink is not None:
+                        # The sink's peer never reads it back.
+                        flight.packet_egress(pid)
+                    else:
+                        flight.packet_event(pid, "payload_fetch", payload_ns)
+                        flight.packet_event(pid, "wire", arrival)
             self.tx_packets += 1
         if config.nic_buffer_mgmt:
             ns += self.pool.free(self.agent, to_free)

@@ -286,17 +286,16 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         for _ in range(count):
             rx_ns += poll_ns
         self.rx_ns = rx_ns
-        rx = self.pair.rx
-        line = rx.line_addr(rx.head)
+        line = self.pair.rx.poll_addr()
         fabric = self.interface.system.fabric
         flight = self.flight
         if flight is None:
-            fabric.skip_read_hits(self.agent, line, start, step, count)
+            fabric.skip_read_hits(self.agent, line, start, (step,), count)
         else:
             t = start
             for _ in range(count):
                 first = flight.events_seen
-                fabric.skip_read_hits(self.agent, line, t, step, 1)
+                fabric.skip_read_hits(self.agent, line, t, (step,), 1)
                 t += step
                 flight.call(
                     self.agent.name, "rx_burst", t, t + poll_ns, first, received=0

@@ -300,16 +300,27 @@ class CoherentQueue(Instrumented):
         self.consumed += len(items)
         return items, ns
 
+    def poll_addr(self) -> int:
+        """The address an empty poll reads: the head slot's line for
+        inlined signals, the tail register otherwise."""
+        if self.inline_signals:
+            return self.line_addr(self.head)
+        return self.tail_reg.base
+
     def idle_wake(self) -> float:
-        """When an empty grouped poll could next find a descriptor unaided.
+        """When an empty poll could next find a descriptor unaided.
 
         ``inf`` while the head slot is unproduced: only the producer's
-        store, a step of another process, changes that. The slot's
-        ``visible_at`` once it is produced but the store has not retired
-        (a group's first slot is never a blank). An empty poll's signal
-        read of its own copy of the line changes nothing but hit
-        counters, so until this instant (and the producer's next step)
-        every repeat of it is the same poll.
+        store, a step of another process, changes that. Once it is
+        produced but the store has not retired, the slot's
+        ``visible_at``. That is exact for grouped polls (a group's first
+        slot is never a blank) and per-descriptor polls, which both test
+        the head slot's ``visible_at``. It is conservative for register
+        polls, which wait for the tail register's store, written after
+        the slot's in the same produce and so retired no earlier. An
+        empty poll's signal read of its own copy of the line changes
+        nothing but hit counters, so until this instant (and the
+        producer's next step) every repeat of it is the same poll.
         """
         entry = self._slots[self.head % self.n_slots]
         if entry is None:

@@ -357,6 +357,16 @@ class FlightRecorder:
         events["rx_read"] = ts
         self.waterfalls.add(build_waterfall(number, events))
 
+    def packet_egress(self, pkt_id: int) -> None:
+        """Close a packet's trace as it leaves through a transmit sink.
+
+        A response an application hands to a modelled peer never comes
+        back to a host ``rx_read``: it counts in the waterfall's
+        ``egressed`` and adds no partial waterfall to the stage stats.
+        """
+        if self._active.pop(pkt_id, None) is not None:
+            self.waterfalls.egressed += 1
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

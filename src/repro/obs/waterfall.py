@@ -101,6 +101,9 @@ class WaterfallStats:
     max_samples: int = 32
     completed: int = 0
     incomplete: int = 0
+    #: Packets whose trace closed at a transmit sink (see
+    #: :meth:`~repro.obs.flight.FlightRecorder.packet_egress`).
+    egressed: int = 0
     samples: List[PacketWaterfall] = field(default_factory=list)
     _stage_hists: Dict[str, Histogram] = field(default_factory=dict)
     _total_hist: Histogram = field(default_factory=lambda: Histogram("total"))
@@ -135,6 +138,7 @@ class WaterfallStats:
         return {
             "completed": self.completed,
             "incomplete": self.incomplete,
+            "egressed": self.egressed,
             "stages": self.stage_summary(),
             "samples": [sample.as_dict() for sample in self.samples],
         }

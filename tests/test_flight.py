@@ -173,6 +173,18 @@ class TestFlightRecorderUnit:
         assert rec.waterfalls.samples[0].total_ns == 38.0
         assert rec.waterfalls.samples[0].pkt_id == 3
 
+    def test_egress_closes_a_record_without_a_waterfall(self):
+        rec = FlightRecorder()
+        assert rec.packet_begin(7, 1.0) and rec.packet_begin(8, 2.0)
+        rec.packet_event(7, "desc_write", 3.0)
+        rec.packet_egress(7)
+        rec.packet_egress(7)  # already closed: no-op
+        rec.packet_egress(99)  # never tracked: no-op
+        assert not rec.tracked(7) and rec.tracked(8)
+        waterfall = rec.report()["waterfall"]
+        assert (waterfall["completed"], waterfall["incomplete"], waterfall["egressed"]) == (0, 1, 1)
+        assert waterfall["stages"] == {} and waterfall["samples"] == []
+
     def test_call_parents_only_its_own_agents_events(self):
         rec = FlightRecorder()
         region = FakeRegion("pool", 0)
@@ -428,3 +440,19 @@ class TestRunLocalIds:
             outputs.append((flight.read_bytes(), trace.read_bytes()))
         capsys.readouterr()
         assert outputs[0] == outputs[1]
+
+
+class TestApplicationStudies:
+    @pytest.mark.parametrize("command", ["kv", "rpc"])
+    def test_every_response_record_closes_at_egress(self, tmp_path, capsys, command):
+        # Responses leave through the NIC's transmit sink to modelled
+        # clients; none comes back to a host rx_read.
+        from repro.cli import main
+
+        path = tmp_path / "flight.json"
+        assert main([command, "--ops", "300", "--flight-out", str(path)]) == 0
+        capsys.readouterr()
+        waterfall = load_doc(str(path), FLIGHT_SCHEMA)["waterfall"]
+        assert waterfall["incomplete"] == 0
+        assert waterfall["egressed"] == 300
+        assert waterfall["completed"] == 0 and waterfall["stages"] == {}

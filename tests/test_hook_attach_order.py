@@ -130,6 +130,10 @@ def _observed_reports(kind, config):
             for line, stats in obs.flight.lines.items()
         ),
     }
+    # The waterfall's egressed count postdates the pins: a loopback's
+    # packets all come back to the host, so it is checked here and left
+    # out of the pinned bytes.
+    assert flight["report"]["waterfall"].pop("egressed") == 0
     reports = {"flight": flight, "sanitize": obs.sanitizer.report()}
     return reports, obs, setup.system.fabric
 

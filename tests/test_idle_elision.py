@@ -1,9 +1,11 @@
-"""Idle-poll elision: the loopback app skips its steady-state empty polls.
+"""Idle-poll elision: the loopback app and the NIC agent skip their
+steady-state empty polls.
 
 The oracle is the step-by-step run. With :meth:`Simulator.horizon`
 patched to return the current time no poll can be skipped, and every
 output — shard documents, printed tables, metrics, flight, trace and
-timeline files — must match the normal run byte for byte.
+timeline files, and every cache agent's hit, miss and eviction counts —
+must match the normal run byte for byte.
 """
 
 import json
@@ -11,15 +13,22 @@ import math
 import random
 import sys
 from array import array
+from dataclasses import replace
 
 import pytest
 
 import repro.topology  # noqa: F401  (registers the rack scenarios)
 from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.cli import main
+from repro.coherence.cache import CacheAgent
 from repro.core import CcnicConfig, CcnicInterface
+from repro.core.agent import IDLE_GAP_NS, NicQueueAgent
 from repro.core.recovery import RecoveryPolicy, RingWatchdog, first_instant
+from repro.core.ring import WorkItem
 from repro.faults import FaultInjector, FaultPlan
+from repro.nicmodels.unopt import unoptimized_upi_config
+from repro.obs import Observability
+from repro.obs.flight import FlightRecorder
 from repro.platform import System, icx
 from repro.shard.runner import execute_spec
 from repro.shard.spec import scenario
@@ -27,6 +36,7 @@ from repro.sim import Simulator
 from repro.sim.calqueue import CalendarQueue
 from repro.sim.engine import Resume
 from repro.workloads import trafficgen
+from repro.workloads.packets import Packet
 
 
 def _step_by_step(self):
@@ -34,13 +44,30 @@ def _step_by_step(self):
 
 
 def _both(monkeypatch, run):
-    """``run()`` normally, then with no step skippable."""
+    """``run()`` normally, then with no step skippable.
+
+    Each output comes paired with the ``(name, hits, misses,
+    evictions)`` of every cache agent the run made, in the order made:
+    no shard document or report carries them, and a skipped poll must
+    still count its hit.
+    """
     outputs = []
+    init = CacheAgent.__init__
     for skip in (True, False):
+        agents = []
+
+        def tracked_init(agent, *args, **kwargs):
+            init(agent, *args, **kwargs)
+            agents.append(agent)
+
         with monkeypatch.context() as patch:
+            patch.setattr(CacheAgent, "__init__", tracked_init)
             if not skip:
                 patch.setattr(Simulator, "horizon", _step_by_step)
-            outputs.append(run())
+            out = run()
+        counts = [(a.name, a.hits, a.misses, a.evictions) for a in agents]
+        assert any(hits for _name, hits, _misses, _evictions in counts)
+        outputs.append((out, counts))
     return outputs
 
 
@@ -80,6 +107,7 @@ class TestOracle:
         ("loopback_64b", True, None),
         ("faults_canned", True, 500.0),
         ("mesh_2x2_loopback", False, None),
+        ("kv_rack_zipf", False, None),
     ])
     def test_shard_document_matches_step_by_step(self, monkeypatch, name, quick, interval):
         spec = scenario(name).shard_specs()[0]
@@ -97,6 +125,10 @@ class TestOracle:
                      id="open-loop"),
         pytest.param(["loopback", "--packets", "1200", "--inflight", "16"],
                      ("metrics", "trace", "timeline", "flight"), id="observers"),
+        # Register signalling: the NIC polls the TX tail register line.
+        pytest.param(["loopback", "--interface", "unopt", "--packets", "600"],
+                     ("metrics", "trace", "flight"), id="unopt"),
+        pytest.param(["kv", "--ops", "300"], ("metrics", "trace", "flight"), id="kv"),
     ])
     def test_cli_outputs_match_step_by_step(self, monkeypatch, capsys, tmp_path, argv, outs):
         outputs = {f"--{name}-out": tmp_path / f"{name}.json" for name in outs}
@@ -116,7 +148,7 @@ class TestOracle:
             # The only run here whose app reaches the recovery deadlines:
             # one watchdog reset and 64 packets written off in flight.
             rows = dict(
-                line.rsplit(None, 1) for line in normal[0].splitlines()
+                line.rsplit(None, 1) for line in normal[0][0].splitlines()
                 if line.startswith(("watchdog resets", "dropped packets"))
             )
             assert rows == {"watchdog resets": "1", "dropped packets": "64"}
@@ -158,7 +190,7 @@ class TestOracle:
             }
 
         normal, oracle = _both(monkeypatch, run)
-        assert normal["driver"][0] >= 1 and normal["result"][1] > 0
+        assert normal[0]["driver"][0] >= 1 and normal[0]["result"][1] > 0
         assert normal == oracle
 
     def test_apps_sharing_one_simulator_match_step_by_step(self, monkeypatch):
@@ -188,6 +220,26 @@ class TestOracle:
         normal, oracle = _both(monkeypatch, run)
         assert normal == oracle
 
+    @pytest.mark.parametrize("plan, platform", [
+        (None, icx()),
+        ({"name": "one-shots", "events": [
+            {"kind": "nic_stall", "start_ns": 6_000, "duration_ns": 700},
+            {"kind": "nic_reset", "start_ns": 13_000, "duration_ns": 500},
+        ]}, icx()),
+        # A free hit makes an empty poll no step of its own.
+        (None, replace(icx(), cost=replace(icx().cost, l2_hit=0.0))),
+    ], ids=["arrivals", "one-shots", "free-hits"])
+    def test_sparse_host_matches_step_by_step(self, monkeypatch, plan, platform):
+        # Long NIC idle stretches, each ended by an injected arrival or
+        # the host's next wake-up; with the plan, NIC one-shots fall
+        # inside them too.
+        normal, oracle = _both(monkeypatch, lambda: _sparse_host(platform, plan))
+        assert normal == oracle
+        if plan is not None:
+            assert [kind for _t, kind in normal[0]["injections"]] == [
+                "nic_stall", "nic_reset"
+            ]
+
     def test_most_app_steps_are_skipped(self, monkeypatch):
         # The step-by-step run of this shard takes 9,516 app steps, all
         # but a few hundred of them empty polls between NIC steps.
@@ -200,6 +252,64 @@ class TestOracle:
         assert doc["events"] == 9774
         assert tally["executed"] + tally["skipped"] == 9516
         assert tally["executed"] * 5 < 9516
+
+    def test_most_nic_steps_are_skipped(self, monkeypatch):
+        # The step-by-step run of this shard takes 1,293 NIC steps,
+        # nearly all of them idle polls and gaps while the KV server
+        # works through a batch.
+        tally = {"executed": 0, "skipped": 0}
+        run = NicQueueAgent.run
+        monkeypatch.setattr(
+            NicQueueAgent, "run", lambda agent: _CountingBody(run(agent), tally)
+        )
+        doc = execute_spec(scenario("kv_rack_zipf").shard_specs()[0])
+        assert doc["events"] == 1368
+        assert tally["executed"] + tally["skipped"] == 1293
+        assert tally["executed"] * 10 < 1293
+
+
+def _sparse_host(platform, plan=None, period_ns=4_000.0, arrive_ns=1_500.0, rounds=5):
+    """A host waking every ``period_ns`` beside an idle NIC.
+
+    Each wake-up submits one packet for the NIC to loop back, has the
+    NIC's wire deliver a second one ``arrive_ns`` later
+    (:meth:`NicQueueAgent.inject`, as the KV clients do) and reads back
+    what has arrived. Returns everything the run leaves behind.
+    """
+    system = System(platform)
+    nic = CcnicInterface(system, CcnicConfig(ring_slots=64, pool_buffers=256))
+    driver = nic.driver(0)
+    faults = None
+    if plan is not None:
+        faults = nic.faults = FaultInjector(FaultPlan.from_dict(plan), seed=1)
+    nic.start()
+    agent = nic.pair(0).agent
+    sim = system.sim
+    seen = []
+
+    def host():
+        for _ in range(rounds):
+            alloc = driver.alloc([64])
+            ns = alloc.ns
+            buf = alloc.bufs[0]
+            ns += driver.write_payload(buf, 64)
+            ns += driver.tx_burst([(buf, Packet(64, tx_ns=sim.now))], base_ns=ns).ns
+            agent.inject(Packet(128, tx_ns=sim.now), sim.now + ns + arrive_ns)
+            yield ns + period_ns
+            rx = driver.rx_burst(8)
+            seen.append((sim.now, [(pkt.size, pkt.tx_ns) for pkt, _buf in rx.entries]))
+            yield rx.ns + driver.free([buf for _pkt, buf in rx.entries])
+
+    sim.spawn(host(), "host")
+    sim.run(until=rounds * period_ns + 3_000.0)
+    return {
+        "seen": seen,
+        "nic": (agent.tx_packets, agent.rx_packets, agent.busy_ns, agent.lost_packets),
+        "injections": faults.injection_log if faults is not None else None,
+        "counters": system.fabric.snapshot_counters(),
+        "links": [st.snapshot() for st in system.link.stats],
+        "clock": (sim.events_executed, sim.now),
+    }
 
 
 class TestEngineContract:
@@ -436,6 +546,100 @@ class TestSkipBounds:
         resume = loop._skip_idle(_HorizonSim(0.0, 100.0), 0.5, 0.25, math.inf)
         # _write_off_losses would fire at 1.5, the first step 1.25 after 0.
         assert (resume.when, resume.steps) == (1.5, 2)
+
+
+class TestNicSkipBounds:
+    """Which steps ``NicQueueAgent._skip_idle`` skips, against each bound alone.
+
+    The idle poll at 0.0 costs 1.0 ns, so the skippable steps are its
+    gap step at 1.0, then polls at 13.0, 26.0, 39.0, ... each ending
+    (and taking its gap step) 1.0 ns later. The step budget is finite,
+    so a skip that ignored the bound under test still ends.
+    """
+
+    @staticmethod
+    def _agent(config=None, limit=math.inf, budget=1_000, wake=math.inf,
+               arrival=None, flight=None):
+        system = System(icx())
+        nic = CcnicInterface(system, config or CcnicConfig(ring_slots=64, pool_buffers=256))
+        if flight is not None:
+            system.fabric.instrument(Observability(flight=flight))
+        agent = NicQueueAgent(nic, 0)
+        agent.sim = _HorizonSim(0.0, limit, budget)
+        if wake != math.inf:
+            tx = agent.tx
+            tx._slots[tx.head % tx.n_slots] = WorkItem(None, 64, None, visible_at=wake)
+        if arrival is not None:
+            agent.inject(Packet(64), arrival)
+        return agent
+
+    def _skip(self, due=math.inf, **bounds):
+        agent = self._agent(**bounds)
+        resume = agent._skip_idle(1.0, due)
+        return resume, agent.agent.hits
+
+    @pytest.mark.parametrize("bound, at", [
+        # A poll ending at the horizon or the arrival would tie with it.
+        ("limit", 27.0), ("arrival", 27.0),
+        # A poll starting when the head slot turns visible or a one-shot
+        # is due would see it.
+        ("wake", 26.0), ("due", 26.0),
+    ])
+    def test_a_step_at_a_bound_is_not_skipped(self, bound, at):
+        resume, hits = self._skip(**{bound: at})
+        assert (resume.when, resume.steps) == (26.0, 3)
+        assert hits == 1
+
+    def test_budget_caps_the_skipped_steps(self):
+        for budget, expected in ((1, (13.0, 1)), (2, (13.0, 1)), (4, (26.0, 3)),
+                                 (5, (39.0, 5)), (6, (39.0, 5))):
+            resume, _ = self._skip(limit=100.0, budget=budget)
+            assert (resume.when, resume.steps) == expected
+
+    @pytest.mark.parametrize("bounds", [
+        {"limit": 14.0}, {"arrival": 14.0}, {"wake": 13.0}, {"due": 13.0},
+        # The gap step waits for no arrival.
+        {"limit": 14.0, "arrival": 1.0},
+    ], ids=["limit", "arrival", "wake", "due", "gap-takes-no-arrival"])
+    def test_only_the_gap_step(self, bounds):
+        resume, hits = self._skip(**bounds)
+        assert (resume.when, resume.steps, hits) == (13.0, 1, 0)
+
+    @pytest.mark.parametrize("bounds", [
+        {"limit": 1.0}, {"limit": 0.5}, {"limit": 100.0, "budget": 0},
+    ], ids=["gap-at-horizon", "gap-past-horizon", "no-budget"])
+    def test_nothing_to_skip(self, bounds):
+        assert self._skip(**bounds) == (None, 0)
+
+    @pytest.mark.parametrize("config, region", [
+        (None, "txq0_ring"),
+        (unoptimized_upi_config(ring_slots=64, pool_buffers=256), "txq0_tailreg"),
+    ], ids=["inline", "register"])
+    def test_replayed_hits_land_at_each_poll(self, config, region):
+        flight = FlightRecorder()
+        agent = self._agent(config, limit=40.5, flight=flight)
+        resume = agent._skip_idle(1.0, math.inf)
+        assert (resume.when, resume.steps) == (52.0, 7)
+        assert agent.agent.hits == 3
+        assert [event[0] for event in flight.events] == [13.0, 26.0, 39.0]
+        assert {event[4] for event in flight.events} == {"hit"}
+        line = agent.tx.poll_addr() // 64
+        assert {event[1] for event in flight.events} == {line}
+        assert flight.lines[line].region == region
+
+    def test_cycle_is_the_engines_float_adds(self):
+        # 0.1 + 12.0 and friends round: each replayed poll time must be
+        # the engine's running sum, not a product.
+        flight = FlightRecorder()
+        agent = self._agent(limit=1e4, flight=flight)
+        resume = agent._skip_idle(0.1, math.inf)
+        t, times = 0.0, []
+        for _ in range(resume.steps // 2):
+            t += 0.1
+            t += IDLE_GAP_NS
+            times.append(t)
+        assert [event[0] for event in flight.events] == times
+        assert resume.when == t + 0.1 + IDLE_GAP_NS
 
 
 class TestWatchdogSkip:
