@@ -45,7 +45,7 @@ reset. Hits never reach a plan: they stay inline in :meth:`access`
 (one line) and :meth:`access_burst` (everything else). An attached
 fault injector keeps the plans: each remote plan reads the fabric's
 compiled snoop segment right after charging its link messages (which
-read the link's segment inside :meth:`Link.occupy_pair`) and draws only
+read the link's segment inside :meth:`Link.occupy_pairs`) and draws only
 while a snoop window is open. The flight recorder and the
 sanitizer, attached through an :class:`~repro.obs.Observability`
 bundle, observe the same path, and no hook changes which code runs.
@@ -181,8 +181,10 @@ class CoherenceFabric(Instrumented):
         self.counters = Counter()
         self._holders: Dict[int, List[CacheAgent]] = {}
         self._agents: List[CacheAgent] = []
-        # Local time already elapsed inside the current access/burst; the
-        # link uses it so a burst's own messages do not self-contend.
+        # The in-burst offset observer stamps use: _now() is sim.now
+        # plus the time the current burst (or nt_store) has charged so
+        # far, including the per-line stamps of a fill run. The link
+        # does not read it: every message books at sim.now.
         self._elapsed = 0.0
         # Congestion waits accumulated by the current line access. They
         # are serialization-bound, so the MLP/store-pipelining divisions
@@ -259,7 +261,7 @@ class CoherenceFabric(Instrumented):
         self._plans.clear()
 
     def _msg_row(self, cls: MessageClass, direction: int, charge: bool = True) -> tuple:
-        """Precomputed half of a :meth:`Link.occupy_pair` plan.
+        """Precomputed half of a :meth:`Link.occupy_pairs` plan.
 
         Embeds the direction's live ``busy`` cell and the message
         shape's count cell; a row is built when its message is first
@@ -461,6 +463,12 @@ class CoherenceFabric(Instrumented):
         line pays ``latency / mlp``. Bandwidth and protocol state are
         charged for every line exactly as in :meth:`access`, which sends
         its multi-line accesses here as one span.
+
+        An agent without a prefetcher fills consecutive missing lines
+        that share a plan as one run (:meth:`_fill_run`): one link call
+        for all of them, with the same results as line by line. A
+        prefetching agent misses line by line, because its stride rule
+        prefetches the lines a run would hold.
         """
         total = 0.0
         first = True
@@ -475,7 +483,11 @@ class CoherenceFabric(Instrumented):
         flight = self.flight
         # Observers stamp each line at the burst's local time so far.
         observed = flight is not None or self.sanitizer is not None
-        for addr, size in spans:
+        count = len(spans)
+        k = 0
+        while k < count:
+            addr, size = spans[k]
+            k += 1
             if size <= 0:
                 raise CoherenceError(f"access size must be positive, got {size}")
             line = addr // CACHE_LINE_SIZE
@@ -514,11 +526,28 @@ class CoherenceFabric(Instrumented):
                             self._now(), line, region, agent, write, "hit", latency
                         )
                 else:
-                    self._pending_queue = 0.0
                     if region is None:
                         region = regions.get(addr // CACHE_LINE_SIZE)
                         if region is None:
                             region = self._resolve_region(addr)
+                    # A fill run needs a next line: a missing one in this
+                    # span, or another span (_fill_run checks the rest).
+                    if state is None and not prefetch and (
+                        line + 1 not in lines if line != last_line else k < count
+                    ):
+                        run = self._fill_run(
+                            agent, write, spans, k, line, last_line, region, total, first
+                        )
+                        if run is not None:
+                            # The run filled this line and the ones after
+                            # it; carry on from its last line.
+                            total, k, line, last_line, region = run
+                            first = False
+                            if line == last_line:
+                                break
+                            line += 1
+                            continue
+                    self._pending_queue = 0.0
                     if state is None:
                         agent.misses += 1
                         latency = self._miss(agent, line, write, region)
@@ -716,17 +745,15 @@ class CoherenceFabric(Instrumented):
         nearest cache; a dirty copy always responds (HitM). That
         situation becomes a code naming one transition rule, whose plan
         supplies the latency, link messages, counter cells, installed
-        state and effect on the other holders. Each remote plan tests
-        the snoop segment after the link charge. A HitM read and a write
-        miss hand the line's holders list to the requester in place
-        rather than deleting and rebuilding it.
+        state and effect on the other holders (:meth:`_fill`). Each
+        remote plan tests the snoop segment after the link charge.
         """
         holders = self._holders.get(line)
         socket = agent.socket
         code = (4 if write else 0) + (region.home == socket)
+        dirty_holder = None
         if holders:
             local = False
-            dirty_holder = None
             for holder in holders:
                 if holder.socket == socket:
                     local = True
@@ -749,76 +776,203 @@ class CoherenceFabric(Instrumented):
             self.sanitizer.spec_read(self._now(), line, region, agent, write)
         for cell in cells:
             cell[0] += 1.0
-        flight = self.flight
-        if not holders:
-            if msgs:
+        if msgs:
+            faults = self.faults
+            if not holders:
                 # A remote-DRAM fill folds its link wait and snoop-fault
                 # delay into the latency it returns, so store pipelining
                 # and MLP divide them; a cache fill books them undivided
                 # in _pending_queue. A known defect (docs/MODEL.md §2),
                 # pinned by TestCongestionWaits in tests/test_fabric.py.
-                latency = self.link.occupy_pair(msgs, agent.name, latency)
-                faults = self.faults
+                latency = self.link.occupy_pairs(msgs, agent.name, latency)
                 if faults is not None:
                     lo, hi, rows, owner = self._snoop_segment
                     if rows or owner is not faults or not lo <= self.sim.now < hi:
                         latency += self._snoop_disruption(faults, agent)
-            # No other copy for the rule's effect to touch.
-            if holders is None:
-                self._holders[line] = [agent]
             else:
-                holders.append(agent)
-            self._take(agent, line, state)
-        else:
-            if msgs:
-                self._pending_queue = self.link.occupy_pair(
+                self._pending_queue = self.link.occupy_pairs(
                     msgs, agent.name, self._pending_queue
                 )
-                faults = self.faults
                 if faults is not None:
                     lo, hi, rows, owner = self._snoop_segment
                     if rows or owner is not faults or not lo <= self.sim.now < hi:
                         self._pending_queue += self._snoop_disruption(faults, agent)
-            if others == "drop_dirty":
-                # HitM: dirty data and ownership migrate to the requester,
-                # which takes over the dirty holder's entry in place (a
-                # Modified copy is the line's only one).
-                if flight is None:
-                    dirty_holder._lines.pop(line, None)
-                else:
-                    dirty_holder.drop(line)
-                holders[holders.index(dirty_holder)] = agent
-                self._take(agent, line, state)
-            elif others == "drop":
-                # Every other copy goes: an RFO's fetch is its
-                # invalidation, with no extra round trip. The requester
-                # missed, so it is never on the list: it takes the
-                # holders list over in place. Recorded runs drop through
-                # CacheAgent.drop, which reports the loss.
-                if flight is None:
-                    for holder in holders:
-                        holder._lines.pop(line, None)
-                else:
-                    for holder in holders:
-                        holder.drop(line)
-                if len(holders) > 1:
-                    del holders[1:]
-                holders[0] = agent
-                self._take(agent, line, state)
-            else:
-                if others == "downgrade":
-                    # A clean fill from another cache: E/F owners fall
-                    # to S.
-                    for holder in holders:
-                        hstate = holder._lines.get(line)
-                        if hstate is _EXCLUSIVE or hstate is _FORWARD:
-                            holder.set_state(line, _SHARED)
-                self._install(agent, line, state, region)
+        self._fill(agent, ((line, holders, dirty_holder),), state, others)
+        flight = self.flight
         if flight is not None:
             flight.line_event(
                 self._now(), line, region, agent, write, kind, latency
             )
         return latency
+
+    def _fill_run(
+        self,
+        agent: CacheAgent,
+        write: bool,
+        spans: List[tuple],
+        k: int,
+        line: int,
+        last_line: int,
+        region: Region,
+        total: float,
+        first: bool,
+    ) -> Optional[tuple]:
+        """Fill ``line`` and the missing lines after it that share its plan.
+
+        ``line`` is a miss of :meth:`access_burst`'s walk in the span
+        ending at ``last_line``, whose region is ``region``; ``spans[k]``
+        is the next span. The run takes the following lines in walk
+        order, across spans, while each one is missing, not yet in the
+        run, classifies to the same situation code (so the same plan)
+        and can be installed without an eviction (an evicted dirty
+        victim books a writeback through :meth:`Link.occupy` between two
+        fills). It also ends before a span that the walk would reject (a
+        non-positive size, an unmapped or uncacheable address), so the
+        walk raises there as it would line by line. A remote plan takes
+        no run while a snoop window is open or the snoop segment is
+        stale, because snoop draws interleave with the link's.
+
+        Each line is classified, as in :meth:`_miss`, before any is
+        filled: a fill changes only its own line's holders and the
+        requester's tags, so the later lines classify as they would one
+        by one. The link then charges every request/response pair in one
+        :meth:`Link.occupy_pairs` frame, in send order at the burst's
+        instant, :meth:`_fill` installs the lines in order and the plan's
+        counter cells count them. Last, each line in order gets its
+        observer events, stamped with the burst's time so far, and adds
+        its latency-plus-pending contribution, divided as in
+        :meth:`access_burst`. Observers see what the line-by-line fills
+        show them: the only events a fill's effect records are holders'
+        line drops, which touch that line's statistics alone.
+
+        Returns None when the run would hold only ``line`` (the walk
+        then fills it by :meth:`_miss`), else ``(total, k, line,
+        last_line, region)`` with the walk's position at the run's last
+        line.
+        """
+        lines = agent._lines
+        room = agent.capacity_lines - len(lines)
+        if room < 2:
+            return None
+        holders_of = self._holders
+        regions = self._line_regions
+        socket = agent.socket
+        write_code = 4 if write else 0
+        count = len(spans)
+        fills: list = []
+        run_regions: list = []
+        members = set()
+        while True:
+            # _miss's classification, inline so that a run line makes no
+            # call of its own.
+            holders = holders_of.get(line)
+            code = write_code + (region.home == socket)
+            dirty_holder = None
+            if holders:
+                local = False
+                for holder in holders:
+                    if holder.socket == socket:
+                        local = True
+                    if holder._lines.get(line) is _MODIFIED:
+                        dirty_holder = holder
+                if dirty_holder is not None:
+                    code += 2
+                    local = dirty_holder.socket == socket
+                code += _CACHE_LOCAL if local else _CACHE_REMOTE
+            if not fills:
+                head = code
+                plans = self._plans
+                if self.counters.epoch != self._plans_epoch:
+                    plans.clear()
+                    self._plans_epoch = self.counters.epoch
+                key = code * 2 + socket
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = self._compile(key)
+                faults = self.faults
+                if plan[1] and faults is not None:
+                    lo, hi, rows, owner = self._snoop_segment
+                    if rows or owner is not faults or not lo <= self.sim.now < hi:
+                        return None
+            elif code != head:
+                break
+            fills.append((line, holders, dirty_holder))
+            run_regions.append(region)
+            members.add(line)
+            end = (k, line, last_line, region)
+            if len(fills) == room:
+                break
+            if line != last_line:
+                line += 1
+                if line in lines or line in members:
+                    break
+            else:
+                if k == count:
+                    break
+                addr, size = spans[k]
+                if size <= 0:
+                    break
+                line = addr // CACHE_LINE_SIZE
+                if line in lines or line in members:
+                    break
+                # The walk resolves this span's region at its first
+                # miss, this line; _resolve_region, except that the walk
+                # raises.
+                region = regions.get(line)
+                if region is None:
+                    region = self.space.try_region_of(addr)
+                    if region is None or not region.memtype.is_cacheable:
+                        break
+                    regions[line] = region
+                k += 1
+                last_line = (addr + size - 1) // CACHE_LINE_SIZE
+        n = len(fills)
+        if n == 1:
+            return None
+        latency, msgs, cells, spec, state, others, kind = plan
+        agent.misses += n
+        # Counts stay whole numbers, so one add of n is n adds of 1.0.
+        for cell in cells:
+            cell[0] += n
+        waits = None
+        if msgs:
+            # Remote DRAM fills fold their waits into the latency, cache
+            # fills book them as pending (see _miss).
+            dram = not fills[0][1]
+            waits = []
+            self.link.occupy_pairs(msgs, agent.name, latency if dram else 0.0, n, waits)
+        self._fill(agent, fills, state, others)
+        flight = self.flight
+        sanitizer = self.sanitizer
+        observed = flight is not None or sanitizer is not None
+        if not spec:
+            sanitizer = None
+        write_pipeline = self.write_pipeline
+        mlp = self.mlp
+        for i in range(n):
+            fill = latency
+            pending = 0.0
+            if waits is not None:
+                if dram:
+                    fill = waits[i]
+                else:
+                    pending = waits[i]
+            if observed:
+                self._elapsed = total
+                line = fills[i][0]
+                region = run_regions[i]
+                if sanitizer is not None:
+                    sanitizer.spec_read(self._now(), line, region, agent, write)
+                if flight is not None:
+                    flight.line_event(self._now(), line, region, agent, write, kind, fill)
+            if write:
+                fill /= write_pipeline
+            if first:
+                first = False
+            else:
+                fill /= mlp
+            total += fill + pending
+        return (total,) + end
 
     def _invalidate_others(self, agent: CacheAgent, line: int) -> tuple:
         """Run the store-upgrade rule against the line's other holders.
@@ -852,7 +1006,7 @@ class CoherenceFabric(Instrumented):
         for cell in cells:
             cell[0] += 1.0
         if msgs:
-            self._pending_queue = self.link.occupy_pair(
+            self._pending_queue = self.link.occupy_pairs(
                 msgs, agent.name, self._pending_queue
             )
             faults = self.faults
@@ -862,48 +1016,85 @@ class CoherenceFabric(Instrumented):
                     self._pending_queue += self._snoop_disruption(faults, agent)
         return plan
 
-    def _install(
-        self, agent: CacheAgent, line: int, state: LineState, region: Region
-    ) -> None:
-        holders = self._holders.get(line)
-        if holders is None:
-            self._holders[line] = [agent]
-        elif agent not in holders:
-            holders.append(agent)
-        self._take(agent, line, state)
+    def _fill(self, agent: CacheAgent, fills, state: LineState, others: str) -> None:
+        """Install missed lines at ``agent`` with a rule's effect; evict past capacity.
 
-    def _take(self, agent: CacheAgent, line: int, state: LineState) -> None:
-        """Insert a missed line into ``agent``'s tags; evict past capacity.
-
-        The caller has already put ``agent`` on the line's holders list.
+        ``fills`` holds one ``(line, holders, dirty holder)`` per line,
+        in order: the line's holders list (None or empty when no cache
+        holds it, a DRAM fill) and its Modified holder, if any.
+        ``others`` is the rule's effect on those holders and ``state``
+        the state each line installs in. A HitM read and a write miss
+        hand the holders list to the requester in place rather than
+        deleting and rebuilding it. Recorded runs drop through
+        :meth:`CacheAgent.drop`, which reports the loss.
         """
         lines = agent._lines
-        # Every caller installs on a miss (the agent does not hold the
-        # line), so the insert already lands in MRU position.
-        lines[line] = state
-        if len(lines) > agent.capacity_lines:
-            # Inline evict_victim + _forget_holder: at steady state this
-            # runs on every install.
-            vline, vstate = lines.popitem(last=False)
-            agent.evictions += 1
-            vholders = self._holders.get(vline)
-            if vholders is not None and agent in vholders:
-                vholders.remove(agent)
-                if not vholders:
-                    del self._holders[vline]
-            if vstate is _MODIFIED:
-                vregion = self._line_regions.get(vline)
-                if vregion is None:
-                    vregion = self.space.try_region_of(vline * 64)
-                vhome = vregion.home if vregion is not None else agent.socket
-                if vhome != agent.socket:
-                    self.link.occupy(
-                        MessageClass.WRITEBACK,
-                        direction=agent.socket,
-                        charge_queueing=False,
-                        actor=agent.name,
-                    )
-                    self._count(agent.socket, "writeback")
+        capacity = agent.capacity_lines
+        flight = self.flight
+        for line, holders, dirty_holder in fills:
+            if not holders:
+                # A DRAM fill: no other copy for the rule's effect to touch.
+                if holders is None:
+                    self._holders[line] = [agent]
+                else:
+                    holders.append(agent)
+            elif others == "drop_dirty":
+                # HitM: dirty data and ownership migrate to the requester,
+                # which takes over the dirty holder's entry in place (a
+                # Modified copy is the line's only one).
+                if flight is None:
+                    dirty_holder._lines.pop(line, None)
+                else:
+                    dirty_holder.drop(line)
+                holders[holders.index(dirty_holder)] = agent
+            elif others == "drop":
+                # Every other copy goes: an RFO's fetch is its
+                # invalidation, with no extra round trip. The requester
+                # missed, so it is never on the list: it takes the holders
+                # list over in place.
+                if flight is None:
+                    for holder in holders:
+                        holder._lines.pop(line, None)
+                else:
+                    for holder in holders:
+                        holder.drop(line)
+                if len(holders) > 1:
+                    del holders[1:]
+                holders[0] = agent
+            else:
+                if others == "downgrade":
+                    # A clean fill from another cache: E/F owners fall to S.
+                    for holder in holders:
+                        hstate = holder._lines.get(line)
+                        if hstate is _EXCLUSIVE or hstate is _FORWARD:
+                            holder.set_state(line, _SHARED)
+                if agent not in holders:
+                    holders.append(agent)
+            # The agent missed, so the insert lands in MRU position.
+            lines[line] = state
+            if len(lines) > capacity:
+                # Inline evict_victim + _forget_holder: at steady state
+                # this runs on every install.
+                vline, vstate = lines.popitem(last=False)
+                agent.evictions += 1
+                vholders = self._holders.get(vline)
+                if vholders is not None and agent in vholders:
+                    vholders.remove(agent)
+                    if not vholders:
+                        del self._holders[vline]
+                if vstate is _MODIFIED:
+                    vregion = self._line_regions.get(vline)
+                    if vregion is None:
+                        vregion = self.space.try_region_of(vline * 64)
+                    vhome = vregion.home if vregion is not None else agent.socket
+                    if vhome != agent.socket:
+                        self.link.occupy(
+                            MessageClass.WRITEBACK,
+                            direction=agent.socket,
+                            charge_queueing=False,
+                            actor=agent.name,
+                        )
+                        self._count(agent.socket, "writeback")
 
     def _forget_holder(self, agent: CacheAgent, line: int) -> None:
         holders = self._holders.get(line)
@@ -943,26 +1134,14 @@ class CoherenceFabric(Instrumented):
             # Bandwidth only: the request is control-only and the data
             # line returns on the opposite direction, off the critical
             # path.
-            self.link.occupy_pair(msgs, agent.name)
+            self.link.occupy_pairs(msgs, agent.name)
         cell[0] += 1.0
         if dirty_holder is not None:
-            # HitM steal: the prefetching agent takes over the dirty
-            # holder's entry in place. Recorded runs drop through
-            # CacheAgent.drop, which reports the HitM migration.
-            if self.flight is None:
-                dirty_holder._lines.pop(line, None)
-            else:
-                dirty_holder.drop(line)
-            holders[holders.index(dirty_holder)] = agent
-            self._take(agent, line, _MODIFIED)
+            # HitM steal: the prefetching agent takes the dirty line.
+            self._fill(agent, ((line, holders, dirty_holder),), _MODIFIED, "drop_dirty")
         else:
-            if holders:
-                # A clean copy elsewhere: E/F owners fall to S.
-                for holder in holders:
-                    hstate = holder._lines.get(line)
-                    if hstate is _EXCLUSIVE or hstate is _FORWARD:
-                        holder.set_state(line, _SHARED)
-            self._install(agent, line, _SHARED, region)
+            # A clean copy elsewhere falls to S, as on a demand fill.
+            self._fill(agent, ((line, holders, None),), _SHARED, "downgrade")
 
     # ------------------------------------------------------------------
     def _snoop_disruption(self, faults, agent: CacheAgent) -> float:

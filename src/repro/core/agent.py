@@ -26,7 +26,7 @@ from typing import Deque, List, Tuple
 
 from repro.coherence.cache import CacheAgent
 from repro.core.buffers import Buffer
-from repro.core.ring import WorkItem
+from repro.core.ring import CONTINUATION, WorkItem
 from repro.obs.instrument import Instrumented
 from repro.sim.engine import Resume
 from repro.workloads.packets import Packet
@@ -264,8 +264,6 @@ class NicQueueAgent(Instrumented):
     # ------------------------------------------------------------------
     def _assemble(self, items: List[WorkItem]) -> List[Tuple[Packet, Buffer]]:
         """Group continuation descriptors with their head descriptor."""
-        from repro.core.driver import CONTINUATION
-
         packets = []
         for item in items:
             if item.pkt is CONTINUATION:

@@ -19,14 +19,11 @@ from repro.coherence.cache import CacheAgent
 from repro.core.buffers import Buffer
 from repro.core.recovery import RecoverableDriver
 from repro.core.results import AllocResult, RxResult, TxResult
-from repro.core.ring import WorkItem
+from repro.core.ring import CONTINUATION, WorkItem
 from repro.errors import NicError
 from repro.obs.instrument import Instrumented
 from repro.sim.stats import ordered_sum
 from repro.workloads.packets import Packet
-
-#: Marker on continuation descriptors of multi-segment TX packets.
-CONTINUATION = "cont"
 
 
 class CcnicDriver(RecoverableDriver, Instrumented):

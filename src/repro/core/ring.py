@@ -67,6 +67,11 @@ class WorkItem:
     trace: Any = None  # flight-recorder packet id riding the descriptor
 
 
+#: :attr:`WorkItem.pkt` of the continuation descriptors of a
+#: multi-segment TX packet; the head descriptor carries the packet.
+CONTINUATION = "cont"
+
+
 # Overlap accounting for independent line operations in one call: the
 # first operation pays full latency; subsequent independent line
 # operations issued back-to-back by the same core overlap in its fill

@@ -34,7 +34,7 @@ class LinkStats:
     triple. A charged message bumps the one ``[count]`` cell of its
     shape (:meth:`shape_cell`) and adds its serialization time to the
     running ``[busy_ns]`` cell :attr:`busy`; that is all the per-message
-    work, so batched senders (:meth:`Link.occupy_pair`,
+    work, so batched senders (:meth:`Link.occupy_pairs`,
     :meth:`repro.topology.net.Router.charge`) hold both cells in their
     plans and bump them with two list stores. ``messages``, the byte
     totals and the two per-class maps are summed from the shape counts
@@ -275,7 +275,7 @@ class Link:
         ``degraded_messages``; each active per-message event draws once,
         in plan order, until one fires (:meth:`_book_fault`).
         :meth:`repro.topology.net.Router.charge` calls this per faulted
-        hop; :meth:`occupy_pair` runs the same steps inline.
+        hop; :meth:`occupy_pairs` runs the same steps inline.
         """
         t = self.sim.now
         lo, hi, scale, rows, owner = self._fault_segment
@@ -374,50 +374,49 @@ class Link:
         fair = ser * max(0.0, total / own - 1.0) * rho_total * rho_total
         return min(mm1, fair)
 
-    def occupy_pair(self, plan: tuple, actor: str, base: float = 0.0) -> float:
-        """Charge a flattened two-message plan; return ``base`` + waits.
+    def occupy_pairs(
+        self, plan: tuple, actor: str, base: float = 0.0, n: int = 1, out=None
+    ) -> float:
+        """Charge ``n`` copies of a flattened two-message plan at ``now``.
 
         The coherence fabric's memoized transition plans always pair one
         request message with one response on the opposite half of the
         duplex link, so the whole plan is a flat 14-field tuple — two
         ``(direction, cls, wire, ser, charge_queueing, busy, count)``
-        rows concatenated — that unpacks in one step and runs
-        straight-line. ``wire``/``ser`` are resolved against the current
-        bandwidth and header configuration; ``busy`` and ``count`` are
-        the direction's :attr:`LinkStats.busy` cell and the row shape's
+        rows concatenated — that unpacks once and runs straight-line.
+        ``wire``/``ser`` are resolved against the current bandwidth and
+        header configuration; ``busy`` and ``count`` are the direction's
+        :attr:`LinkStats.busy` cell and the row shape's
         :meth:`LinkStats.shape_cell`, so counting a message is two list
         stores (the fabric registers its plans with
         :meth:`register_plans`, so both :meth:`scaled` and
-        :meth:`reset_stats` drop them when either goes stale). The
-        accounting is bit-identical to calling
-        :meth:`occupy` once per row — same fault draws, window rolls,
-        per-actor demand updates and wait arithmetic in the same
-        evaluation order — batching away only the per-call validation,
-        payload resolution and attribute traffic; :meth:`occupy` is the
-        oracle the property tests hold it to. Rows with
-        ``charge_queueing`` False still consume window demand but add
-        nothing to the returned total. With an injector attached both
-        rows read one fault segment, as :meth:`occupy` does (both rows
-        run at the same ``now``): each row scales by the degrade factor,
-        draws the active events in plan order (a fired draw's wasted
-        copy books ahead of the row), then does its own accounting, with
-        the draw's extra delay charged beside its wait.
+        :meth:`reset_stats` drop them when either goes stale).
+
+        The pairs go out one after another, request then response, all
+        at the same ``now``: a single fill sends one, and a fill run
+        (:meth:`repro.coherence.fabric.CoherenceFabric.access_burst`)
+        sends one per line. Each pair's result is ``base`` plus the
+        waits of its charged rows; the call returns the last pair's, and
+        appends every pair's, in send order, to ``out`` when given. The
+        accounting is bit-identical to calling :meth:`occupy` once per
+        row — same fault draws, window rolls, per-actor demand updates
+        and wait arithmetic in the same evaluation order — batching away
+        only the per-call validation, payload resolution and attribute
+        traffic; :meth:`occupy` is the oracle the property tests hold it
+        to. Rows with ``charge_queueing`` False still consume window
+        demand but add nothing to the result. With an injector attached
+        the call reads the fault segment once, as :meth:`occupy` would at
+        its one ``now``: each row scales by the degrade factor (counting
+        it), draws the active events in plan order (a fired draw's
+        wasted copy books ahead of the row), then does its own
+        accounting, with the draw's extra delay charged beside its wait.
         """
         (d0, cls0, wire0, ser0, charge0, busy0, count0,
          d1, cls1, wire1, ser1, charge1, busy1, count1) = plan
         faults = self.faults
-        window = self.WINDOW_NS
-        cap = self.RHO_CAP
         t = self.sim.now
-        win_busy = self._win_busy
-        win_by = self._win_by
-        win_start = self._win_start
-        rho_settled = self._rho
-        rho_by = self._rho_by
-        live_floor = window / 4
-        disrupt = 0.0
-        # --- request row
         if faults is not None:
+            # One now for every pair, so one segment and one scale.
             lo, hi, scale, rows, owner = self._fault_segment
             if owner is not faults or not lo <= t < hi:
                 lo, hi, scale, rows, owner = self._fault_segment = faults.link_segment(
@@ -425,126 +424,173 @@ class Link:
                 )
             if scale != 1.0:
                 ser0 = ser0 * scale
-                faults.counters.add("degraded_messages")
-            for probability, fault in rows:
-                if faults.draw() < probability:
-                    disrupt = self._book_fault(faults, fault, cls0, d0, ser0, wire0, actor)
-                    break
+                ser1 = ser1 * scale
+        # At one now only a direction's first message can roll its
+        # window, and a request row books demand on its own direction
+        # alone, so both rolls can happen first. The settled shares and
+        # the live span are then fixed for the call: each direction works
+        # them out at its first wait that needs them.
+        window = self.WINDOW_NS
+        cap = self.RHO_CAP
+        win_busy = self._win_busy
+        win_by = self._win_by
+        win_start = self._win_start
+        rho_settled = self._rho
+        rho_by = self._rho_by
         elapsed = t - win_start[d0]
         if elapsed >= window:
             rho_settled[d0] = min(cap, win_busy[d0] / elapsed)
-            rho_by[d0] = {
-                a: min(cap, busy / elapsed)
-                for a, busy in win_by[d0].items()
-            }
+            rho_by[d0] = {a: min(cap, busy / elapsed) for a, busy in win_by[d0].items()}
             win_start[d0] = t
             win_busy[d0] = 0.0
             win_by[d0] = {}
-        busy = win_busy[d0] + ser0
-        win_busy[d0] = busy
-        by = win_by[d0]
-        try:
-            mine = by[actor] + ser0
-        except KeyError:
-            mine = ser0
-        by[actor] = mine
-        count0[0] += 1
-        busy0[0] += ser0
-        if charge0:
-            wait = 0.0
-            # Sole actor in the live window: the fair share, and with it
-            # the wait, is exactly 0.0 whatever others settled (see
-            # _enqueue) — skip the arithmetic (the common case).
-            if busy != mine:
-                try:
-                    settled_others = rho_settled[d0] - rho_by[d0][actor]
-                except KeyError:
-                    settled_others = rho_settled[d0]
-                if settled_others < 0.0:
-                    settled_others = 0.0
-                live_elapsed = t - win_start[d0] + ser0
-                if live_elapsed < live_floor:
-                    live_elapsed = live_floor
-                live_others = (busy - mine) / live_elapsed
-                rho_others = settled_others if settled_others >= live_others else live_others
-                if rho_others > cap:
-                    rho_others = cap
-                if rho_others > 0.0:
-                    mm1 = ser0 * rho_others / (1.0 - rho_others)
-                    own = mine if mine >= ser0 else ser0
-                    settled_total = rho_settled[d0]
-                    live_total = busy / live_elapsed
-                    rho_total = settled_total if settled_total >= live_total else live_total
-                    if rho_total > 1.0:
-                        rho_total = 1.0
-                    over = busy / own - 1.0
-                    if over < 0.0:
-                        over = 0.0
-                    fair = ser0 * over * rho_total * rho_total
-                    wait = mm1 if mm1 <= fair else fair
-            # One sum, as occupy() returns it, so totals round alike.
-            base += wait + disrupt
-        # --- response row (opposite direction, so state is independent)
-        if faults is not None:
-            if scale != 1.0:
-                ser1 = ser1 * scale
-                faults.counters.add("degraded_messages")
-            disrupt = 0.0
-            for probability, fault in rows:
-                if faults.draw() < probability:
-                    disrupt = self._book_fault(faults, fault, cls1, d1, ser1, wire1, actor)
-                    break
         elapsed = t - win_start[d1]
         if elapsed >= window:
             rho_settled[d1] = min(cap, win_busy[d1] / elapsed)
-            rho_by[d1] = {
-                a: min(cap, busy / elapsed)
-                for a, busy in win_by[d1].items()
-            }
+            rho_by[d1] = {a: min(cap, busy / elapsed) for a, busy in win_by[d1].items()}
             win_start[d1] = t
             win_busy[d1] = 0.0
             win_by[d1] = {}
-        busy = win_busy[d1] + ser1
-        win_busy[d1] = busy
-        by = win_by[d1]
+        # The running sums a pair adds to (window demand, the actor's
+        # share of it, the statistics' busy time) stay in locals, and go
+        # back to their cells before a fired draw books its wasted copy
+        # through them and when the call ends: the same float adds in
+        # the same order. A missing share starts at 0.0, and 0.0 + ser is
+        # ser exactly.
+        by0 = win_by[d0]
+        by1 = win_by[d1]
+        wb0 = win_busy[d0]
+        wb1 = win_busy[d1]
         try:
-            mine = by[actor] + ser1
+            mine0 = by0[actor]
         except KeyError:
-            mine = ser1
-        by[actor] = mine
-        count1[0] += 1
-        busy1[0] += ser1
-        if charge1:
-            wait = 0.0
-            if busy != mine:
-                try:
-                    settled_others = rho_settled[d1] - rho_by[d1][actor]
-                except KeyError:
-                    settled_others = rho_settled[d1]
-                if settled_others < 0.0:
-                    settled_others = 0.0
-                live_elapsed = t - win_start[d1] + ser1
-                if live_elapsed < live_floor:
-                    live_elapsed = live_floor
-                live_others = (busy - mine) / live_elapsed
-                rho_others = settled_others if settled_others >= live_others else live_others
-                if rho_others > cap:
-                    rho_others = cap
-                if rho_others > 0.0:
-                    mm1 = ser1 * rho_others / (1.0 - rho_others)
-                    own = mine if mine >= ser1 else ser1
-                    settled_total = rho_settled[d1]
-                    live_total = busy / live_elapsed
-                    rho_total = settled_total if settled_total >= live_total else live_total
-                    if rho_total > 1.0:
-                        rho_total = 1.0
-                    over = busy / own - 1.0
-                    if over < 0.0:
-                        over = 0.0
-                    fair = ser1 * over * rho_total * rho_total
-                    wait = mm1 if mm1 <= fair else fair
-            base += wait + disrupt
-        return base
+            mine0 = 0.0
+        try:
+            mine1 = by1[actor]
+        except KeyError:
+            mine1 = 0.0
+        sb0 = busy0[0]
+        sb1 = busy1[0]
+        live0 = live1 = None
+        pairs = n
+        while True:
+            total = base
+            # --- request row
+            disrupt = 0.0
+            if faults is not None:
+                if scale != 1.0:
+                    faults.counters.add("degraded_messages")
+                for probability, fault in rows:
+                    if faults.draw() < probability:
+                        win_busy[d0] = wb0
+                        by0[actor] = mine0
+                        busy0[0] = sb0
+                        disrupt = self._book_fault(faults, fault, cls0, d0, ser0, wire0, actor)
+                        wb0 = win_busy[d0]
+                        mine0 = by0[actor]
+                        sb0 = busy0[0]
+                        break
+            wb0 += ser0
+            mine0 += ser0
+            sb0 += ser0
+            if charge0:
+                wait = 0.0
+                # Sole actor in the live window: the fair share, and with
+                # it the wait, is exactly 0.0 whatever others settled (see
+                # _enqueue) — skip the arithmetic (the common case).
+                if wb0 != mine0:
+                    if live0 is None:
+                        settled0 = rho_settled[d0]
+                        try:
+                            others0 = settled0 - rho_by[d0][actor]
+                        except KeyError:
+                            others0 = settled0
+                        if others0 < 0.0:
+                            others0 = 0.0
+                        live0 = t - win_start[d0] + ser0
+                        if live0 < window / 4:
+                            live0 = window / 4
+                    live_others = (wb0 - mine0) / live0
+                    rho_others = others0 if others0 >= live_others else live_others
+                    if rho_others > cap:
+                        rho_others = cap
+                    if rho_others > 0.0:
+                        mm1 = ser0 * rho_others / (1.0 - rho_others)
+                        own = mine0 if mine0 >= ser0 else ser0
+                        live_total = wb0 / live0
+                        rho_total = settled0 if settled0 >= live_total else live_total
+                        if rho_total > 1.0:
+                            rho_total = 1.0
+                        over = wb0 / own - 1.0
+                        if over < 0.0:
+                            over = 0.0
+                        fair = ser0 * over * rho_total * rho_total
+                        wait = mm1 if mm1 <= fair else fair
+                # One sum, as occupy() returns it, so totals round alike.
+                total += wait + disrupt
+            # --- response row (opposite direction, so state is independent)
+            disrupt = 0.0
+            if faults is not None:
+                if scale != 1.0:
+                    faults.counters.add("degraded_messages")
+                for probability, fault in rows:
+                    if faults.draw() < probability:
+                        win_busy[d1] = wb1
+                        by1[actor] = mine1
+                        busy1[0] = sb1
+                        disrupt = self._book_fault(faults, fault, cls1, d1, ser1, wire1, actor)
+                        wb1 = win_busy[d1]
+                        mine1 = by1[actor]
+                        sb1 = busy1[0]
+                        break
+            wb1 += ser1
+            mine1 += ser1
+            sb1 += ser1
+            if charge1:
+                wait = 0.0
+                if wb1 != mine1:
+                    if live1 is None:
+                        settled1 = rho_settled[d1]
+                        try:
+                            others1 = settled1 - rho_by[d1][actor]
+                        except KeyError:
+                            others1 = settled1
+                        if others1 < 0.0:
+                            others1 = 0.0
+                        live1 = t - win_start[d1] + ser1
+                        if live1 < window / 4:
+                            live1 = window / 4
+                    live_others = (wb1 - mine1) / live1
+                    rho_others = others1 if others1 >= live_others else live_others
+                    if rho_others > cap:
+                        rho_others = cap
+                    if rho_others > 0.0:
+                        mm1 = ser1 * rho_others / (1.0 - rho_others)
+                        own = mine1 if mine1 >= ser1 else ser1
+                        live_total = wb1 / live1
+                        rho_total = settled1 if settled1 >= live_total else live_total
+                        if rho_total > 1.0:
+                            rho_total = 1.0
+                        over = wb1 / own - 1.0
+                        if over < 0.0:
+                            over = 0.0
+                        fair = ser1 * over * rho_total * rho_total
+                        wait = mm1 if mm1 <= fair else fair
+                total += wait + disrupt
+            if out is not None:
+                out.append(total)
+            pairs -= 1
+            if pairs:
+                continue
+            win_busy[d0] = wb0
+            by0[actor] = mine0
+            busy0[0] = sb0
+            count0[0] += n
+            win_busy[d1] = wb1
+            by1[actor] = mine1
+            busy1[0] = sb1
+            count1[0] += n
+            return total
 
     def plan_one_way(self, cls: MessageClass, direction: int,
                      payload_bytes: Optional[int] = None) -> tuple:

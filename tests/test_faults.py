@@ -431,16 +431,21 @@ def _per_message_fault_hooks(link, faults, cls, direction, ser, wire, actor):
     return ser, fault.extra_ns
 
 
-def _per_message_pair(link, plan, actor, base=0.0):
-    """:meth:`Link.occupy_pair` as two per-message :meth:`Link.occupy` calls."""
+def _per_message_pairs(link, plan, actor, base=0.0, n=1, out=None):
+    """:meth:`Link.occupy_pairs` as two per-message :meth:`Link.occupy`
+    calls per pair."""
     d0, cls0, _, _, charge0, _, _, d1, cls1, _, _, charge1, _, _ = plan
-    wait = link.occupy(cls0, d0, charge_queueing=charge0, actor=actor)
-    if charge0:
-        base += wait
-    wait = link.occupy(cls1, d1, charge_queueing=charge1, actor=actor)
-    if charge1:
-        base += wait
-    return base
+    for _ in range(n):
+        total = base
+        wait = link.occupy(cls0, d0, charge_queueing=charge0, actor=actor)
+        if charge0:
+            total += wait
+        wait = link.occupy(cls1, d1, charge_queueing=charge1, actor=actor)
+        if charge1:
+            total += wait
+        if out is not None:
+            out.append(total)
+    return total
 
 
 def _per_message_snoop(fabric, faults, agent):
@@ -464,11 +469,11 @@ _SITE_ENDPOINTS = [node.name for node in _SITE_NET.nodes if node.kind != "switch
 
 class _Sites:
     """Every kind of hook site on one simulator: a bare fabric with its
-    UPI link (``occupy_pair``, remote fills), a second link ("pcie") and
+    UPI link (``occupy_pairs``, remote fills), a second link ("pcie") and
     a 2x2 mesh whose edge links the router charges, all reading one
     injector. The per-message copy runs the hooks the segments replaced:
     its links answer each message through ``link_ser_scale`` and
-    ``link_decide``, its ``occupy_pair`` is two ``occupy`` calls, its
+    ``link_decide``, its ``occupy_pairs`` is two ``occupy`` calls a pair, its
     router sums ``one_way`` over the route, and its fabric asks
     ``snoop_decide`` on every remote fill (its snoop segment stays
     stale), all of a :class:`_ScanInjector`."""
@@ -486,7 +491,7 @@ class _Sites:
             for link in self.links:
                 link._fault_hooks = types.MethodType(_per_message_fault_hooks, link)
             upi = self.world.link
-            upi.occupy_pair = types.MethodType(_per_message_pair, upi)
+            upi.occupy_pairs = types.MethodType(_per_message_pairs, upi)
             fabric = self.world.fabric
             fabric._snoop_disruption = types.MethodType(_per_message_snoop, fabric)
 
@@ -505,7 +510,7 @@ class _Sites:
             fabric = self.world.fabric
             plan = (fabric._msg_row(req, direction, charge0)
                     + fabric._msg_row(resp, 1 - direction, charge1))
-            return self.world.link.occupy_pair(plan, actor, base)
+            return self.world.link.occupy_pairs(plan, actor, base)
         if kind == "occupy":
             index, cls, direction, charge, actor = args
             return self.links[index].occupy(
@@ -582,7 +587,7 @@ _SITE_STEP = st.tuples(
 @given(plan=_SITE_PLAN, seed=st.integers(0, 3),
        steps=st.lists(_SITE_STEP, min_size=4, max_size=40))
 def test_hook_sites_match_per_message_answers(plan, seed, steps):
-    """Every site that reads compiled segments — ``occupy_pair``,
+    """Every site that reads compiled segments — ``occupy_pairs``,
     ``occupy``, ``one_way``, the router's hops and the fabric's snoop
     sites on remote fills — returns what the per-message hooks return,
     and leaves the same window state, link statistics, fabric counters,
@@ -617,7 +622,7 @@ _LOUD = FaultPlan(events=(
 ))
 _READ = MessageClass.READ
 #: Under the quiet plan every site fetches its segment: the UPI link
-#: (``occupy_pair``), "pcie", the route's edges, and n0's remote-DRAM
+#: (``occupy_pairs``), "pcie", the route's edges, and n0's remote-DRAM
 #: read of line 0 the fabric's snoop segment.
 _SWAP_PREFIX = (
     ("pair", MessageClass.SNOOP, _READ, 0, True, True, 0.0, "a"),
@@ -996,7 +1001,7 @@ COMPRESSED_PLAN = FaultPlan.from_dict({
 
 
 class TestFaultedRunPins:
-    """Fault draws run inside the fabric plans and ``Link.occupy_pair``.
+    """Fault draws run inside the fabric plans and ``Link.occupy_pairs``.
 
     Each pin is the fingerprint a faulted run produced on both the plan
     path and the hand-written reference path when the fabric still had

@@ -1,7 +1,7 @@
 """Inlined link arithmetic against the per-message oracles.
 
 :meth:`Link._enqueue`'s utilization-window arithmetic is written out
-three more times for speed: once per row of :meth:`Link.occupy_pair`
+three more times for speed: once per row of :meth:`Link.occupy_pairs`
 and once per hop in :meth:`Router.charge`. All four skip the arithmetic
 when the sender is the only actor in the live window. The oracle is a
 twin whose :meth:`Link.occupy` and :meth:`Link.one_way` run
@@ -236,7 +236,7 @@ def test_occupy_pair_matches_two_occupy_calls(steps, faulted):
         _reconfigure(control, twin, inlined, per_message)
         sim.now += advance
         plan = row(req, direction, charge0) + row(resp, 1 - direction, charge1)
-        got = inlined.occupy_pair(plan, actor, base)
+        got = inlined.occupy_pairs(plan, actor, base)
         # Uncharged rows book demand but add nothing to the total.
         for link in (per_message, twin):
             total = base
@@ -253,6 +253,152 @@ def test_occupy_pair_matches_two_occupy_calls(steps, faulted):
     assert _draws(inlined.faults) == _draws(twin.faults)
     assert _draws(per_message.faults) == _draws(twin.faults)
     _note_sole_after_settled([twin])
+
+
+_RUN_STEP = st.tuples(
+    _ADVANCE, _ACTOR, _PAIR_CLASSES, _PAIR_CLASSES, st.sampled_from([0, 1]),
+    _FLAG, _FLAG, st.sampled_from([0.0, 37.5]), st.integers(1, 8), _CONTROL,
+)
+
+
+def _injector_state(link):
+    """RNG state, counters in first-appearance order, injection log."""
+    faults = link.faults
+    if faults is None:
+        return None
+    return (faults._rng.getstate(), list(faults.counters.snapshot().items()),
+            faults.injection_log)
+
+
+class _RunLinks:
+    """Three links on one clock, charged alike: ``batched`` takes one
+    n-pair :meth:`Link.occupy_pairs` call, ``paired`` n single-pair
+    calls and ``per_message`` 2n :meth:`Link.occupy` calls. Each plan
+    link memoizes its rows as the fabric does, in a dict that
+    :meth:`Link.scaled` and :meth:`Link.reset_stats` empty."""
+
+    def __init__(self, faulted, plan=LINK_FAULTS):
+        plat = icx()
+        self.sim = Simulator()
+        self.links = []
+        for _ in range(3):
+            link = Link(self.sim, "upi", latency_ns=plat.upi_latency_ns,
+                        bandwidth_bytes_per_ns=plat.upi_wire_bytes_per_ns,
+                        header_overhead=plat.upi_header_overhead)
+            if faulted:
+                link.faults = FaultInjector(FaultPlan(events=plan), seed=11)
+            self.links.append(link)
+        self.batched, self.paired, self.per_message = self.links
+        self._rows = {}
+        for link in (self.batched, self.paired):
+            fabric = CoherenceFabric(self.sim, AddressSpace(), plat.cost, link)
+            memo = {}
+            link.register_plans(memo)
+            self._rows[link] = (fabric, memo)
+
+    def plan(self, link, req, resp, direction, charge0, charge1):
+        fabric, memo = self._rows[link]
+        key = (req, resp, direction, charge0, charge1)
+        if key not in memo:
+            memo[key] = (fabric._msg_row(req, direction, charge0)
+                         + fabric._msg_row(resp, 1 - direction, charge1))
+        return memo[key]
+
+    def reconfigure(self, control):
+        if control == "reset":
+            for link in self.links:
+                link.reset_stats()
+        elif control is not None:
+            for link in self.links:
+                link.scaled(control[1], control[2])
+
+    def charge(self, actor, req, resp, direction, charge0, charge1, base, n):
+        """Charge ``n`` pairs three ways; return the batched results and
+        whether, on the single-pair side, the run's first message rolled
+        a window and a draw fired after its first pair."""
+        out = []
+        last = self.batched.occupy_pairs(
+            self.plan(self.batched, req, resp, direction, charge0, charge1),
+            actor, base, n, out,
+        )
+        assert last == out[-1] and len(out) == n
+        plan = self.plan(self.paired, req, resp, direction, charge0, charge1)
+        starts = list(self.paired._win_start)
+        fired = self._fired(self.paired)
+        singles = []
+        for i in range(n):
+            singles.append(self.paired.occupy_pairs(plan, actor, base))
+            if i == 0:
+                rolled = self.paired._win_start != starts
+                fired = self._fired(self.paired)
+        fired_mid_run = self._fired(self.paired) > fired
+        per_message = []
+        for _ in range(n):
+            total = base
+            wait = self.per_message.occupy(req, direction, charge_queueing=charge0,
+                                           actor=actor)
+            if charge0:
+                total += wait
+            wait = self.per_message.occupy(resp, 1 - direction, charge_queueing=charge1,
+                                           actor=actor)
+            if charge1:
+                total += wait
+            per_message.append(total)
+        assert out == singles == per_message
+        return out, rolled, fired_mid_run
+
+    @staticmethod
+    def _fired(link):
+        return len(link.faults.injection_log) if link.faults is not None else 0
+
+    def assert_same_state(self):
+        window, stats, draws = (
+            [f(link) for link in self.links]
+            for f in (_window_state, lambda link: [st.snapshot() for st in link.stats],
+                      _injector_state)
+        )
+        assert window[0] == window[1] == window[2]
+        assert stats[0] == stats[1] == stats[2]
+        assert draws[0] == draws[1] == draws[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=st.lists(_RUN_STEP, min_size=1, max_size=25), faulted=_FLAG)
+def test_occupy_pairs_matches_single_pairs_and_occupy_calls(steps, faulted):
+    """One n-pair charge equals n single-pair charges and 2n occupy
+    calls: the same per-pair results, window state, statistics, RNG
+    state, injector counters and injection log after every step."""
+    links = _RunLinks(faulted)
+    rolled_any = fired_any = False
+    for advance, actor, req, resp, direction, charge0, charge1, base, n, control in steps:
+        links.reconfigure(control)
+        links.sim.now += advance
+        _, rolled, fired = links.charge(actor, req, resp, direction, charge0, charge1,
+                                        base, n)
+        rolled_any |= rolled and n > 1
+        fired_any |= fired
+        links.assert_same_state()
+    event(f"faulted: {faulted}")
+    event(f"window rolled at a run's first message: {'yes' if rolled_any else 'no'}")
+    event(f"draw fired mid-run: {'yes' if fired_any else 'no'}")
+
+
+def test_occupy_pairs_rolls_and_fires_mid_run():
+    """The cases the property must cover, pinned: a run whose first
+    message rolls both windows, with an injector whose draws fire after
+    the run's first pair, on a link another actor shares."""
+    links = _RunLinks(faulted=True)
+    rows = (MessageClass.SNOOP, MessageClass.READ, 0, True, True, 37.5)
+    for _ in range(20):
+        links.charge("b", *rows, n=4)
+    links.sim.now += Link.WINDOW_NS + 100.0
+    links.charge("b", *rows, n=3)
+    links.sim.now += Link.WINDOW_NS + 100.0
+    out, rolled, fired = links.charge("a", *rows, n=12)
+    assert rolled and fired
+    assert links.batched._win_start == [links.sim.now, links.sim.now]
+    assert len(set(out)) > 1  # the waits grow along the run
+    links.assert_same_state()
 
 
 _NET_SPEC = mesh(2, 2)
@@ -329,7 +475,7 @@ def test_occupy_pair_sole_actor_after_settled_share():
             + fabric._msg_row(MessageClass.READ, 1))
 
     def send(actor):
-        got = inlined.occupy_pair(plan, actor, 37.5)
+        got = inlined.occupy_pairs(plan, actor, 37.5)
         for link in (per_message, twin):
             total = 37.5
             total += link.occupy(MessageClass.SNOOP, 0, actor=actor)
