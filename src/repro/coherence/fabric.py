@@ -539,8 +539,8 @@ class CoherenceFabric(Instrumented):
                             agent, write, spans, k, line, last_line, region, total, first
                         )
                         if run is not None:
-                            # The run filled this line and the ones after
-                            # it; carry on from its last line.
+                            # The run filled this line and any after it;
+                            # carry on from its last line.
                             total, k, line, last_line, region = run
                             first = False
                             if line == last_line:
@@ -828,9 +828,11 @@ class CoherenceFabric(Instrumented):
         victim books a writeback through :meth:`Link.occupy` between two
         fills). It also ends before a span that the walk would reject (a
         non-positive size, an unmapped or uncacheable address), so the
-        walk raises there as it would line by line. A remote plan takes
-        no run while a snoop window is open or the snoop segment is
-        stale, because snoop draws interleave with the link's.
+        walk raises there as it would line by line. While a snoop window
+        is open or the snoop segment is stale, a remote plan's run holds
+        ``line`` alone and draws its snoop faults after its link charge,
+        as :meth:`_miss` does, because snoop draws interleave with the
+        link's.
 
         Each line is classified, as in :meth:`_miss`, before any is
         filled: a fill changes only its own line's holders and the
@@ -845,10 +847,12 @@ class CoherenceFabric(Instrumented):
         show them: the only events a fill's effect records are holders'
         line drops, which touch that line's statistics alone.
 
-        Returns None when the run would hold only ``line`` (the walk
-        then fills it by :meth:`_miss`), else ``(total, k, line,
-        last_line, region)`` with the walk's position at the run's last
-        line.
+        A run may hold ``line`` alone: it is classified here once, and
+        filled from that classification. Returns None, before any
+        classification, when the agent has room for fewer than two more
+        lines (the walk then fills ``line`` by :meth:`_miss`), else
+        ``(total, k, line, last_line, region)`` with the walk's position
+        at the run's last line.
         """
         lines = agent._lines
         room = agent.capacity_lines - len(lines)
@@ -890,17 +894,18 @@ class CoherenceFabric(Instrumented):
                 if plan is None:
                     plan = plans[key] = self._compile(key)
                 faults = self.faults
+                snoop = None
                 if plan[1] and faults is not None:
                     lo, hi, rows, owner = self._snoop_segment
                     if rows or owner is not faults or not lo <= self.sim.now < hi:
-                        return None
+                        snoop = faults
             elif code != head:
                 break
             fills.append((line, holders, dirty_holder))
             run_regions.append(region)
             members.add(line)
             end = (k, line, last_line, region)
-            if len(fills) == room:
+            if len(fills) == room or snoop is not None:
                 break
             if line != last_line:
                 line += 1
@@ -927,8 +932,6 @@ class CoherenceFabric(Instrumented):
                 k += 1
                 last_line = (addr + size - 1) // CACHE_LINE_SIZE
         n = len(fills)
-        if n == 1:
-            return None
         latency, msgs, cells, spec, state, others, kind = plan
         agent.misses += n
         # Counts stay whole numbers, so one add of n is n adds of 1.0.
@@ -941,6 +944,8 @@ class CoherenceFabric(Instrumented):
             dram = not fills[0][1]
             waits = []
             self.link.occupy_pairs(msgs, agent.name, latency if dram else 0.0, n, waits)
+            if snoop is not None:
+                waits[0] += self._snoop_disruption(snoop, agent)
         self._fill(agent, fills, state, others)
         flight = self.flight
         sanitizer = self.sanitizer

@@ -293,6 +293,7 @@ class NicQueueAgent(Instrumented):
         ns += fabric.access_burst(self.agent, spans, write=False)
         payload_ns = now + ns
         pkt_ns = self._pkt_ns
+        wire_delay = config.wire_delay_ns
         for pkt, buf in packets:
             ns += pkt_ns
             seg = buf
@@ -300,7 +301,7 @@ class NicQueueAgent(Instrumented):
                 if not seg.external:
                     to_free.append(seg)
                 seg = seg.seg_next
-            arrival = now + ns + config.wire_delay_ns
+            arrival = now + ns + wire_delay
             sink = self.on_transmit
             if sink is not None:
                 sink(pkt, arrival)
@@ -336,9 +337,10 @@ class NicQueueAgent(Instrumented):
         self._wire.append((when, pkt))
 
     def _take_arrived(self, now: float) -> List[Packet]:
+        wire = self._wire
         arrived = []
-        while self._wire and self._wire[0][0] <= now:
-            arrived.append(self._wire.popleft()[1])
+        while wire and wire[0][0] <= now:
+            arrived.append(wire.popleft()[1])
         return arrived
 
     def _receive(self, packets: List[Packet], base_ns: float = 0.0) -> float:
@@ -350,6 +352,7 @@ class NicQueueAgent(Instrumented):
         """
         config = self.config
         fabric = self.fabric
+        agent = self.agent
         flight = self.flight
         if flight is not None:
             first = flight.events_seen
@@ -357,8 +360,22 @@ class NicQueueAgent(Instrumented):
         items: List[WorkItem] = []
         spans: List[Tuple[int, int]] = []
         san = self.sanitizer
+        caching = config.caching_stores
+        pkt_ns = self._pkt_ns
+        # Under NIC-managed buffers a packet that fits one buffer takes
+        # it from the pool here; jumbo chains and host-posted blanks go
+        # through _rx_chain.
+        alloc = self.pool.alloc if config.nic_buffer_mgmt else None
+        buf_size = config.buf_size
         for position, pkt in enumerate(packets):
-            buf, alloc_ns = self._rx_chain(pkt.size)
+            size = pkt.size
+            if alloc is not None and size <= buf_size:
+                bufs, alloc_ns = alloc(agent, [size])
+                buf = bufs[0] if bufs else None
+                if buf is not None:
+                    buf.data_len = size  # the pool sized it to fit
+            else:
+                buf, alloc_ns = self._rx_chain(size)
             ns += alloc_ns
             if buf is None:
                 # No blanks posted: requeue this and all later packets.
@@ -367,19 +384,21 @@ class NicQueueAgent(Instrumented):
                 )
                 break
             if san is not None:
-                san.buf_access(self.agent, buf, write=True)
-            for seg in buf.segments():
-                if config.caching_stores:
+                san.buf_access(agent, buf, write=True)
+            seg = buf
+            while seg is not None:
+                if caching:
                     spans.append((seg.addr, seg.data_len))
                 else:
-                    ns += fabric.nt_store(self.agent, seg.addr, seg.data_len)
-            ns += self._pkt_ns
-            items.append(WorkItem(buf=buf, length=pkt.size, pkt=pkt))
+                    ns += fabric.nt_store(agent, seg.addr, seg.data_len)
+                seg = seg.seg_next
+            ns += pkt_ns
+            items.append(WorkItem(buf, size, pkt))
         if spans:
-            ns += fabric.access_burst(self.agent, spans, write=True)
+            ns += fabric.access_burst(agent, spans, write=True)
         if items:
             accepted, produce_ns = self.rx.produce(
-                self.agent, items, base_ns=base_ns + ns
+                agent, items, base_ns=base_ns + ns
             )
             ns += produce_ns
             if flight is not None:
@@ -393,18 +412,22 @@ class NicQueueAgent(Instrumented):
             # Ring backpressure: requeue anything not accepted.
             for item in items[accepted:]:
                 self._wire.appendleft((0.0, item.pkt))
-                self.pool.free(self.agent, [item.buf])
+                self.pool.free(agent, [item.buf])
             self.rx_packets += accepted
         if flight is not None:
             start = self.sim.now + base_ns
             flight.call(
-                self.agent.name, "nic_rx", start, start + ns, first,
+                agent.name, "nic_rx", start, start + ns, first,
                 packets=len(packets),
             )
         return ns
 
     def _rx_chain(self, size: int):
-        """Buffers for one received packet; jumbo frames chain segments."""
+        """Buffers for one received packet; jumbo frames chain segments.
+
+        :meth:`_receive` allocates a one-buffer packet itself under
+        NIC-managed buffers; it comes here for the rest.
+        """
         config = self.config
         if size <= config.buf_size:
             buf, ns = self._rx_buffer(size)

@@ -13,10 +13,11 @@ from typing import Optional
 
 from repro.errors import PoolError
 
-_buffer_ids = itertools.count()
+#: Next buffer id; a bound C method, so drawing one makes no Python frame.
+_next_buffer_id = itertools.count().__next__
 
 
-@dataclass
+@dataclass(init=False)
 class Buffer:
     """A packet buffer carved out of the shared pool.
 
@@ -32,6 +33,10 @@ class Buffer:
         external: True for segments that reference application memory
             (DPDK extbuf-style zero-copy); they are not pool-managed and
             are never freed to the pool.
+
+    ``__init__`` is written out, validating as it assigns, so that
+    building a handle costs one Python frame. Fields, eq and repr are
+    the dataclass's.
     """
 
     addr: int
@@ -39,15 +44,33 @@ class Buffer:
     small: bool = False
     data_len: int = 0
     external: bool = False
-    buf_id: int = field(default_factory=lambda: next(_buffer_ids))
+    buf_id: int = field(default_factory=_next_buffer_id)
     seg_next: Optional["Buffer"] = None
     _allocated: bool = field(default=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise PoolError(f"buffer capacity must be positive, got {self.capacity}")
-        if self.addr < 0:
-            raise PoolError(f"buffer address must be non-negative, got {self.addr}")
+    def __init__(
+        self,
+        addr: int,
+        capacity: int,
+        small: bool = False,
+        data_len: int = 0,
+        external: bool = False,
+        buf_id: Optional[int] = None,
+        seg_next: Optional["Buffer"] = None,
+        _allocated: bool = False,
+    ) -> None:
+        if capacity <= 0:
+            raise PoolError(f"buffer capacity must be positive, got {capacity}")
+        if addr < 0:
+            raise PoolError(f"buffer address must be non-negative, got {addr}")
+        self.addr = addr
+        self.capacity = capacity
+        self.small = small
+        self.data_len = data_len
+        self.external = external
+        self.buf_id = _next_buffer_id() if buf_id is None else buf_id
+        self.seg_next = seg_next
+        self._allocated = _allocated
 
     def set_payload(self, length: int) -> None:
         """Record the written payload length (must fit the buffer)."""
@@ -63,7 +86,11 @@ class Buffer:
         return self
 
     def segments(self):
-        """Iterate this buffer and any chained segments."""
+        """Iterate this buffer and any chained segments.
+
+        The data plane walks ``seg_next`` inline instead: a generator
+        costs a frame per buffer.
+        """
         node: Optional[Buffer] = self
         while node is not None:
             yield node
@@ -72,6 +99,9 @@ class Buffer:
     @property
     def total_len(self) -> int:
         """Payload length across all chained segments."""
-        if self.seg_next is None:
-            return self.data_len
-        return sum(seg.data_len for seg in self.segments())
+        total = self.data_len
+        seg = self.seg_next
+        while seg is not None:
+            total += seg.data_len
+            seg = seg.seg_next
+        return total

@@ -86,7 +86,10 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         with ``caching_stores`` disabled, uses non-temporal stores that
         bypass the cache (the Fig 9 comparison case).
         """
-        buf.set_payload(size)
+        if 0 < size <= buf.capacity:
+            buf.data_len = size
+        else:
+            buf.set_payload(size)  # raises PoolError
         san = self.sanitizer
         if san is not None:
             san.buf_access(self.agent, buf, write=True)
@@ -110,12 +113,13 @@ class CcnicDriver(RecoverableDriver, Instrumented):
             for buf in bufs:
                 san.buf_access(self.agent, buf, write=False)
         fabric = self.interface.system.fabric
-        spans = [
-            (seg.addr, seg.data_len)
-            for buf in bufs
-            for seg in buf.segments()
-            if seg.data_len
-        ]
+        spans = []
+        for buf in bufs:
+            seg = buf
+            while seg is not None:
+                if seg.data_len:
+                    spans.append((seg.addr, seg.data_len))
+                seg = seg.seg_next
         if not spans:
             return 0.0
         return fabric.access_burst(self.agent, spans, write=False)
@@ -126,7 +130,10 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         san = self.sanitizer
         spans = []
         for buf, size in sized:
-            buf.set_payload(size)
+            if 0 < size <= buf.capacity:
+                buf.data_len = size
+            else:
+                buf.set_payload(size)  # raises PoolError
             if san is not None:
                 san.buf_access(self.agent, buf, write=True)
             spans.append((buf.addr, size))
@@ -168,12 +175,15 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         for buf, pkt in entries:
             if buf.data_len <= 0:
                 raise NicError(f"buffer {buf.buf_id} submitted without payload")
-            self._seq += 1
-            items.append(WorkItem(buf=buf, length=buf.total_len, pkt=pkt, seq=self._seq))
-            seg = buf.seg_next  # single-segment packets skip the chain walk
-            while seg is not None:
-                items.append(WorkItem(buf=buf, length=0, pkt=CONTINUATION, seq=self._seq))
-                seg = seg.seg_next
+            self._seq = seq = self._seq + 1
+            seg = buf.seg_next
+            if seg is None:
+                items.append(WorkItem(buf, buf.data_len, pkt, seq))
+            else:
+                items.append(WorkItem(buf, buf.total_len, pkt, seq))
+                while seg is not None:
+                    items.append(WorkItem(buf, 0, CONTINUATION, seq))
+                    seg = seg.seg_next
             bounds.append(len(items))
         accepted_items, ns = self.pair.tx.produce(
             self.agent, items, base_ns=base_ns, bounds=bounds

@@ -215,12 +215,13 @@ class CoherentQueue(Instrumented):
             ns += fabric.read(agent, self.head_reg.base, 8)
             self._producer_head_cache = self.head_value
         if bounds:
+            # Nothing below moves the head or the tail before the cut.
+            space = self.space()
             limit = 0
             for bound in bounds:
-                if bound <= self.space():
+                if bound <= space:
                     limit = bound
             items = items[:limit]
-        remaining = list(items)
         mlp = fabric.mlp
         first = True
         now = self.system.sim.now
@@ -235,14 +236,16 @@ class CoherentQueue(Instrumented):
             cycles_group = self._cycles_group
             region_base = self.region.base
             bps = self._bytes_per_slot
-            while remaining and n_slots - (self.tail - self.head) >= GROUP:
-                group = remaining[:GROUP]
-                del remaining[: len(group)]
+            count = len(items)
+            while accepted < count and n_slots - (self.tail - self.head) >= GROUP:
+                group = items[accepted:accepted + GROUP]
+                size = len(group)
                 base = self.tail
                 i0 = base % n_slots
-                for offset in range(GROUP):
-                    value = group[offset] if offset < len(group) else _SKIPPED
-                    slots[i0 + offset] = value
+                slots[i0:i0 + size] = group
+                if size < GROUP:
+                    for index in range(i0 + size, i0 + GROUP):
+                        slots[index] = _SKIPPED
                 self.tail = base + GROUP
                 addr = region_base + i0 * bps
                 cost = fabric.access(agent, addr - (addr % 64), 64, True)
@@ -251,15 +254,16 @@ class CoherentQueue(Instrumented):
                     ns += cost
                 else:
                     ns += cost / mlp
-                ns += cycles_group[len(group)]
+                ns += cycles_group[size]
                 visible = now + base_ns + ns
                 for item in group:
                     item.visible_at = visible
                 if san is not None:
                     san.group_publish(self, agent, base, group, visible)
-                accepted += len(group)
+                accepted += size
         else:
             cycles_desc = self._cycles_desc
+            remaining = list(items)
             while remaining and self.space() > 0:
                 item = remaining.pop(0)
                 self._slots[self.tail % self.n_slots] = item

@@ -14,10 +14,11 @@ from typing import Optional
 
 from repro.errors import WorkloadError
 
-_packet_ids = itertools.count()
+#: Next packet id; a bound C method, so drawing one makes no Python frame.
+_next_packet_id = itertools.count().__next__
 
 
-@dataclass
+@dataclass(init=False)
 class Packet:
     """One packet travelling through a simulated NIC interface.
 
@@ -27,17 +28,33 @@ class Packet:
         rx_ns: Virtual time the application received it back.
         pkt_id: Unique id, useful in tests and tracing.
         flow: Optional flow label for application workloads.
+
+    ``__init__`` is written out, validating as it assigns, so that
+    building a packet, which applications do once per send, costs one
+    Python frame. Fields, eq and repr are the dataclass's.
     """
 
     size: int
     tx_ns: float = 0.0
     rx_ns: Optional[float] = None
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
+    pkt_id: int = field(default_factory=_next_packet_id)
     flow: int = 0
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise WorkloadError(f"packet size must be positive, got {self.size}")
+    def __init__(
+        self,
+        size: int,
+        tx_ns: float = 0.0,
+        rx_ns: Optional[float] = None,
+        pkt_id: Optional[int] = None,
+        flow: int = 0,
+    ) -> None:
+        if size <= 0:
+            raise WorkloadError(f"packet size must be positive, got {size}")
+        self.size = size
+        self.tx_ns = tx_ns
+        self.rx_ns = rx_ns
+        self.pkt_id = _next_packet_id() if pkt_id is None else pkt_id
+        self.flow = flow
 
     @property
     def latency_ns(self) -> float:

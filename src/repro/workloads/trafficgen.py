@@ -278,8 +278,7 @@ class LoopbackApp(Instrumented):
                 now = sim.now
                 for buf in bufs:
                     ns += pkt_ns
-                    pkt = Packet(size=pkt_size, tx_ns=now + ns)
-                    pending.append((buf, pkt))
+                    pending.append((buf, Packet(pkt_size, now + ns)))
                 if interval is not None and bufs:
                     if next_send < sim.now - interval * burst:
                         next_send = sim.now  # don't accumulate unbounded debt
@@ -326,18 +325,21 @@ class LoopbackApp(Instrumented):
                 now = sim.now
                 for pkt, buf in entries:
                     ns += pkt_ns
-                    pkt.rx_ns = now + ns
+                    pkt.rx_ns = rx_ns = now + ns
                     if route is not None:
                         # Rack-fabric round trip: delivery (and latency)
                         # shifts; the local measurement window does not.
-                        pkt.rx_ns += route(pkt)
+                        rx_ns += route(pkt)
+                        pkt.rx_ns = rx_ns
                     result.received += 1
                     result.bytes_received += pkt.size
                     bufs_to_free.append(buf)
                     if result.received > warmup:
-                        record_latency(pkt.latency_ns)
+                        # Packet.latency_ns, from the stamp just taken.
+                        latency = rx_ns - pkt.tx_ns
+                        record_latency(latency)
                         if sample_latency is not None:
-                            sample_latency(pkt.latency_ns)
+                            sample_latency(latency)
                         if result._measured == 0:
                             result.window_start_ns = now + ns
                         result._measured += 1

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.core import CcnicConfig, CcnicInterface
-from repro.errors import NicError
+from repro.errors import NicError, PoolError
 from repro.platform import System, icx
+from repro.shard.merge import fingerprint
 from repro.workloads.packets import Packet
+from tests.test_faults import _run_snapshot
 
 
 def make(config=None):
@@ -27,6 +30,14 @@ class TestDriverValidation:
         _system, _nic, driver = make()
         assert driver.read_payloads([]) == 0.0
         assert driver.write_payloads([]) == 0.0
+
+    @pytest.mark.parametrize("size", [0, 129])
+    def test_payload_must_fit_buffer(self, size):
+        _system, _nic, driver = make()
+        first, second = driver.alloc([64, 64]).bufs
+        with pytest.raises(PoolError):
+            driver.write_payloads([(first, 64), (second, size)])
+        assert (first.data_len, second.data_len) == (64, 0)
 
     def test_rx_burst_empty_queue(self):
         _system, _nic, driver = make()
@@ -142,3 +153,31 @@ class TestAgentAccounting:
         system.sim.spawn(app(), "order")
         system.sim.run(until=1e7, stop_when=lambda: len(received) >= 4)
         assert [p.pkt_id for p in received] == [p.pkt_id for p in pkts]
+
+
+class TestVariantPins:
+    """Quick CC-NIC loopbacks down the RX and TX paths that the NIC's
+    one-buffer inline receive does not take.
+
+    Host-posted blanks go through ``NicQueueAgent._rx_buffer``, NT stores
+    through ``fabric.nt_store`` in ``_receive`` and the driver, no
+    recycling through the pool's shared list (``_alloc_one`` with its
+    fabric accesses), and full buffers give a 64 B packet a 4 KB buffer.
+    The pins were recorded before the inline path existed.
+    """
+
+    @pytest.mark.parametrize(
+        "flags, pinned",
+        [({"nic_buffer_mgmt": False}, "6af9179661bc3f61"),
+         ({"caching_stores": False}, "105c87218d3d4e18"),
+         ({"buf_recycling": False}, "a5d2138a280902df"),
+         ({"small_buffers": False}, "b8fbf2b7d3adaef6")],
+        ids=["host_posted_blanks", "nt_stores", "no_recycling", "full_buffers"],
+    )
+    def test_loopback_fingerprint_pinned(self, flags, pinned):
+        setup = build_interface(icx(), InterfaceKind.CCNIC, config=CcnicConfig(**flags))
+        result = run_point(
+            setup, pkt_size=64, n_packets=1500, inflight=64, tx_batch=16, rx_batch=16
+        )
+        assert result.received == 1500
+        assert fingerprint(_run_snapshot(setup, result)) == pinned

@@ -96,6 +96,43 @@ class TestOracle:
         assert normal == oracle
 
 
+class TestOneLineRuns:
+    def test_declined_line_is_not_classified_again(self, monkeypatch):
+        """A run that holds only the walk's line fills it itself.
+
+        ``_fill_run`` once returned None for such a line, and ``_miss``
+        classified it a second time: 606 times in ``kv_rack_zipf``
+        shard 0 at seed 7, where the next line classifies to another
+        plan or hits. Those lines are now one-line runs.
+        """
+        last = [None]
+        again = []
+        one_line = []
+        fill_run = CoherenceFabric._fill_run
+        miss = CoherenceFabric._miss
+
+        def recorded_run(fabric, agent, write, spans, k, line, *rest):
+            before = agent.misses
+            out = fill_run(fabric, agent, write, spans, k, line, *rest)
+            last[0] = (agent, line) if out is None else None
+            if out is not None and agent.misses - before == 1:
+                one_line.append(line)
+            return out
+
+        def recorded_miss(fabric, agent, line, write, region):
+            if last[0] == (agent, line):
+                again.append(line)
+            last[0] = None
+            return miss(fabric, agent, line, write, region)
+
+        monkeypatch.setattr(CoherenceFabric, "_fill_run", recorded_run)
+        monkeypatch.setattr(CoherenceFabric, "_miss", recorded_miss)
+        spec = scenario("kv_rack_zipf").replace(seed=7, fault_seed=7).shard_specs()[0]
+        execute_spec(spec)
+        assert again == []
+        assert len(one_line) == 606
+
+
 class TestFig21bPins:
     """Fig 21b's 1.5 KB points: 24-line payloads, so the longest runs.
 
@@ -358,17 +395,19 @@ class TestRunEnds:
         ))
         setup = [_host(True, (POOL, 0, 6))]
         counts, lengths = _case(monkeypatch, setup, (False, [(POOL, 0, 6)]), plan=plan)
-        assert lengths == [] and counts == [1] * 6
+        # Each line but the last (no next line: _miss) is a one-line run
+        # that draws its snoop faults after its link charge.
+        assert lengths == [1] * 5 and counts == [1] * 6
 
     def test_after_a_stale_snoop_segment(self, monkeypatch):
-        # No window open, but the segment is stale: the first fill
-        # refreshes it, then the rest run.
+        # No window open, but the segment is stale: the first fill, a
+        # one-line run, refreshes it, then the rest run.
         plan = FaultPlan(events=(
             FaultEvent(kind="snoop_delay", start_ns=1e9, extra_ns=120.0),
         ))
         setup = [_host(True, (POOL, 0, 6))]
         counts, lengths = _case(monkeypatch, setup, (False, [(POOL, 0, 6)]), plan=plan)
-        assert lengths == [5] and counts == [1, 5]
+        assert lengths == [1, 5] and counts == [1, 5]
 
 
 class TestFaultedRuns:
@@ -381,8 +420,9 @@ class TestFaultedRuns:
         ))
         setup = [_host(True, (POOL, 0, 16)), ("other", 50)]
         counts, lengths = _case(monkeypatch, setup, (False, [(POOL, 0, 16)]), plan=plan)
-        # The first fill fetches the fabric's first snoop segment.
-        assert lengths == [15] and counts == [1, 15]
+        # The first fill, a one-line run, fetches the fabric's first
+        # snoop segment.
+        assert lengths == [1, 15] and counts == [1, 15]
         w = _World(plan=plan)
         for op in setup:
             w.apply(op)

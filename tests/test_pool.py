@@ -1,5 +1,6 @@
 """Shared buffer pool: recycling, subdivision, sharing semantics."""
 
+import dataclasses
 from collections import deque
 
 import pytest
@@ -177,6 +178,42 @@ class TestBufferHandle:
         head.chain(tail)
         assert [s.buf_id for s in head.segments()] == [head.buf_id, tail.buf_id]
         assert head.total_len == 1064
+        third = Buffer(addr=0, capacity=128, external=True)
+        third.set_payload(100)
+        tail.chain(third)
+        assert head.total_len == 1164
+        assert tail.total_len == 1100
+
+    def test_construction_validated(self):
+        with pytest.raises(PoolError):
+            Buffer(addr=0, capacity=0)
+        with pytest.raises(PoolError):
+            Buffer(addr=-64, capacity=128)
+        with pytest.raises(PoolError):
+            Buffer(0, -128, True)
+
+    def test_dataclass_behaviour(self):
+        assert [f.name for f in dataclasses.fields(Buffer)] == [
+            "addr", "capacity", "small", "data_len", "external", "buf_id",
+            "seg_next", "_allocated",
+        ]
+        a, b = Buffer(addr=0, capacity=64), Buffer(64, 64, True)
+        assert b.buf_id == a.buf_id + 1
+        assert (b.addr, b.capacity, b.small) == (64, 64, True)
+        buf = Buffer(addr=128, capacity=64, data_len=10, buf_id=5)
+        assert repr(buf) == (
+            "Buffer(addr=128, capacity=64, small=False, data_len=10, "
+            "external=False, buf_id=5, seg_next=None)"
+        )
+        assert buf == Buffer(addr=128, capacity=64, data_len=10, buf_id=5)
+        assert buf != Buffer(addr=128, capacity=64, data_len=10, buf_id=6)
+        assert buf != Buffer(
+            addr=128, capacity=64, data_len=10, buf_id=5, _allocated=True
+        )
+        copy = dataclasses.replace(buf, data_len=20)
+        assert (copy.buf_id, copy.addr, copy.data_len) == (5, 128, 20)
+        with pytest.raises(PoolError):
+            dataclasses.replace(buf, capacity=0)
 
 
 class _EagerSharedList:

@@ -1,5 +1,7 @@
 """Traffic generator semantics."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import CcnicConfig, CcnicInterface
@@ -28,10 +30,33 @@ class TestPacket:
     def test_size_validated(self):
         with pytest.raises(WorkloadError):
             Packet(size=0)
+        with pytest.raises(WorkloadError):
+            Packet(-64, tx_ns=5.0)
 
     def test_unique_ids(self):
-        a, b = Packet(size=64), Packet(size=64)
+        a, b, c = Packet(size=64), Packet(64, tx_ns=1.0), Packet(128, 2.0, flow=3)
         assert a.pkt_id != b.pkt_id
+        assert (b.pkt_id, c.pkt_id) == (a.pkt_id + 1, a.pkt_id + 2)
+
+    def test_dataclass_behaviour(self):
+        assert [f.name for f in dataclasses.fields(Packet)] == [
+            "size", "tx_ns", "rx_ns", "pkt_id", "flow",
+        ]
+        pkt = Packet(256, 5.0, 9.0, 41, 7)
+        assert (pkt.size, pkt.tx_ns, pkt.rx_ns, pkt.pkt_id, pkt.flow) == (
+            256, 5.0, 9.0, 41, 7
+        )
+        pkt = Packet(size=64, tx_ns=1.5, pkt_id=3)
+        assert repr(pkt) == "Packet(size=64, tx_ns=1.5, rx_ns=None, pkt_id=3, flow=0)"
+        assert pkt == Packet(size=64, tx_ns=1.5, pkt_id=3)
+        assert pkt != Packet(size=64, tx_ns=1.5, pkt_id=4)
+        drawn = Packet(64).pkt_id
+        copy = dataclasses.replace(pkt, rx_ns=9.5)
+        assert Packet(64).pkt_id == drawn + 1  # a copy draws no id
+        assert (copy.pkt_id, copy.size, copy.tx_ns, copy.rx_ns) == (3, 64, 1.5, 9.5)
+        assert copy.latency_ns == 8.0
+        with pytest.raises(WorkloadError):
+            dataclasses.replace(pkt, size=0)
 
 
 class TestClosedLoop:
