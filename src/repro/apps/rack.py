@@ -61,6 +61,8 @@ class RackKvApp(KvServerApp):
         # rack layer never perturbs the workload's key/size streams.
         self._client_rng = make_rng(seed, "rack/clients")
         self._clients_seen: set = set()
+        # Each client's actor name, built once rather than per request.
+        self._client_actors = tuple(f"client{client}" for client in range(n_clients))
 
     # ------------------------------------------------------------------
     def _ingress_ns(self, pkt: Packet) -> float:
@@ -72,7 +74,7 @@ class RackKvApp(KvServerApp):
             self.host,
             MessageClass.DMA_WRITE,
             payload_bytes=pkt.size,
-            actor=f"client{client}",
+            actor=self._client_actors[client],
         )
 
     def _egress_ns(self, pkt: Packet) -> float:

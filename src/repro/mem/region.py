@@ -29,6 +29,10 @@ class Region:
     #: a plain attribute because hot prefetch-bound checks read it per
     #: cache-line access and a property call there is measurable.
     end: int = field(init=False, compare=False, repr=False, default=0)
+    #: Whether the coherence protocol serves the region (``memtype`` is
+    #: write-back); stored like ``end``, because the fabric reads it at
+    #: each first touch of a line and the property is a Python call.
+    cacheable: bool = field(init=False, compare=False, repr=False, default=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -40,6 +44,7 @@ class Region:
                 f"region {self.name!r} base {self.base:#x} is not cache-line aligned"
             )
         object.__setattr__(self, "end", self.base + self.size)
+        object.__setattr__(self, "cacheable", self.memtype.is_cacheable)
 
     def contains(self, addr: int, size: int = 1) -> bool:
         """True if ``[addr, addr+size)`` lies entirely within this region."""

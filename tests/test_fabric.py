@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coherence import CoherenceFabric, CostModel, LineState
-from repro.errors import CoherenceError
+from repro.errors import AddressSpaceError, CoherenceError
 from repro.interconnect import Link, MessageClass
 from repro.mem import AddressSpace, MemType
 from repro.sim import Simulator
@@ -77,6 +77,31 @@ class TestBasicAccesses:
         region = space.allocate("mmio", 64, home=0, memtype=MemType.UNCACHEABLE)
         with pytest.raises(CoherenceError):
             fabric.read(local, region.base, 8)
+
+    @pytest.mark.parametrize("target", ["unmapped", "WC", "UC"])
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_unmapped_and_uncached_rejected_by_every_path(self, target, prefetch):
+        # access (one line and a span), and access_burst, for an agent
+        # with and without the prefetcher (which resolves regions at a
+        # span's start rather than at its first miss).
+        fabric, space, _local, _peer, _remote = make_fabric()
+        agent = fabric.new_agent("probe", 0, prefetch=prefetch)
+        mapped = space.allocate("r", 256, home=0)
+        if target == "unmapped":
+            addr = mapped.end + 4096
+            kind, match = AddressSpaceError, "not mapped"
+        else:
+            memtype = MemType(target)
+            addr = space.allocate("mmio", 256, home=0, memtype=memtype).base
+            kind, match = CoherenceError, "non-WB region"
+        for call in (
+            lambda: fabric.access(agent, addr, 8, False),
+            lambda: fabric.access(agent, addr, 256, True),
+            lambda: fabric.access_burst(agent, [(addr, 64), (addr + 128, 64)], False),
+        ):
+            with pytest.raises(kind, match=match):
+                call()
+        assert agent.misses == 0
 
 
 class TestHitM:

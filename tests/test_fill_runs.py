@@ -17,7 +17,7 @@ from repro.analysis.loopback import InterfaceKind, build_interface, run_point
 from repro.check.sanitizer import Sanitizer
 from repro.coherence import CoherenceFabric
 from repro.coherence.cache import CacheAgent
-from repro.errors import CoherenceError
+from repro.errors import AddressSpaceError, CoherenceError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.interconnect import Link, MessageClass
 from repro.mem import AddressSpace, MemType
@@ -369,22 +369,29 @@ class TestRunEnds:
     @pytest.mark.parametrize("rejected, error", [
         ("empty", "size must be positive"),
         ("uncacheable", "non-WB region"),
+        ("write-combining", "non-WB region"),
+        ("unmapped", "not mapped"),
     ])
     def test_at_a_rejected_span(self, monkeypatch, rejected, error):
         # A later span that the walk rejects ends the run before it, so
         # the walk raises there, as it does line by line.
+        memtypes = {"uncacheable": MemType.UNCACHEABLE,
+                    "write-combining": MemType.WRITE_COMBINING}
         for runs in (True, False):
             w = _World()
             if not runs:
                 monkeypatch.setattr(w.fabric, "_fill_run", _line_by_line)
+            space = w.fabric.space
             if rejected == "empty":
                 bad = (w.regions[POOL].base + 64 * 4, 0)
+            elif rejected == "unmapped":
+                bad = (max(region.end for region in space.regions) + 4096, 64)
             else:
-                mmio = w.fabric.space.allocate("mmio", 64, home=0,
-                                               memtype=MemType.UNCACHEABLE)
+                mmio = space.allocate("mmio", 64, home=0, memtype=memtypes[rejected])
                 bad = (mmio.base, 64)
             spans = w.spans([(POOL, 0, 2)]) + [bad]
-            with pytest.raises(CoherenceError, match=error):
+            kind = AddressSpaceError if rejected == "unmapped" else CoherenceError
+            with pytest.raises(kind, match=error):
                 w.fabric.access_burst(w.agents[NIC], spans, False)
             assert w.agents[NIC].misses == 2
 
