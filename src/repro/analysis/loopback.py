@@ -57,7 +57,7 @@ class LoopbackSetup:
         The one attach path for telemetry and observers alike: each
         component's ``instrument`` cascade registers its metrics and
         takes the bundle's flight recorder, sanitizer and timeline on
-        its class-level hooks, and the timeline gains the setup's
+        its hooks, and the timeline gains the setup's
         standard series. The bundle replaces any earlier one, so attach
         everything in one bundle.
         """

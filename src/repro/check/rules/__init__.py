@@ -148,8 +148,10 @@ class HookGuardRule(LintRule):
     """Observability/fault/sanitizer hooks follow the zero-cost idiom.
 
     Two contracts: a class whose methods read ``self.<hook>`` must
-    define the hook as a class-level attribute (so detached instances
-    pay one attribute load, no ``__init__`` cost and no AttributeError);
+    define the hook as a class-level attribute (so the hook is
+    documented where the class is and no instance can raise
+    AttributeError; instances also carry their own ``None``, see
+    :class:`repro.obs.instrument.Instrumented`);
     and any *call* through a hook value must sit under an
     ``is not None`` (or truthiness) guard, so detached runs never
     allocate or dispatch on the hook path.

@@ -2,8 +2,9 @@
 
 The :class:`Sanitizer` attaches like the flight recorder, in the
 :class:`~repro.obs.Observability` bundle passed as ``obs=``: every
-hooked component keeps a class-level ``sanitizer = None`` attribute,
-so detached runs pay one attribute test per burst and allocate nothing.
+hooked component declares a class-level ``sanitizer = None`` default
+and starts with its own ``None`` copy, so detached runs pay one
+attribute test per burst and allocate nothing.
 Attached, it watches the fabric's memoized plan path — the fabric calls
 :meth:`Sanitizer.spec_read` on every reader-homed remote-cache fetch —
 so sanitized runs stay bit-identical in simulated metrics to unsanitized ones (the

@@ -254,6 +254,17 @@ class CcnicDriver(RecoverableDriver, Instrumented):
     # Idle-poll elision
     # ------------------------------------------------------------------
     @property
+    def needs_housekeeping(self) -> bool:
+        """Whether :meth:`housekeeping` does any work.
+
+        Only with host-side buffer management: under NIC-managed buffers
+        it returns 0.0 at once, so apps may leave it uncalled. Apps read
+        this with ``getattr(driver, "needs_housekeeping", True)``; drivers
+        without the flag keep their per-iteration call.
+        """
+        return not self.interface.config.nic_buffer_mgmt
+
+    @property
     def skips_idle_polls(self) -> bool:
         """Whether an app may skip this driver's steady-state empty polls.
 
@@ -262,7 +273,7 @@ class CcnicDriver(RecoverableDriver, Instrumented):
         line once per lap: an empty poll that repeats the previous one's
         cost on the same line was then a hit on the host's own copy.
         """
-        return self.interface.config.nic_buffer_mgmt and self.pair.rx.grouped
+        return not self.needs_housekeeping and self.pair.rx.grouped
 
     def idle_wake(self) -> float:
         """When a repeat of the last empty poll could do more than it did.
@@ -383,11 +394,11 @@ class CcnicDriver(RecoverableDriver, Instrumented):
     def housekeeping(self, post_target: int = 64) -> float:
         """Reap TX completions and post blank RX buffers.
 
-        A no-op under CC-NIC's shared buffer management; the traffic
-        generator calls it each loop iteration so ablations change cost,
-        not control flow.
+        A no-op under CC-NIC's shared buffer management, where apps
+        leave it uncalled (:attr:`needs_housekeeping`); with host-side
+        management they call it each loop iteration.
         """
-        if self.interface.config.nic_buffer_mgmt:
+        if not self.needs_housekeeping:
             return 0.0
         ns = 0.0
         # Reap TX completions: the NIC cannot free, so it passes used

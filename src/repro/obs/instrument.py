@@ -49,8 +49,8 @@ class Observability:
     the Chrome trace), ``sanitizer`` (a
     :class:`repro.check.sanitizer.Sanitizer`) and ``timeline`` (a
     :class:`repro.obs.timeline.TimelineSampler`) are observers:
-    :meth:`Instrumented.instrument` copies each one onto the class-level
-    hook of every component that declares it in ``_obs_hooks``.
+    :meth:`Instrumented.instrument` copies each one onto the hook of
+    every component that declares it in ``_obs_hooks``.
     Observers only watch — attaching one never changes which code path a
     component runs.
     """
@@ -93,6 +93,12 @@ class Instrumented:
     :meth:`instrument` is called, ``self.obs`` is the shared
     :data:`OBS_OFF` bundle — a class attribute, so uninstrumented
     instances carry zero extra per-instance state.
+
+    Observer hooks are the exception: each instance starts with its own
+    ``None`` copy of every hook in ``_obs_hooks``. Python 3.11
+    specializes an attribute load only when the attribute lives on the
+    instance, so a hot path reading a hook through the class-level
+    default pays a generic lookup on every call.
     """
 
     #: Active observability bundle (class-level default: disabled).
@@ -100,9 +106,16 @@ class Instrumented:
     #: Registry component label assigned at instrument time.
     obs_name: str = ""
     #: Observer hooks (``flight``/``sanitizer``/``timeline``) this class
-    #: reads; :meth:`instrument` copies each from the bundle onto the
-    #: instance, shadowing the class-level ``None`` default.
+    #: reads; each instance starts with them ``None`` and
+    #: :meth:`instrument` copies each from the bundle onto the instance.
+    #: The class-level ``None`` defaults document them.
     _obs_hooks: Tuple[str, ...] = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "Instrumented":
+        self = super().__new__(cls)
+        for hook in cls._obs_hooks:
+            setattr(self, hook, None)
+        return self
 
     def _obs_component(self) -> str:
         """Default component label; override for stable short names."""

@@ -5,7 +5,7 @@ transient phenomena coherent-interface studies actually care about: a
 briefly saturating UPI direction, a ring that wedges during a fault
 window, Zipf-driven hot-key churn. :class:`TimelineSampler` closes that
 gap: it rides an :class:`~repro.obs.Observability` bundle onto the
-simulator's class-level ``timeline`` hook (the attach path ``flight``
+simulator's ``timeline`` hook (the attach path ``flight``
 and ``sanitizer`` share), and every ``interval_ns`` of *simulated*
 time it closes a window — snapshotting counter deltas, gauge values,
 and per-window latency percentiles into per-series ring buffers.

@@ -63,7 +63,14 @@ class TestDriverValidation:
 
     def test_housekeeping_noop_with_shared_management(self):
         _system, _nic, driver = make()
+        assert not driver.needs_housekeeping
         assert driver.housekeeping() == 0.0
+
+    def test_host_managed_buffers_need_housekeeping(self):
+        _system, _nic, driver = make(CcnicConfig(nic_buffer_mgmt=False))
+        assert driver.needs_housekeeping
+        assert not driver.skips_idle_polls
+        assert driver.housekeeping() > 0.0  # posts the first RX blanks
 
 
 class TestVisibility:

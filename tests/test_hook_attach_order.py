@@ -94,6 +94,27 @@ class TestObserverBundle:
         _assert_hooks(setup, dict.fromkeys(HOOKS))
 
 
+class TestDetachedHooks:
+    def test_hooks_live_on_each_instance(self):
+        """A detached run's hooks are None on each instance itself, where
+        Python 3.11 specializes the hot paths' loads; the class-level
+        defaults only document them."""
+        setup = _run(())[1]
+        pair = setup.interface.pair(0)
+        owners = [
+            (setup.system.fabric, ("flight", "sanitizer", "faults")),
+            (setup.system.link, ("faults",)),
+            (setup.interface.pool, ("sanitizer",)),
+            (setup.driver, ("flight", "sanitizer")),
+            (pair.tx, ("sanitizer",)),
+            (pair.agent, ("flight", "sanitizer")),
+            (setup.system.sim, ("timeline",)),
+        ]
+        for owner, hooks in owners:
+            for hook in hooks:
+                assert vars(owner)[hook] is None, (type(owner).__name__, hook)
+
+
 class TestAttachOrderFingerprints:
     """Growing the bundle one observer at a time, in any order, is inert."""
 

@@ -120,6 +120,19 @@ class TestDisabledMode:
         assert a.obs is OBS_OFF and b.obs is OBS_OFF
         assert "obs" not in a.__dict__
 
+    def test_hooks_start_on_the_instance(self):
+        class Hooked(Instrumented):
+            flight = None
+            _obs_hooks = ("flight",)
+
+        a = Hooked()
+        assert vars(a) == {"flight": None}
+        recorder = object()
+        a.instrument(Observability(flight=recorder))
+        assert a.flight is recorder and Hooked.flight is None
+        a.instrument(OBS_OFF)
+        assert vars(a)["flight"] is None
+
     def test_instrument_registers_and_cascades(self):
         class Child(Instrumented):
             def _register_metrics(self, registry):

@@ -22,6 +22,19 @@ class TestLoopback:
                               inflight=32, tx_batch=8, rx_batch=8)
         assert result.received == 400
 
+    def test_loop_keeps_housekeeping(self):
+        # PCIe drivers post RX blanks and reap TX in housekeeping, and
+        # carry no needs_housekeeping flag: the loop calls it each pass.
+        system, _nic, driver = build(E810)
+        assert getattr(driver, "needs_housekeeping", True)
+        calls = []
+        housekeeping = driver.housekeeping
+        driver.housekeeping = lambda: calls.append(1) or housekeeping()
+        result = run_loopback(system, driver, pkt_size=64, n_packets=100,
+                              inflight=8, tx_batch=8, rx_batch=8)
+        assert result.received == 100
+        assert len(calls) > 0
+
     def test_e810_min_latency_matches_paper(self):
         system, _nic, driver = build(E810)
         result = run_loopback(system, driver, pkt_size=64, n_packets=500,
